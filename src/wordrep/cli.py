@@ -22,7 +22,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -37,22 +36,8 @@ EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    fmt: str = "json"
-    out: Optional[Path] = None
-    max_vertices: int = ori.DEFAULT_MAX_VERTICES
-    max_k: Optional[int] = None
-    max_walk: Optional[int] = None
-    workers: int = 1
-    seed: int = 0
-    sample_threshold: int = 200_000
-    params: dict = field(default_factory=dict)
-
-
-def _emit(config: RunConfig, payload: dict, text_lines: list[str]) -> None:
-    if config.fmt == "json":
+def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+    if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
         for line in text_lines:
@@ -103,25 +88,25 @@ def _require_n(args: argparse.Namespace) -> int:
     return args.n
 
 
-def cmd_construct(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_construct(args: argparse.Namespace) -> int:
     word, graph, params = _build_family(args.family, args)
     verified = wd.represents(word, graph).ok
-    if config.out is not None:
-        config.out.write_text(wd.format_word_text(word))
+    if args.out is not None:
+        args.out.write_text(wd.format_word_text(word))
     payload = {
         "family": args.family,
         "params": params,
         "word": str(word),
         "verified": verified,
     }
-    _emit(config, payload, [str(word), f"verified: {str(verified).lower()}"])
+    _emit(args, payload, [str(word), f"verified: {str(verified).lower()}"])
     return EXIT_OK if verified else EXIT_NEGATIVE
 
 
 # --- verify ----------------------------------------------------------------
 
 
-def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     graph, _ = gr.parse_graph_text(Path(args.graph).read_text())
     word = wd.parse_word_text(Path(args.word).read_text())
     report = wd.represents(word, graph)
@@ -130,26 +115,24 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
         f"  {v.x} {v.y}: restriction {v.restriction!r} expected to {v.expected}"
         for v in report.violations
     ]
-    _emit(config, report.to_json(), lines)
+    _emit(args, report.to_json(), lines)
     return EXIT_OK if report.ok else EXIT_NEGATIVE
 
 
 # --- representable -----------------------------------------------------------
 
 
-def cmd_representable(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_representable(args: argparse.Namespace) -> int:
     graph, _ = gr.parse_graph_text(Path(args.graph).read_text())
-    if len(graph.vertices) > config.max_vertices:
-        raise ori.CapExceededError(
-            f"{len(graph.vertices)} vertices exceeds the cap of {config.max_vertices}"
-        )
+    ori._check_cap(graph, args.max_vertices)
     searcher = ori.ShortcutSearcher(graph)
     found = None
     acyclic = 0
-    for _, out in ori.iter_acyclic_outsets(graph):
+    for out in ori.acyclic_outsets(graph):
         acyclic += 1
-        if found is None and searcher.find(out) is None:
+        if searcher.find(out) is None:
             found = ori.Orientation(graph, out)
+            break
     payload: dict = {"representable": found is not None}
     lines = [f"representable: {str(found is not None).lower()}"]
     if found is not None:
@@ -158,37 +141,34 @@ def cmd_representable(args: argparse.Namespace, config: RunConfig) -> int:
     else:
         payload["witnessSummary"] = {"acyclicOrientations": acyclic, "semiTransitive": 0}
         lines.append(f"acyclic orientations checked: {acyclic}")
-    if config.max_k is not None and len(graph.vertices) <= ori.WORD_SEARCH_MAX_VERTICES:
+    if args.max_k is not None and len(graph.vertices) <= ori.WORD_SEARCH_MAX_VERTICES:
         payload["representationNumber"] = ori.bounded_representation_number(
-            graph, config.max_k
+            graph, args.max_k
         )
-    if config.max_walk is not None:
-        walk = ori.find_noncomparability_witness(graph, config.max_walk)
+    if args.max_walk is not None:
+        walk = ori.find_noncomparability_witness(graph, args.max_walk)
         payload["oddWalk"] = list(walk) if walk else None
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK if found is not None else EXIT_NEGATIVE
 
 
 # --- characterize ------------------------------------------------------------
 
 
-def cmd_characterize(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_characterize(args: argparse.Namespace) -> int:
     graph, partition = gr.parse_graph_text(Path(args.graph).read_text())
     if partition is None:
         raise gr.GraphError("characterize needs cliqueA/cliqueB lines in the graph file")
-    if len(graph.vertices) > config.max_vertices:
-        raise ori.CapExceededError(
-            f"{len(graph.vertices)} vertices exceeds the cap of {config.max_vertices}"
-        )
+    ori._check_cap(graph, args.max_vertices)
     result = sweep_orientations(
         graph,
         partition,
-        workers=config.workers,
-        sample_threshold=config.sample_threshold,
-        seed=config.seed,
+        workers=args.workers,
+        sample_threshold=args.sample_threshold,
+        seed=args.seed,
     )
     payload = result.to_json()
-    payload["workers"] = config.workers
+    payload["workers"] = args.workers
     lines = [
         f"orientations: {result.orientations}",
         f"semi-transitive: {result.semi_transitive}",
@@ -196,7 +176,7 @@ def cmd_characterize(args: argparse.Namespace, config: RunConfig) -> int:
     ]
     if result.sampled:
         lines.append(f"sampled with seed {result.seed}")
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK if not result.disagreements else EXIT_NEGATIVE
 
 
@@ -241,8 +221,8 @@ def _catalog_entries(args: argparse.Namespace):
                     )
 
 
-def cmd_catalog(args: argparse.Namespace, config: RunConfig) -> int:
-    out_dir = config.out or Path("catalog")
+def cmd_catalog(args: argparse.Namespace) -> int:
+    out_dir = args.out or Path("catalog")
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = []
     for name, (graph, partition) in _catalog_entries(args):
@@ -259,7 +239,7 @@ def cmd_catalog(args: argparse.Namespace, config: RunConfig) -> int:
     manifest_text = json.dumps({"files": manifest}, indent=2) + "\n"
     (out_dir / "manifest.json").write_text(manifest_text)
     _emit(
-        config,
+        args,
         {"outDir": str(out_dir), "files": manifest},
         [f"wrote {len(manifest)} graphs to {out_dir}"],
     )
@@ -335,22 +315,11 @@ _HANDLERS = {
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        fmt=getattr(args, "format", "json"),
-        out=getattr(args, "out", None),
-        max_vertices=getattr(args, "max_vertices", ori.DEFAULT_MAX_VERTICES),
-        max_k=getattr(args, "max_k", None),
-        max_walk=getattr(args, "max_walk", None),
-        workers=getattr(args, "workers", 1),
-        seed=getattr(args, "seed", 0),
-        sample_threshold=getattr(args, "sample_threshold", 200_000),
-    )
-    if config.workers < 1:
+    if getattr(args, "workers", 1) < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return EXIT_ERROR
     try:
-        return _HANDLERS[args.command](args, config)
+        return _HANDLERS[args.command](args)
     except (gr.GraphError, wd.WordError, ori.OrientationError,
             ori.CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,8 +15,10 @@ An orientation of a two-clique graph is semi-transitive exactly when
   ``check_condition_typec`` (type C boundaries cannot be straddled).
 
 ``is_semi_transitive_cobip`` runs the stages in that order and reports the
-first failure; on acyclic orientations its verdict matches the generic
-path-based shortcut search, which the test suite sweeps exhaustively.
+first failure as ``clique-transitivity``, ``typing``, ``lemma41`` (A/B),
+``lemma42`` (quad) or ``lemma43`` (type C); on acyclic orientations its
+verdict matches the generic path-based shortcut search, which the test
+suite sweeps exhaustively.
 
 One empirical note from those sweeps: on acyclic input the first failing
 stage is only ever clique transitivity, typing, or the quad condition.
@@ -28,10 +30,10 @@ swept.  All stages stay active since each is sound on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import islice
 from math import factorial
 from random import Random
-from typing import Optional
+from typing import Iterable, Optional
 
 from .graphs import (
     CoBipartitePartition,
@@ -43,8 +45,8 @@ from .graphs import (
 from .orientations import (
     Orientation,
     ShortcutSearcher,
-    outset_from_fingerprint,
-    outsets_for_orders,
+    acyclic_outsets,
+    outs_from_order,
 )
 
 
@@ -294,7 +296,7 @@ def check_condition_typec(o: Orientation, partition: CoBipartitePartition,
 @dataclass(frozen=True)
 class CharacterizationReport:
     semi_transitive: bool
-    failed_stage: Optional[str]  # clique-transitivity, typing, ab, quad, typec
+    failed_stage: Optional[str]  # clique-transitivity, typing, lemma41, lemma42, lemma43
     details: tuple = field(default_factory=tuple)
 
     def to_json(self) -> dict:
@@ -341,11 +343,13 @@ def is_semi_transitive_cobip(
 # --- dual-oracle sweep ------------------------------------------------------
 #
 # Runs both semi-transitivity deciders (the generic path-based shortcut
-# search and the staged structural test above) over the acyclic
-# orientations of one co-bipartite graph and reports any disagreement.
-# Work can be sharded over processes by the first vertex of the inducing
-# linear order; shards deduplicate locally and the merged fingerprint map
-# is identical to a single-worker run.
+# search and the staged structural test above) over one stream of acyclic
+# orientations of a co-bipartite graph and reports any disagreement.  The
+# stream is the exhaustive enumerator, or the distinct orientations of
+# seeded random orders when sampling.  With several processes, worker w
+# rebuilds the same stream and evaluates every w-th item; counts add up and
+# disagreements are merged by stream position, so the result is identical
+# to a single-worker run.
 
 
 @dataclass(frozen=True)
@@ -368,32 +372,45 @@ class SweepResult:
         }
 
 
-def _evaluate_orders(g: Graph, partition: CoBipartitePartition,
-                     orders) -> dict[int, tuple[bool, bool]]:
+def _orientation_stream(g: Graph, sample: Optional[int],
+                        seed: int) -> Iterable[tuple[int, ...]]:
+    """Every acyclic orientation, or the distinct ones induced by ``sample`` seeded orders."""
+    if sample is None:
+        return acyclic_outsets(g)
+    rng = Random(seed)
+    base = list(range(len(g.vertices)))
+    return dict.fromkeys(
+        outs_from_order(g.adj, rng.sample(base, len(base))) for _ in range(sample)
+    )
+
+
+def _sweep_slice(g: Graph, partition: CoBipartitePartition, sample: Optional[int],
+                 seed: int, start: int, step: int) -> tuple[int, int, list]:
+    """Counts and positioned disagreements over every step-th orientation from start."""
     searcher = ShortcutSearcher(g)
-    verdicts: dict[int, tuple[bool, bool]] = {}
-    for fp, out in outsets_for_orders(g, orders):
-        o = Orientation(g, out)
+    count = semi = 0
+    disagreements = []
+    stream = islice(_orientation_stream(g, sample, seed), start, None, step)
+    for position, out in enumerate(stream):
+        count += 1
         path_verdict = searcher.find(out) is None
-        structural_verdict, _ = is_semi_transitive_cobip(o, partition)
-        verdicts[fp] = (path_verdict, structural_verdict)
-    return verdicts
+        semi += path_verdict
+        o = Orientation(g, out)
+        structural_verdict, report = is_semi_transitive_cobip(o, partition)
+        if path_verdict != structural_verdict:
+            disagreements.append((start + position * step, {
+                "arcs": [f"{u} -> {v}" for u, v in o.arcs()],
+                "pathOracle": path_verdict,
+                "structuralOracle": structural_verdict,
+                "report": report.to_json(),
+            }))
+    return count, semi, disagreements
 
 
-def _sweep_shard(payload: tuple) -> dict[int, tuple[bool, bool]]:
-    text, firsts, explicit_orders = payload
+def _sweep_shard(payload: tuple) -> tuple[int, int, list]:
+    text, sample, seed, start, step = payload
     g, partition = parse_graph_text(text)
-    n = len(g.vertices)
-    if explicit_orders is not None:
-        return _evaluate_orders(g, partition, explicit_orders)
-
-    def orders():
-        for first in firsts:
-            rest = [i for i in range(n) if i != first]
-            for tail in permutations(rest):
-                yield (first,) + tail
-
-    return _evaluate_orders(g, partition, orders())
+    return _sweep_slice(g, partition, sample, seed, start, step)
 
 
 def sweep_orientations(
@@ -408,55 +425,29 @@ def sweep_orientations(
     When the number of linear orders exceeds ``sample_threshold``, that
     many orders are drawn with the seeded generator instead (the result
     records the seed and that sampling happened).  Disagreeing
-    orientations are returned in fingerprint order with both verdicts and
-    the structural report.
+    orientations are returned in stream order with both verdicts and the
+    structural report.
     """
     partition.validate(g)
-    n = len(g.vertices)
-    total_orders = factorial(n)
+    total_orders = factorial(len(g.vertices))
     sampled = total_orders > sample_threshold
-    sample: Optional[list[tuple[int, ...]]] = None
-    if sampled:
-        rng = Random(seed)
-        base = list(range(n))
-        sample = [tuple(rng.sample(base, n)) for _ in range(sample_threshold)]
+    sample = sample_threshold if sampled else None
 
     if workers <= 1:
-        orders = sample if sampled else permutations(range(n))
-        verdicts = _evaluate_orders(g, partition, orders)
+        shards = [_sweep_slice(g, partition, sample, seed, 0, 1)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         text = format_graph_text(g, partition)
-        if sampled:
-            chunk = (len(sample) + workers - 1) // workers
-            payloads = [
-                (text, (), sample[w * chunk:(w + 1) * chunk]) for w in range(workers)
-            ]
-        else:
-            payloads = [(text, tuple(range(w, n, workers)), None) for w in range(workers)]
-        verdicts = {}
+        payloads = [(text, sample, seed, w, workers) for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for shard in pool.map(_sweep_shard, payloads):
-                verdicts.update(shard)
+            shards = list(pool.map(_sweep_shard, payloads))
 
-    disagreements = []
-    for fp in sorted(verdicts):
-        path_verdict, structural_verdict = verdicts[fp]
-        if path_verdict != structural_verdict:
-            o = Orientation(g, outset_from_fingerprint(g, fp))
-            _, report = is_semi_transitive_cobip(o, partition)
-            disagreements.append({
-                "fingerprint": fp,
-                "arcs": [f"{u} -> {v}" for u, v in o.arcs()],
-                "pathOracle": path_verdict,
-                "structuralOracle": structural_verdict,
-                "report": report.to_json(),
-            })
+    positioned = sorted(item for _, _, found in shards for item in found)
     return SweepResult(
-        orientations=len(verdicts),
-        semi_transitive=sum(1 for a, _ in verdicts.values() if a),
-        disagreements=tuple(disagreements),
+        orientations=sum(count for count, _, _ in shards),
+        semi_transitive=sum(semi for _, semi, _ in shards),
+        disagreements=tuple(record for _, record in positioned),
         sampled=sampled,
         seed=seed if sampled else None,
         orders_examined=sample_threshold if sampled else total_orders,

@@ -6,9 +6,10 @@ non-transitive subdigraph (a shortcut).  A graph has a representing word
 exactly when it admits such an orientation, so exhaustive search over
 acyclic orientations decides word-representability at desk scale.
 
-Acyclic orientations are generated from linear orders (every acyclic
-orientation is induced by some order) and deduplicated by an edge-direction
-fingerprint.  The shortcut search enumerates directed paths per edge,
+Acyclic orientations are generated vertex by vertex: each new vertex
+points at a set of its earlier neighbours that is closed under reachability,
+so every branch ends in a distinct acyclic orientation and nothing needs
+deduplicating.  The shortcut search enumerates directed paths per edge,
 depth-first, pruned to vertices that can still reach the head; this follows
 the definition literally and is exponential in the worst case, which is
 fine at the enforced vertex caps.
@@ -21,7 +22,6 @@ search for uniform representing words of bounded multiplicity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Iterator, Optional
 
 from .graphs import Graph, GraphError, _bits
@@ -53,13 +53,7 @@ class Orientation:
         order = tuple(order)
         if sorted(order) != sorted(g.vertices):
             raise OrientationError("order must list every vertex exactly once")
-        pos = {g.index(v): t for t, v in enumerate(order)}
-        out = [0] * len(g.vertices)
-        for i, mask in enumerate(g.adj):
-            for j in _bits(mask):
-                if pos[i] < pos[j]:
-                    out[i] |= 1 << j
-        return cls(g, tuple(out))
+        return cls(g, outs_from_order(g.adj, [g.index(v) for v in order]))
 
     @classmethod
     def from_arcs(cls, g: Graph, arcs: Iterable[tuple[str, str]]) -> "Orientation":
@@ -86,13 +80,6 @@ class Orientation:
         for u, v in self.graph.edges():
             result.append((u, v) if self.has_arc(u, v) else (v, u))
         return result
-
-    def fingerprint(self) -> int:
-        fp = 0
-        for e, (u, v) in enumerate(self.graph.edges()):
-            if self.has_arc(u, v):
-                fp |= 1 << e
-        return fp
 
     def serialize(self) -> str:
         return "\n".join(f"{u} -> {v}" for u, v in self.arcs()) + "\n"
@@ -251,55 +238,59 @@ def is_transitive(o: Orientation) -> bool:
 # --- exhaustive enumeration ------------------------------------------------
 
 
-def outset_from_fingerprint(g: Graph, fp: int) -> tuple[int, ...]:
-    """Out-bitsets for the orientation encoded by an edge-direction fingerprint."""
-    out = [0] * len(g.vertices)
-    bit = 1
-    for u, v in g.edges():
-        i, j = g.index(u), g.index(v)
-        if fp & bit:
-            out[i] |= 1 << j
-        else:
-            out[j] |= 1 << i
-        bit <<= 1
+def outs_from_order(adj: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
+    """Out-bitsets orienting each edge from the earlier to the later vertex of an index order."""
+    out = [0] * len(adj)
+    later = 0
+    for i in reversed(order):
+        out[i] = adj[i] & later
+        later |= 1 << i
     return tuple(out)
 
 
-def outsets_for_orders(
-    g: Graph, orders: Iterable[tuple[int, ...]]
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(fingerprint, out-bitsets) of the orientations induced by the given orders.
+def acyclic_outsets(g: Graph) -> Iterator[tuple[int, ...]]:
+    """Out-bitsets of every acyclic orientation, each exactly once.
 
-    Each order is a tuple of vertex indices; edges are oriented from earlier
-    to later.  Repeated orientations are dropped via a fingerprint set, so
-    memory grows with the number of distinct orientations seen.
+    Vertices join in index order.  Vertex k points at a set S of its
+    earlier neighbours and the rest point at k; that closes a cycle exactly
+    when a member of S reaches an earlier neighbour outside S.  Deciding
+    the earlier neighbours descendants-first (a descendant reaches fewer
+    vertices) lets each one join S unless it reaches one already left out,
+    so every branch completes and no orientation repeats.
     """
     n = len(g.vertices)
-    edge_pairs = [(g.index(u), g.index(v)) for u, v in g.edges()]
-    seen: set[int] = set()
-    pos = [0] * n
-    for perm in orders:
-        for t, i in enumerate(perm):
-            pos[i] = t
-        fp = 0
-        bit = 1
-        for i, j in edge_pairs:
-            if pos[i] < pos[j]:
-                fp |= bit
-            bit <<= 1
-        if fp in seen:
-            continue
-        seen.add(fp)
-        yield fp, outset_from_fingerprint(g, fp)
+    adj = g.adj
 
+    def extend(k: int, out: list[int], reach: list[int]) -> Iterator[tuple[int, ...]]:
+        if k == n:
+            yield tuple(out)
+            return
+        kbit = 1 << k
+        back = adj[k] & (kbit - 1)
+        choices = [0]
+        decided = 0
+        for b in sorted(_bits(back), key=lambda b: reach[b].bit_count()):
+            bit = 1 << b
+            below = reach[b] & decided
+            nxt = []
+            for s in choices:
+                nxt.append(s)
+                if not below & ~s:
+                    nxt.append(s | bit)
+            choices = nxt
+            decided |= bit
+        for s in choices:
+            inward = back & ~s
+            reach_k = kbit
+            for j in _bits(s):
+                reach_k |= reach[j]
+            yield from extend(
+                k + 1,
+                [o | kbit if inward >> i & 1 else o for i, o in enumerate(out)] + [s],
+                [r | reach_k if r & inward else r for r in reach] + [reach_k],
+            )
 
-def iter_acyclic_outsets(g: Graph) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(fingerprint, out-bitsets) for every acyclic orientation, each once.
-
-    Linear orders are scanned in lexicographic vertex-index order, so the
-    first order inducing any given orientation is deterministic.
-    """
-    return outsets_for_orders(g, permutations(range(len(g.vertices))))
+    return extend(0, [], [])
 
 
 def _check_cap(g: Graph, max_vertices: int) -> None:
@@ -312,9 +303,9 @@ def _check_cap(g: Graph, max_vertices: int) -> None:
 def enumerate_acyclic_orientations(
     g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> Iterator[Orientation]:
-    """Every acyclic orientation exactly once, via deduplicated linear orders."""
+    """Every acyclic orientation exactly once."""
     _check_cap(g, max_vertices)
-    for _, out in iter_acyclic_outsets(g):
+    for out in acyclic_outsets(g):
         yield Orientation(g, out)
 
 
@@ -324,7 +315,7 @@ def find_semi_transitive_orientation(
     """Exhaustive search; None means no semi-transitive orientation exists."""
     _check_cap(g, max_vertices)
     searcher = ShortcutSearcher(g)
-    for _, out in iter_acyclic_outsets(g):
+    for out in acyclic_outsets(g):
         if searcher.find(out) is None:
             return Orientation(g, out)
     return None
@@ -340,7 +331,7 @@ def is_comparability(
 ) -> Optional[Orientation]:
     """A transitive orientation if one exists (comparability graph), else None."""
     _check_cap(g, max_vertices)
-    for _, out in iter_acyclic_outsets(g):
+    for out in acyclic_outsets(g):
         if outs_transitive(out):
             return Orientation(g, out)
     return None

@@ -6,6 +6,8 @@ from wordrep.cli import main
 from wordrep.graphs import format_graph_text, named_witness
 from wordrep.constructions import complement_path_graph
 
+from test_acceptance import Budget
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -118,6 +120,16 @@ class TestRepresentable:
         assert payload["representable"] is True
         assert payload["representationNumber"] == 1
         assert payload["oddWalk"] is None
+
+    def test_edgeless_12_vertices_is_quick(self, capsys, tmp_path):
+        # One acyclic orientation, whatever the number of linear orders.
+        gpath = tmp_path / "empty12.graph"
+        gpath.write_text("vertices: " + " ".join(f"v{i}" for i in range(12)) + "\n")
+        with Budget("edgeless 12-vertex representable", 1):
+            code, out, _ = run_cli(
+                capsys, "representable", str(gpath), "--max-vertices", "12")
+        assert code == 0
+        assert json.loads(out)["representable"] is True
 
     def test_cap_exit_2(self, capsys, tmp_path):
         g, part = named_witness("T1bar")

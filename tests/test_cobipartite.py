@@ -1,5 +1,6 @@
 """A/B/C typing, the cross-pattern conditions, and the staged verdict."""
 
+import multiprocessing
 from itertools import combinations
 
 import pytest
@@ -9,10 +10,11 @@ from wordrep.constructions import complement_path_graph
 from wordrep.orientations import (
     Orientation,
     ShortcutSearcher,
+    acyclic_outsets,
     find_semi_transitive_orientation,
-    iter_acyclic_outsets,
 )
 from wordrep.cobipartite import (
+    CharacterizationReport,
     NonTransitiveCliqueError,
     check_condition_ab,
     check_condition_quad,
@@ -160,7 +162,7 @@ class TestConditionTypeC:
         g, part = complement_path_graph(4)
         searcher = ShortcutSearcher(g)
         checked = 0
-        for _, out in iter_acyclic_outsets(g):
+        for out in acyclic_outsets(g):
             if searcher.find(out) is None:
                 o = Orientation(g, out)
                 assert check_condition_typec(o, part) == []
@@ -181,7 +183,7 @@ class TestStagedVerdict:
     def test_every_orientation_of_t1bar_fails(self):
         g, part = named_witness("T1bar")
         stages = set()
-        for o in [Orientation(g, out) for _, out in iter_acyclic_outsets(g)]:
+        for o in [Orientation(g, out) for out in acyclic_outsets(g)]:
             ok, report = is_semi_transitive_cobip(o, part)
             assert not ok
             stages.add(report.failed_stage)
@@ -205,7 +207,7 @@ class TestStagedVerdict:
     def test_passing_type_c_groups_touch_source_and_sink(self):
         g, part = complement_path_graph(3)
         found = 0
-        for _, out in iter_acyclic_outsets(g):
+        for out in acyclic_outsets(g):
             o = Orientation(g, out)
             ok, _ = is_semi_transitive_cobip(o, part)
             if not ok:
@@ -230,7 +232,7 @@ class TestAgreementSweep:
             cross = [crosspairs[t] for t in range(4) if bits >> t & 1]
             g, part = join_graph(labels_a, labels_b, cross=cross)
             searcher = ShortcutSearcher(g)
-            for _, out in iter_acyclic_outsets(g):
+            for out in acyclic_outsets(g):
                 o = Orientation(g, out)
                 path_verdict = searcher.find(out) is None
                 structural_verdict, _ = is_semi_transitive_cobip(o, part)
@@ -257,6 +259,27 @@ class TestAgreementSweep:
         parallel = sweep_orientations(g, part, workers=2)
         assert serial.to_json() == parallel.to_json()
         assert serial.semi_transitive == 0
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers must inherit the patched oracle")
+    def test_disagreements_merge_in_stream_order(self, monkeypatch):
+        # A structural oracle that rejects everything disagrees with the
+        # path oracle on exactly the semi-transitive orientations.
+        import wordrep.cobipartite as cob
+
+        monkeypatch.setattr(cob, "is_semi_transitive_cobip", lambda o, part: (
+            False, CharacterizationReport(False, "typing")))
+        g, part = complement_path_graph(2)
+        serial = sweep_orientations(g, part, workers=1)
+        assert len(serial.disagreements) == serial.semi_transitive > 1
+        searcher = ShortcutSearcher(g)
+        expected = [Orientation(g, out).arcs() for out in acyclic_outsets(g)
+                    if searcher.find(out) is None]
+        assert [d["arcs"] for d in serial.disagreements] == [
+            [f"{u} -> {v}" for u, v in arcs] for arcs in expected]
+        for workers in (2, 3):
+            parallel = sweep_orientations(g, part, workers=workers)
+            assert parallel.to_json() == serial.to_json()
 
     def test_sweep_sampling_is_seeded(self):
         g, part = named_witness("T1bar")

@@ -12,6 +12,7 @@ from wordrep.orientations import (
     CapExceededError,
     Orientation,
     OrientationError,
+    acyclic_outsets,
     bounded_representation_number,
     enumerate_acyclic_orientations,
     find_noncomparability_witness,
@@ -110,9 +111,8 @@ class TestEnumeration:
         seen = set()
         for o in enumerate_acyclic_orientations(g):
             assert is_acyclic(o)
-            fp = o.fingerprint()
-            assert fp not in seen
-            seen.add(fp)
+            assert o.out not in seen
+            seen.add(o.out)
         # cross-check the count against direct 2^E filtering
         edges = g.edges()
         brute = 0
@@ -129,6 +129,37 @@ class TestEnumeration:
         g = complete_graph([f"v{i}" for i in range(11)])
         with pytest.raises(CapExceededError):
             next(enumerate_acyclic_orientations(g))
+
+    def test_matches_linear_orders_on_all_small_graphs(self):
+        # The literal definition: every acyclic orientation is induced by
+        # some linear order.  Checked on every labelled graph of <= 5 vertices.
+        for n in range(1, 6):
+            labels = [f"v{i}" for i in range(n)]
+            pairs = list(combinations(labels, 2))
+            for bits in range(1 << len(pairs)):
+                g = Graph.from_edges(
+                    labels, [e for t, e in enumerate(pairs) if bits >> t & 1])
+                yielded = list(acyclic_outsets(g))
+                literal = {Orientation.from_order(g, p).out
+                           for p in permutations(g.vertices)}
+                assert len(yielded) == len(set(yielded)), (n, bits)
+                assert set(yielded) == literal, (n, bits)
+
+    def test_known_counts(self):
+        from math import factorial
+
+        for n in range(1, 8):
+            assert sum(1 for _ in acyclic_outsets(
+                complete_graph([f"v{i}" for i in range(n)]))) == factorial(n)
+        for n in range(3, 9):
+            labels = [f"c{i}" for i in range(n)]
+            cycle = Graph.from_edges(
+                labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
+            assert sum(1 for _ in acyclic_outsets(cycle)) == 2 ** n - 2
+        for name, n, count in (("T1bar", None, 1752), ("T2bar", None, 1704),
+                               ("G1bar", 4, 60120)):
+            g, _ = named_witness(name, n)
+            assert sum(1 for _ in acyclic_outsets(g)) == count, name
 
 
 class TestRepresentability:
