@@ -9,22 +9,25 @@ An orientation of a two-clique graph is semi-transitive exactly when
   incoming from a consecutive run (type B), or incoming from a prefix that
   includes the opposite source and outgoing into a suffix that includes the
   opposite sink (type C), and
-* three cross-pattern conditions hold, checked here as ``check_condition_ab``
-  (no directed A/B pair sharing a cross neighbor), ``check_condition_quad``
-  (two four-vertex patterns forcing their diagonals), and
-  ``check_condition_typec`` (type C boundaries cannot be straddled).
+* three cross-pattern conditions hold: no directed A/B pair shares a cross
+  neighbor (lemma 4.1, ``check_condition_ab``), two four-vertex patterns
+  force their diagonals (lemma 4.2, ``check_condition_quad``), and type C
+  boundaries are not straddled (lemma 4.3, ``check_condition_typec``).
 
 ``is_semi_transitive_cobip`` runs the stages in that order and reports the
-first failure as ``clique-transitivity``, ``typing``, ``lemma41`` (A/B),
-``lemma42`` (quad) or ``lemma43`` (type C); on acyclic orientations its
-verdict matches the generic path-based shortcut search, which the test
-suite sweeps exhaustively.
+first failure as ``clique-transitivity``, ``typing``, ``lemma41``,
+``lemma42`` or ``lemma43``; on acyclic orientations its verdict matches the
+generic path-based shortcut search, which the test suite sweeps
+exhaustively.  Every stage runs in index space on the out-neighbor and
+adjacency bitsets; labels appear only in the ``CharacterizationReport`` of
+a failing stage and in the label-level helpers, which wrap the same core.
 
-One empirical note from those sweeps: on acyclic input the first failing
-stage is only ever clique transitivity, typing, or the quad condition.
-The A/B condition's premise contains a directed triangle, so it can fire
-only on cyclic input; the type C condition never fired first at the sizes
-swept.  All stages stay active since each is sound on its own.
+An empirical note from those sweeps: of the 145,152 acyclic orientations
+of the 512 graphs made of two 3-cliques, 22,536 pass, 97,056 first fail
+typing and 25,560 first fail lemma 4.2.  Lemma 4.1 cannot fail first on
+any input: its common neighbor receives from the later and sends to the
+earlier vertex of the pair, which no type allows.  Lemma 4.3 never failed
+first at the sizes swept.  All stages stay active: each is sound alone.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .graphs import (
     CoBipartitePartition,
     Graph,
     GraphError,
+    _bits,
     format_graph_text,
     parse_graph_text,
 )
@@ -60,32 +64,6 @@ class CliqueOrder:
 
     vertices: tuple[str, ...]
 
-    def position(self, v: str) -> int:
-        return self.vertices.index(v)
-
-
-def clique_order(o: Orientation, clique: tuple[str, ...]) -> CliqueOrder:
-    """Unique source-to-sink order of a transitively oriented clique.
-
-    A tournament is transitive exactly when its out-degrees are all
-    distinct, so the order is obtained by sorting on within-clique
-    out-degree.  Raises NonTransitiveCliqueError otherwise.
-    """
-    g = o.graph
-    if not g.is_clique(clique):
-        raise GraphError(f"{clique} does not induce a complete subgraph")
-    idx = [g.index(v) for v in clique]
-    mask = 0
-    for i in idx:
-        mask |= 1 << i
-    score = {v: (o.out[g.index(v)] & mask).bit_count() for v in clique}
-    m = len(clique)
-    if sorted(score.values()) != list(range(m)):
-        raise NonTransitiveCliqueError(
-            f"clique {clique} is not oriented transitively"
-        )
-    return CliqueOrder(tuple(sorted(clique, key=lambda v: -score[v])))
-
 
 @dataclass(frozen=True)
 class VertexTypeInfo:
@@ -105,8 +83,165 @@ class VertexTypeInfo:
     boundary: Optional[tuple[str, str]] = None
 
 
-def _consecutive(positions: list[int]) -> bool:
-    return not positions or positions[-1] - positions[0] + 1 == len(positions)
+def _order(out: tuple[int, ...], clique: list[int], labels: tuple[str, ...]) -> list[int]:
+    """Source-to-sink indices of a clique; a tournament is transitive exactly
+    when its out-degrees are all distinct."""
+    mask, last = sum(1 << i for i in clique), len(clique) - 1
+    order = [0] * len(clique)
+    seen = 0
+    for i in clique:
+        score = (out[i] & mask).bit_count()
+        seen |= 1 << score
+        order[last - score] = i
+    if seen != (1 << len(clique)) - 1:
+        raise NonTransitiveCliqueError(f"clique {labels} is not oriented transitively")
+    return order
+
+
+def _run(x: int) -> bool:
+    """The set bits of x are consecutive (vacuously when there are none)."""
+    return x & (x + (x & -x)) == 0
+
+
+def _vertex_types(out: tuple[int, ...], clique: list[int], order: list[int]) -> list[tuple]:
+    """(tag, outpos, inpos) of each clique vertex against the opposite ``order``.
+
+    The tag is "A", "B", "C" or "Invalid"; outpos and inpos mask the
+    positions in ``order`` that the vertex sends to and receives from.
+    """
+    slots = [(w, 1 << p) for p, w in enumerate(order)]
+    sink = 1 << len(order) >> 1  # the last position's bit; 0 for an empty order
+    types = []
+    for v in clique:
+        outv, bit = out[v], 1 << v
+        outpos = inpos = 0
+        for w, at in slots:
+            if outv >> w & 1:
+                outpos |= at
+            if out[w] & bit:
+                inpos |= at
+        if not inpos:
+            tag = "A" if _run(outpos) else "Invalid"
+        elif not outpos:
+            tag = "B" if _run(inpos) else "Invalid"
+        elif inpos & 1 and outpos & sink and _run(inpos) and _run(outpos):
+            tag = "C"
+        else:
+            tag = "Invalid"
+        types.append((tag, outpos, inpos))
+    return types
+
+
+def _typed(o: Orientation, partition: CoBipartitePartition) -> tuple[tuple, dict]:
+    """Sides (clique, other clique, other clique's order) and types by index.
+
+    Raises GraphError on a bad partition, NonTransitiveCliqueError on a cyclic clique.
+    """
+    out = o.out
+    a, b = partition.validate(o.graph)
+    order_a = _order(out, a, partition.clique_a)
+    order_b = _order(out, b, partition.clique_b)
+    sides = ((a, b, order_b), (b, a, order_a))
+    types = {}
+    for clique, _, order in sides:
+        types.update(zip(clique, _vertex_types(out, clique, order)))
+    return sides, types
+
+
+def _lemma41(o: Orientation, sides: tuple, types: dict) -> list[dict]:
+    adj, out, labels = o.graph.adj, o.out, o.graph.vertices
+    violations = []
+    for clique, other, _ in sides:
+        other_mask = sum(1 << i for i in other)
+        for x in clique:
+            for y in clique:
+                common = adj[x] & adj[y] & other_mask
+                if types[x][0] == "A" and types[y][0] == "B" and out[y] >> x & 1 and common:
+                    violations.append({
+                        "condition": "ab-common-neighbor", "x": labels[x], "y": labels[y],
+                        "common": sorted(labels[i] for i in _bits(common)),
+                    })
+    return violations
+
+
+def _lemma42(o: Orientation, sides: tuple, types: dict) -> list[dict]:
+    out, labels = o.out, o.graph.vertices
+    violations = []
+
+    def demand(pattern: int, x: int, y: int, s: int, t: int, tail: int, head: int) -> None:
+        if not out[tail] >> head & 1:
+            violations.append({
+                "condition": f"quad-pattern-{pattern}",
+                "x": labels[x], "y": labels[y], "s": labels[s], "t": labels[t],
+                "requires": f"{labels[tail]}->{labels[head]}",
+            })
+
+    for clique, other, _ in sides:
+        for x in clique:
+            for y in clique:
+                if y == x or not out[x] >> y & 1:
+                    continue
+                for s in other:
+                    for t in other:
+                        if t == s or not out[s] >> t & 1:
+                            continue
+                        if out[s] >> x & 1 and out[y] >> t & 1:
+                            demand(1, x, y, s, t, x, t)
+                            demand(1, x, y, s, t, s, y)
+                        if out[y] >> s & 1 and out[x] >> t & 1:
+                            demand(2, x, y, s, t, x, s)
+                            demand(2, x, y, s, t, y, t)
+    return violations
+
+
+def _lemma43(o: Orientation, sides: tuple, types: dict) -> list[dict]:
+    adj, out, labels = o.graph.adj, o.out, o.graph.vertices
+    violations = []
+    for clique, _, order in sides:
+        for x in clique:
+            tag, outpos, inpos = types[x]
+            if tag != "C":
+                continue
+            # boundary: last in-neighbor s and first out-neighbor t, by position
+            ps, pt = inpos.bit_length() - 1, (outpos & -outpos).bit_length() - 1
+            s, t = order[ps], order[pt]
+            both = 1 << s | 1 << t
+
+            def report(condition: str, y: int) -> None:
+                violations.append({"condition": condition, "x": labels[x], "y": labels[y],
+                                   "boundary": [labels[s], labels[t]]})
+
+            for y in clique:
+                if y == x:
+                    continue
+                ytag, youtpos, yinpos = types[y]
+                if out[x] >> y & 1:
+                    if ytag == "A" and adj[y] & both == both:
+                        report("typec-successor-a", y)
+                    if ytag == "C" and youtpos >> ps & 1:
+                        report("typec-successor-c", y)
+                elif out[y] >> x & 1:
+                    if ytag == "B" and adj[y] & both == both:
+                        report("typec-predecessor-b", y)
+                    if ytag == "C" and yinpos >> pt & 1:
+                        report("typec-predecessor-c", y)
+    return violations
+
+
+# --- label-level helpers over the index core ---------------------------------
+
+
+def clique_order(o: Orientation, clique: tuple[str, ...]) -> CliqueOrder:
+    """Unique source-to-sink order of a transitively oriented clique.
+
+    Raises GraphError when the labels do not induce a complete subgraph and
+    NonTransitiveCliqueError when the clique is oriented cyclically.
+    """
+    g = o.graph
+    if not g.is_clique(clique):
+        raise GraphError(f"{clique} does not induce a complete subgraph")
+    order = _order(o.out, [g.index(v) for v in clique], clique)
+    return CliqueOrder(tuple(g.vertices[i] for i in order))
 
 
 def classify_vertex(o: Orientation, partition: CoBipartitePartition, v: str,
@@ -121,92 +256,28 @@ def classify_vertex(o: Orientation, partition: CoBipartitePartition, v: str,
     g = o.graph
     side = partition.side_of(v)
     if opposite is None:
-        other = partition.clique_b if side == "A" else partition.clique_a
-        opposite = clique_order(o, other)
-    order = opposite.vertices
-    l = len(order)
-    outpos = [p for p, w in enumerate(order) if o.has_arc(v, w)]
-    inpos = [p for p, w in enumerate(order) if o.has_arc(w, v)]
-
-    if not inpos:
-        if _consecutive(outpos):
-            lo, hi = (outpos[0], outpos[-1]) if outpos else (0, -1)
-            return VertexTypeInfo(v, "A", interval=order[lo:hi + 1])
+        opposite = clique_order(o, partition.clique_b if side == "A" else partition.clique_a)
+    order = [g.index(w) for w in opposite.vertices]
+    [(tag, outpos, inpos)] = _vertex_types(o.out, [g.index(v)], order)
+    outs, ins = (tuple(opposite.vertices[p] for p in _bits(m)) for m in (outpos, inpos))
+    if tag == "C":
+        return VertexTypeInfo(v, "C", source_group=ins, sink_group=outs,
+                              boundary=(ins[-1], outs[0]))
+    if tag == "Invalid":
         return VertexTypeInfo(v, "Invalid")
-    if not outpos:
-        if _consecutive(inpos):
-            return VertexTypeInfo(v, "B", interval=order[inpos[0]:inpos[-1] + 1])
-        return VertexTypeInfo(v, "Invalid")
-    # Both directions present: type C needs an in-prefix from the opposite
-    # source and an out-suffix reaching the opposite sink.
-    prefix_ok = inpos[0] == 0 and _consecutive(inpos)
-    suffix_ok = outpos[-1] == l - 1 and _consecutive(outpos)
-    if prefix_ok and suffix_ok:
-        source_group = order[: len(inpos)]
-        sink_group = order[outpos[0]:]
-        return VertexTypeInfo(
-            v, "C",
-            source_group=source_group,
-            sink_group=sink_group,
-            boundary=(source_group[-1], sink_group[0]),
-        )
-    return VertexTypeInfo(v, "Invalid")
+    return VertexTypeInfo(v, tag, interval=outs if tag == "A" else ins)
 
 
-@dataclass
-class CobipAnalysis:
-    """Clique orders plus the type of every vertex, computed once per orientation."""
-
-    order_a: CliqueOrder
-    order_b: CliqueOrder
-    types: dict[str, VertexTypeInfo]
-
-
-def analyze(o: Orientation, partition: CoBipartitePartition) -> CobipAnalysis:
-    partition.validate(o.graph)
-    order_a = clique_order(o, partition.clique_a)
-    order_b = clique_order(o, partition.clique_b)
-    types = {}
-    for v in partition.clique_a:
-        types[v] = classify_vertex(o, partition, v, opposite=order_b)
-    for v in partition.clique_b:
-        types[v] = classify_vertex(o, partition, v, opposite=order_a)
-    return CobipAnalysis(order_a, order_b, types)
-
-
-def _cross_neighbors(g: Graph, v: str, opposite: tuple[str, ...]) -> set[str]:
-    return {w for w in opposite if g.has_edge(v, w)}
-
-
-def check_condition_ab(o: Orientation, partition: CoBipartitePartition,
-                       analysis: Optional[CobipAnalysis] = None) -> list[dict]:
+def check_condition_ab(o: Orientation, partition: CoBipartitePartition) -> list[dict]:
     """Directed B-to-A pairs within a clique must not share a cross neighbor.
 
     If x is type A, y is type B, the edge runs y->x and both see a common
     vertex z opposite, then x->z and z->y close a directed triangle.
     """
-    analysis = analysis or analyze(o, partition)
-    g = o.graph
-    violations = []
-    for clique, opposite in ((partition.clique_a, partition.clique_b),
-                             (partition.clique_b, partition.clique_a)):
-        for x in clique:
-            if analysis.types[x].tag != "A":
-                continue
-            for y in clique:
-                if y == x or analysis.types[y].tag != "B" or not o.has_arc(y, x):
-                    continue
-                common = _cross_neighbors(g, x, opposite) & _cross_neighbors(g, y, opposite)
-                if common:
-                    violations.append({
-                        "condition": "ab-common-neighbor",
-                        "x": x, "y": y, "common": sorted(common),
-                    })
-    return violations
+    return _lemma41(o, *_typed(o, partition))
 
 
-def check_condition_quad(o: Orientation, partition: CoBipartitePartition,
-                         analysis: Optional[CobipAnalysis] = None) -> list[dict]:
+def check_condition_quad(o: Orientation, partition: CoBipartitePartition) -> list[dict]:
     """Four-vertex patterns across the cliques force both diagonals.
 
     For x->y in one clique and s->t in the other:
@@ -214,39 +285,10 @@ def check_condition_quad(o: Orientation, partition: CoBipartitePartition,
     pattern 2: with y->s and x->t present, x->s and y->t must be present.
     A missing or reversed diagonal would complete a shortcut or a cycle.
     """
-    analysis = analysis or analyze(o, partition)
-    violations = []
-
-    def demand(pattern: int, x: str, y: str, s: str, t: str,
-               tail: str, head: str) -> None:
-        if not o.has_arc(tail, head):
-            violations.append({
-                "condition": f"quad-pattern-{pattern}",
-                "x": x, "y": y, "s": s, "t": t,
-                "requires": f"{tail}->{head}",
-            })
-
-    for clique, other in ((partition.clique_a, partition.clique_b),
-                          (partition.clique_b, partition.clique_a)):
-        for x in clique:
-            for y in clique:
-                if y == x or not o.has_arc(x, y):
-                    continue
-                for s in other:
-                    for t in other:
-                        if t == s or not o.has_arc(s, t):
-                            continue
-                        if o.has_arc(s, x) and o.has_arc(y, t):
-                            demand(1, x, y, s, t, x, t)
-                            demand(1, x, y, s, t, s, y)
-                        if o.has_arc(y, s) and o.has_arc(x, t):
-                            demand(2, x, y, s, t, x, s)
-                            demand(2, x, y, s, t, y, t)
-    return violations
+    return _lemma42(o, *_typed(o, partition))
 
 
-def check_condition_typec(o: Orientation, partition: CoBipartitePartition,
-                          analysis: Optional[CobipAnalysis] = None) -> list[dict]:
+def check_condition_typec(o: Orientation, partition: CoBipartitePartition) -> list[dict]:
     """Type C boundaries must not be straddled by same-clique companions.
 
     For a type C vertex x with boundary (s, t): a successor y (x->y) may
@@ -255,42 +297,7 @@ def check_condition_typec(o: Orientation, partition: CoBipartitePartition,
     neither a type B vertex adjacent to both s and t, nor a type C vertex
     whose source group contains t.
     """
-    analysis = analysis or analyze(o, partition)
-    g = o.graph
-    violations = []
-    for clique in (partition.clique_a, partition.clique_b):
-        for x in clique:
-            info = analysis.types[x]
-            if info.tag != "C":
-                continue
-            s, t = info.boundary
-            for y in clique:
-                if y == x:
-                    continue
-                ytype = analysis.types[y]
-                if o.has_arc(x, y):
-                    if ytype.tag == "A" and g.has_edge(y, s) and g.has_edge(y, t):
-                        violations.append({
-                            "condition": "typec-successor-a",
-                            "x": x, "y": y, "boundary": [s, t],
-                        })
-                    if ytype.tag == "C" and s in ytype.sink_group:
-                        violations.append({
-                            "condition": "typec-successor-c",
-                            "x": x, "y": y, "boundary": [s, t],
-                        })
-                elif o.has_arc(y, x):
-                    if ytype.tag == "B" and g.has_edge(y, s) and g.has_edge(y, t):
-                        violations.append({
-                            "condition": "typec-predecessor-b",
-                            "x": x, "y": y, "boundary": [s, t],
-                        })
-                    if ytype.tag == "C" and t in ytype.source_group:
-                        violations.append({
-                            "condition": "typec-predecessor-c",
-                            "x": x, "y": y, "boundary": [s, t],
-                        })
-    return violations
+    return _lemma43(o, *_typed(o, partition))
 
 
 @dataclass(frozen=True)
@@ -307,13 +314,6 @@ class CharacterizationReport:
         }
 
 
-_STAGE_CHECKS = (
-    ("lemma41", check_condition_ab),
-    ("lemma42", check_condition_quad),
-    ("lemma43", check_condition_typec),
-)
-
-
 def is_semi_transitive_cobip(
     o: Orientation, partition: CoBipartitePartition
 ) -> tuple[bool, CharacterizationReport]:
@@ -325,16 +325,15 @@ def is_semi_transitive_cobip(
     their conditions presume a fully typed orientation.
     """
     try:
-        analysis = analyze(o, partition)
+        sides, types = _typed(o, partition)
     except NonTransitiveCliqueError as exc:
         return False, CharacterizationReport(False, "clique-transitivity", (str(exc),))
-    invalid = sorted(v for v, info in analysis.types.items() if info.tag == "Invalid")
+    labels = o.graph.vertices
+    invalid = sorted(labels[v] for v, (tag, _, _) in types.items() if tag == "Invalid")
     if invalid:
-        return False, CharacterizationReport(
-            False, "typing", tuple({"vertex": v} for v in invalid)
-        )
-    for stage, check in _STAGE_CHECKS:
-        violations = check(o, partition, analysis)
+        return False, CharacterizationReport(False, "typing", tuple({"vertex": v} for v in invalid))
+    for stage, lemma in (("lemma41", _lemma41), ("lemma42", _lemma42), ("lemma43", _lemma43)):
+        violations = lemma(o, sides, types)
         if violations:
             return False, CharacterizationReport(False, stage, tuple(violations))
     return True, CharacterizationReport(True, None)

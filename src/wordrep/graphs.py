@@ -46,6 +46,10 @@ class Graph:
     @classmethod
     def from_edges(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "Graph":
         verts = tuple(vertices)
+        for v in verts:
+            # such labels would not survive a round trip through the text format
+            if v.split() != [v] or "#" in v or ":" in v:
+                raise GraphError(f"bad vertex label {v!r}: empty, whitespace, '#' or ':'")
         if len(set(verts)) != len(verts):
             raise GraphError("duplicate vertex labels")
         if len(verts) > MAX_VERTICES:
@@ -166,15 +170,22 @@ class CoBipartitePartition:
     clique_a: tuple[str, ...]
     clique_b: tuple[str, ...]
 
-    def validate(self, g: Graph) -> None:
+    def validate(self, g: Graph) -> tuple[list[int], list[int]]:
+        """Raise GraphError unless the cliques split ``g``; return their index lists."""
         a, b = set(self.clique_a), set(self.clique_b)
         if a & b:
             raise GraphError("cliques overlap")
-        if a | b != set(g.vertices):
+        if a | b != g._index.keys():
             raise GraphError("partition does not cover the vertex set")
-        for part, name in ((self.clique_a, "cliqueA"), (self.clique_b, "cliqueB")):
-            if not g.is_clique(part):
+        sides = []
+        for part, labels, name in ((self.clique_a, a, "cliqueA"), (self.clique_b, b, "cliqueB")):
+            idx = [g._index[v] for v in part]
+            mask = sum(1 << i for i in idx)
+            # a repeated label is not a clique, as with is_clique
+            if len(labels) != len(idx) or any((g.adj[i] | 1 << i) & mask != mask for i in idx):
                 raise GraphError(f"{name} does not induce a complete subgraph")
+            sides.append(idx)
+        return sides[0], sides[1]
 
     def side_of(self, v: str) -> str:
         if v in self.clique_a:
@@ -317,33 +328,34 @@ def named_witness(name: str, n: Optional[int] = None) -> tuple[Graph, CoBipartit
 # line 1:        vertices: <label> <label> ...
 # optional:      cliqueA: <labels> / cliqueB: <labels>
 # other lines:   <label> <label>     one edge per line
-# '#' starts a comment; blank lines are ignored.
+# '#' starts a comment; blank lines are ignored.  Each header and each edge
+# may appear once; labels never hold whitespace, '#' or ':' (from_edges).
 
 
 def parse_graph_text(text: str) -> tuple[Graph, Optional[CoBipartitePartition]]:
-    vertices: Optional[tuple[str, ...]] = None
-    clique_a: Optional[tuple[str, ...]] = None
-    clique_b: Optional[tuple[str, ...]] = None
-    edges: list[tuple[str, str]] = []
+    headers: dict[str, tuple[str, ...]] = {}
+    edges: dict[frozenset[str], tuple[str, str]] = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("vertices:"):
-            vertices = tuple(line[len("vertices:"):].split())
-        elif line.startswith("cliqueA:"):
-            clique_a = tuple(line[len("cliqueA:"):].split())
-        elif line.startswith("cliqueB:"):
-            clique_b = tuple(line[len("cliqueB:"):].split())
-        else:
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphError(f"bad edge line: {raw!r}")
-            edges.append((parts[0], parts[1]))
-    if vertices is None:
+        key, colon, rest = line.partition(":")
+        if colon and key in ("vertices", "cliqueA", "cliqueB"):
+            if key in headers:
+                raise GraphError(f"repeated '{key}:' line")
+            headers[key] = tuple(rest.split())
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphError(f"bad edge line: {raw!r}")
+        if frozenset(parts) in edges:
+            raise GraphError(f"repeated edge: {raw!r}")
+        edges[frozenset(parts)] = (parts[0], parts[1])
+    if "vertices" not in headers:
         raise GraphError("missing 'vertices:' line")
-    g = Graph.from_edges(vertices, edges)
+    g = Graph.from_edges(headers["vertices"], edges.values())
     partition = None
+    clique_a, clique_b = headers.get("cliqueA"), headers.get("cliqueB")
     if clique_a is not None or clique_b is not None:
         if clique_a is None or clique_b is None:
             raise GraphError("cliqueA and cliqueB must both be present")

@@ -8,6 +8,7 @@ functional claim.
 import json
 import random
 import time
+from collections import Counter
 from itertools import combinations, product
 from pathlib import Path
 
@@ -197,6 +198,7 @@ def test_criterion_8_characterization_equivalence():
         crosspairs = [(a, b) for a in labels_a for b in labels_b]
         disagreements = []
         orientations = 0
+        stages = Counter()
         for bits in range(512):
             cross = [crosspairs[t] for t in range(9) if bits >> t & 1]
             g = Graph.from_edges(labels_a + labels_b, base + cross)
@@ -206,6 +208,7 @@ def test_criterion_8_characterization_equivalence():
                 o = Orientation(g, out)
                 path_verdict = searcher.find(out) is None
                 structural_verdict, report = is_semi_transitive_cobip(o, partition)
+                stages[report.failed_stage] += 1
                 if path_verdict != structural_verdict:
                     disagreements.append({
                         "crossBits": bits,
@@ -222,6 +225,8 @@ def test_criterion_8_characterization_equivalence():
                 f"{len(disagreements)} oracle disagreements, dumped to {artifact}"
             )
         assert orientations == 145_152  # every acyclic orientation, each once
+        # first failing structural stage; lemmas 4.1 and 4.3 are never first here
+        assert stages == {None: 22_536, "typing": 97_056, "lemma42": 25_560}
 
 
 def test_criterion_9_word_calculus_closure():

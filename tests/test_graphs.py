@@ -169,6 +169,12 @@ class TestCobipartite:
         g = Graph.from_edges(["a", "b", "c"], [("a", "b")])
         with pytest.raises(GraphError):
             CoBipartitePartition(("a", "b", "c"), ()).validate(g)
+        with pytest.raises(GraphError, match="cliqueA"):  # a repeated label
+            CoBipartitePartition(("a", "b", "a"), ("c",)).validate(g)
+
+    def test_partition_validation_returns_index_lists(self):
+        g = Graph.from_edges(["a", "b", "c"], [("a", "b")])
+        assert CoBipartitePartition(("b", "a"), ("c",)).validate(g) == ([1, 0], [2])
 
 
 class TestNamedWitnesses:
@@ -213,6 +219,21 @@ class TestGraphBasics:
         with pytest.raises(GraphError):
             Graph.from_edges(["a", "a"], [])
 
+    def test_rejects_comment_label(self):
+        # '#x' would be written out as a comment and parse back as nothing
+        with pytest.raises(GraphError, match="bad vertex label"):
+            Graph.from_edges(["#x", "b"], [("#x", "b")])
+
+    def test_rejects_header_label(self):
+        # 'vertices:x' would parse back as a second vertices line
+        with pytest.raises(GraphError, match="bad vertex label"):
+            Graph.from_edges(["vertices:x", "b"], [("vertices:x", "b")])
+
+    @pytest.mark.parametrize("label", ["", " ", "a b", "a\tb", "a\n"])
+    def test_rejects_empty_and_whitespace_labels(self, label):
+        with pytest.raises(GraphError, match="bad vertex label"):
+            Graph.from_edges([label, "b"], [])
+
     def test_rejects_oversized(self):
         labels = [f"v{i}" for i in range(65)]
         with pytest.raises(GraphError):
@@ -251,6 +272,17 @@ class TestTextFormat:
     def test_missing_vertices_line(self):
         with pytest.raises(GraphError):
             parse_graph_text("a b\n")
+
+    @pytest.mark.parametrize("edges", ["a b\na b\n", "a b\nb a\n"])
+    def test_rejects_repeated_edge_line(self, edges):
+        with pytest.raises(GraphError, match="repeated edge"):
+            parse_graph_text("vertices: a b\n" + edges)
+
+    @pytest.mark.parametrize("header", ["vertices: a b", "cliqueA: a", "cliqueB: b"])
+    def test_rejects_repeated_header(self, header):
+        text = "vertices: a b\ncliqueA: a\ncliqueB: b\na b\n" + header + "\n"
+        with pytest.raises(GraphError, match="repeated"):
+            parse_graph_text(text)
 
     def test_partition_requires_both_lines(self):
         with pytest.raises(GraphError):
