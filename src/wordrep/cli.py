@@ -315,9 +315,10 @@ _HANDLERS = {
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "workers", 1) < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return EXIT_ERROR
+    for flag in ("workers", "sample_threshold"):
+        if getattr(args, flag, 1) < 1:
+            print(f"error: --{flag.replace('_', '-')} must be >= 1", file=sys.stderr)
+            return EXIT_ERROR
     try:
         return _HANDLERS[args.command](args)
     except (gr.GraphError, wd.WordError, ori.OrientationError,

@@ -17,7 +17,7 @@ An orientation of a two-clique graph is semi-transitive exactly when
 ``is_semi_transitive_cobip`` runs the stages in that order and reports the
 first failure as ``clique-transitivity``, ``typing``, ``lemma41``,
 ``lemma42`` or ``lemma43``; on acyclic orientations its verdict matches the
-generic path-based shortcut search, which the test suite sweeps
+generic shortcut test (``ShortcutSearcher``), which the test suite sweeps
 exhaustively.  Every stage runs in index space on the out-neighbor and
 adjacency bitsets; labels appear only in the ``CharacterizationReport`` of
 a failing stage and in the label-level helpers, which wrap the same core.
@@ -341,14 +341,14 @@ def is_semi_transitive_cobip(
 
 # --- dual-oracle sweep ------------------------------------------------------
 #
-# Runs both semi-transitivity deciders (the generic path-based shortcut
-# search and the staged structural test above) over one stream of acyclic
-# orientations of a co-bipartite graph and reports any disagreement.  The
-# stream is the exhaustive enumerator, or the distinct orientations of
-# seeded random orders when sampling.  With several processes, worker w
-# rebuilds the same stream and evaluates every w-th item; counts add up and
-# disagreements are merged by stream position, so the result is identical
-# to a single-worker run.
+# Runs both semi-transitivity deciders (the generic reachability-based
+# shortcut test and the staged structural test above) over one stream of
+# acyclic orientations of a co-bipartite graph and reports any
+# disagreement.  The stream is the exhaustive enumerator, or the distinct
+# orientations of seeded random orders when sampling.  With several
+# processes, worker w rebuilds the same stream and evaluates every w-th
+# item; counts add up and disagreements are merged by stream position, so
+# the result is identical to a single-worker run.
 
 
 @dataclass(frozen=True)
@@ -427,6 +427,8 @@ def sweep_orientations(
     orientations are returned in stream order with both verdicts and the
     structural report.
     """
+    if sample_threshold < 1:
+        raise ValueError(f"sample_threshold must be >= 1, got {sample_threshold}")
     partition.validate(g)
     total_orders = factorial(len(g.vertices))
     sampled = total_orders > sample_threshold

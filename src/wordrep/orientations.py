@@ -9,10 +9,11 @@ acyclic orientations decides word-representability at desk scale.
 Acyclic orientations are generated vertex by vertex: each new vertex
 points at a set of its earlier neighbours that is closed under reachability,
 so every branch ends in a distinct acyclic orientation and nothing needs
-deduplicating.  The shortcut search enumerates directed paths per edge,
-depth-first, pruned to vertices that can still reach the head; this follows
-the definition literally and is exponential in the worst case, which is
-fine at the enforced vertex caps.
+deduplicating.  The shortcut test enumerates no paths: an arc u->v is
+shortcut exactly when some vertex reachable from u reaches a non-neighbour
+that reaches v, so one pass over reachability bitsets checks an
+orientation in polynomial time.  The literal path-enumerating definition
+stays in the test suite as the oracle this test is checked against.
 
 Also here: transitive-orientation search (comparability), its odd-walk
 refutation witness, the dominant-vertex reduction, and a backtracking
@@ -89,22 +90,27 @@ class Orientation:
 
 
 def _topo_order(out: tuple[int, ...]) -> Optional[list[int]]:
-    """Topological order of the out-bitset digraph, or None on a cycle."""
-    n = len(out)
-    indeg = [0] * n
-    for mask in out:
-        for j in _bits(mask):
-            indeg[j] += 1
-    ready = [i for i in range(n) if indeg[i] == 0]
+    """Topological order of the out-bitset digraph, or None on a cycle.
+
+    Sweeps the pending vertices, placing each one whose successors are all
+    placed (so sinks come first); a sweep that places nothing means a cycle.
+    """
     order = []
-    while ready:
-        i = ready.pop()
-        order.append(i)
-        for j in _bits(out[i]):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                ready.append(j)
-    return order if len(order) == n else None
+    placed = 0
+    pending = list(range(len(out)))
+    while pending:
+        waiting = []
+        for i in pending:
+            if out[i] & ~placed:
+                waiting.append(i)
+            else:
+                order.append(i)
+                placed |= 1 << i
+        if len(waiting) == len(pending):
+            return None
+        pending = waiting
+    order.reverse()
+    return order
 
 
 def is_acyclic(o: Orientation) -> bool:
@@ -133,87 +139,66 @@ class ShortcutWitness:
 class ShortcutSearcher:
     """Per-graph state for the shortcut search, reusable across orientations.
 
-    Edges are scanned in lexicographic label order of their endpoints and
-    depth-first extensions follow label order too, so the witness returned
-    for a given orientation is deterministic.
+    An arc u->v is shortcut exactly when some x reachable from u (u itself
+    included) reaches a non-neighbour y that reaches v: the path
+    u->*x->*y->*v then has at least four vertices and a missing pair, and
+    every shortcut has such a pair.  So one pass in reverse topological
+    order suffices: ``reach[u]`` holds the descendants of u and ``far[u]``
+    the vertices reachable from u through a non-adjacent ordered pair.  The
+    pass stops at the first vertex u with an arc into ``far[u]``, so the
+    witness for a given orientation is deterministic.
     """
 
     def __init__(self, g: Graph):
         self.graph = g
-        self.n = len(g.vertices)
-        self.by_label = sorted(range(self.n), key=g.vertices.__getitem__)
-        self.edge_scan = sorted(
-            ((g.index(u), g.index(v)) for u, v in g.edges()),
-            key=lambda ij: (g.vertices[ij[0]], g.vertices[ij[1]]),
-        )
+        full = (1 << len(g.vertices)) - 1
+        self.nonadj = [full & ~(mask | 1 << i) for i, mask in enumerate(g.adj)]
 
     def find(self, out: tuple[int, ...]) -> Optional[ShortcutWitness]:
         order = _topo_order(out)
         if order is None:
             raise OrientationError("shortcut search needs an acyclic orientation")
-        n = self.n
-        reach = [0] * n
-        for i in reversed(order):
-            mask = 1 << i
-            for j in _bits(out[i]):
-                mask |= reach[j]
-            reach[i] = mask
-        by_label_rev = list(reversed(self.by_label))
-        vertices = self.graph.vertices
-
-        for a, b in self.edge_scan:
-            u, v = (a, b) if out[a] >> b & 1 else (b, a)
-            target_bit = 1 << v
-            path = [u]
-            path_mask = 1 << u
-            stack = [[w for w in by_label_rev
-                      if out[u] >> w & 1 and reach[w] & target_bit]]
-            while stack:
-                choices = stack[-1]
-                if not choices:
-                    stack.pop()
-                    path_mask ^= 1 << path.pop()
-                    continue
-                w = choices.pop()
-                if w == v:
-                    if len(path) >= 3:
-                        members = path + [v]
-                        bad = _nontransitive_pair(out, members, path_mask | target_bit)
-                        if bad is not None:
-                            return ShortcutWitness(
-                                tuple(vertices[i] for i in members),
-                                (vertices[u], vertices[v]),
-                                (vertices[bad[0]], vertices[bad[1]]),
-                            )
-                    continue
-                path.append(w)
-                path_mask |= 1 << w
-                stack.append([x for x in by_label_rev
-                              if out[w] >> x & 1 and reach[x] & target_bit])
+        nonadj = self.nonadj
+        reach = [0] * len(out)
+        far = [0] * len(out)
+        for u in reversed(order):
+            r, f = 1 << u, 0
+            for w in _bits(out[u]):
+                r |= reach[w]
+                f |= far[w]
+            for y in _bits(r & nonadj[u]):
+                f |= reach[y]
+            reach[u], far[u] = r, f
+            hit = out[u] & f
+            if hit:
+                return self._witness(out, reach, u, next(_bits(hit)))
         return None
 
-
-def _nontransitive_pair(out: tuple[int, ...], members: list[int], members_mask: int
-                        ) -> Optional[tuple[int, int]]:
-    # Literal transitivity test on the induced subdigraph: a->b and b->c
-    # present but a->c absent.  Scanned in path order for determinism.
-    for a in members:
-        out_a = out[a] & members_mask
-        for b in _bits(out_a):
-            missing = out[b] & members_mask & ~out_a
-            if missing:
-                c = (missing & -missing).bit_length() - 1
-                return a, c
-    return None
+    def _witness(self, out: tuple[int, ...], reach: list[int],
+                 u: int, v: int) -> ShortcutWitness:
+        x, y = next((x, y) for x in _bits(reach[u])
+                    for y in _bits(reach[x] & self.nonadj[x]) if reach[y] >> v & 1)
+        # Walk u ->* x ->* y ->* v, always stepping to the lowest-index
+        # out-neighbour that still reaches the next stop; in an acyclic
+        # orientation that walk is a path.
+        path = [u]
+        for stop in (x, y, v):
+            while path[-1] != stop:
+                path.append(next(w for w in _bits(out[path[-1]]) if reach[w] >> stop & 1))
+        labels = self.graph.vertices
+        return ShortcutWitness(
+            tuple(labels[i] for i in path),
+            (labels[u], labels[v]),
+            (labels[x], labels[y]),
+        )
 
 
 def find_shortcut(o: Orientation) -> Optional[ShortcutWitness]:
-    """First shortcut of an acyclic orientation, or None when shortcut-free.
+    """A shortcut of an acyclic orientation, or None when shortcut-free.
 
-    For each directed edge u->v, the directed u-v paths on at least 4
-    vertices are enumerated depth-first, restricted to vertices that still
-    reach v; the first path whose induced subdigraph is not transitive
-    yields the witness.
+    The witness is a directed u-v path on at least 4 vertices closed by the
+    shortcutting arc u->v, with a non-adjacent pair in path order; see
+    ``ShortcutSearcher`` for which one is returned.
     """
     return ShortcutSearcher(o.graph).find(o.out)
 
@@ -395,10 +380,6 @@ def find_noncomparability_witness(g: Graph, max_len: int) -> Optional[tuple[str,
             if found:
                 return tuple(g.vertices[i] for i in found)
     return None
-
-
-def odd_walk_witness_json(walk: tuple[str, ...]) -> dict:
-    return {"type": "odd-walk", "vertices": list(walk), "detail": {"length": len(walk)}}
 
 
 def representable_via_dominant(g: Graph, x: str,

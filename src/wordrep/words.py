@@ -25,6 +25,12 @@ class WordError(ValueError):
 class Word:
     letters: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        for letter in self.letters:
+            # such letters would not survive a round trip through the text format
+            if letter.split() != [letter] or "#" in letter:
+                raise WordError(f"bad letter {letter!r}: empty, whitespace or '#'")
+
     @classmethod
     def from_text(cls, text: str) -> "Word":
         return cls(tuple(text.split()))
@@ -206,11 +212,13 @@ def alternation_relation(w: Word) -> frozenset[frozenset[str]]:
 
 
 def parse_word_text(text: str) -> Word:
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            return Word.from_text(line)
-    raise WordError("no word found in input")
+    lines = [line for line in (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+             if line]
+    if not lines:
+        raise WordError("no word found in input")
+    if len(lines) > 1:
+        raise WordError(f"a word file holds one word line, found {len(lines)}")
+    return Word.from_text(lines[0])
 
 
 def format_word_text(w: Word) -> str:

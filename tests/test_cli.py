@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from wordrep.cli import main
 from wordrep.graphs import format_graph_text, named_witness
 from wordrep.constructions import complement_path_graph
@@ -96,6 +98,15 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", str(gpath), str(wpath))
         assert code == 2
 
+    def test_two_word_lines_exit_2(self, capsys, tmp_path):
+        # P3 is represented by "a b a c"; a second line must not be ignored
+        gpath = tmp_path / "p3.graph"
+        gpath.write_text("vertices: a b c\na b\nb c\n")
+        wpath = tmp_path / "w.txt"
+        wpath.write_text("a b a c\nb b b\n")
+        code, out, err = run_cli(capsys, "verify", str(gpath), str(wpath))
+        assert code == 2 and out == "" and "one word line" in err
+
 
 class TestRepresentable:
     def test_t1bar_negative(self, capsys, tmp_path):
@@ -173,6 +184,14 @@ class TestCharacterize:
         a, b = json.loads(out1), json.loads(out2)
         a.pop("workers"), b.pop("workers")
         assert a == b
+
+    @pytest.mark.parametrize("threshold", ["0", "-3"])
+    def test_non_positive_sample_threshold_exit_2(self, capsys, tmp_path, threshold):
+        g, part = named_witness("T1bar")
+        gpath = write_graph(tmp_path, "t1bar.graph", g, part)
+        code, out, err = run_cli(
+            capsys, "characterize", str(gpath), "--sample-threshold", threshold)
+        assert code == 2 and out == "" and "--sample-threshold" in err
 
 
 class TestCatalog:

@@ -289,6 +289,12 @@ class TestAgreementSweep:
         assert a.sampled and a.seed == 9
         assert a.orientations <= 500
 
+    @pytest.mark.parametrize("threshold", [0, -3])
+    def test_sweep_rejects_non_positive_sample_threshold(self, threshold):
+        g, part = named_witness("T1bar")
+        with pytest.raises(ValueError, match="sample_threshold"):
+            sweep_orientations(g, part, sample_threshold=threshold)
+
     def test_random_3_plus_4_patterns(self):
         import random
 

@@ -56,7 +56,62 @@ class TestAcyclicity:
             assert is_acyclic(Orientation.from_order(g, order))
 
 
+def literal_shortcut(o):
+    """The definition by path enumeration: some arc u->v closes a directed
+    u-v path on at least 4 vertices whose induced subdigraph is not
+    transitive."""
+    arcs = set(o.arcs())
+    succ = {v: [b for a, b in arcs if a == v] for v in o.graph.vertices}
+
+    def paths(path, target):
+        if path[-1] == target:
+            yield path
+            return
+        for w in succ[path[-1]]:
+            if w not in path:
+                yield from paths(path + [w], target)
+
+    def transitive(members):
+        return all((a, c) in arcs for a in members for b in members for c in members
+                   if (a, b) in arcs and (b, c) in arcs)
+
+    return any(len(path) >= 4 and not transitive(path)
+               for u, v in arcs for path in paths([u], v))
+
+
+def check_against_literal(g):
+    """find_shortcut against the definition on every acyclic orientation of
+    g, each witness checked; returns the number of orientations."""
+    count = 0
+    for out in acyclic_outsets(g):
+        o = Orientation(g, out)
+        w = find_shortcut(o)
+        assert (w is not None) == literal_shortcut(o), o
+        count += 1
+        if w is None:
+            continue
+        arcs = set(o.arcs())
+        path = w.path_vertices
+        assert len(path) >= 4 and len(set(path)) == len(path), w
+        assert all(step in arcs for step in zip(path, path[1:])), w
+        assert w.shortcutting_edge == (path[0], path[-1]) and w.shortcutting_edge in arcs, w
+        x, y = w.nontransitive_pair
+        assert path.index(x) < path.index(y) and not g.has_edge(x, y), w
+    return count
+
+
 class TestShortcut:
+    def test_matches_literal_definition_on_all_small_graphs(self):
+        # Every acyclic orientation of every labelled graph on <= 5 vertices.
+        checked = 0
+        for n in range(1, 6):
+            labels = [f"v{i}" for i in range(n)]
+            pairs = list(combinations(labels, 2))
+            for bits in range(1 << len(pairs)):
+                checked += check_against_literal(Graph.from_edges(
+                    labels, [e for t, e in enumerate(pairs) if bits >> t & 1]))
+        assert checked == 29_853
+
     def test_chordless_directed_c4_is_a_shortcut(self):
         g = Graph.from_edges(
             list("abcd"), [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
@@ -94,6 +149,11 @@ class TestShortcut:
         g = complete_graph(list("abcde"))
         for order in permutations(g.vertices):
             assert find_shortcut(Orientation.from_order(g, order)) is None
+
+    def test_matches_literal_definition_on_random_six_vertex_graphs(self):
+        rng = random.Random(29)
+        for _ in range(30):
+            check_against_literal(random_graph(rng, [f"v{i}" for i in range(6)]))
 
 
 class TestEnumeration:

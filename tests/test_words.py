@@ -218,3 +218,16 @@ class TestTextFormat:
     def test_rejects_empty(self):
         with pytest.raises(WordError):
             parse_word_text("# nothing here\n")
+
+    def test_rejects_a_second_word_line(self):
+        with pytest.raises(WordError, match="one word line"):
+            parse_word_text("a b a c\nb b b\n")
+
+    def test_comments_and_blank_lines_around_the_word(self):
+        text = "# header\n\na b a  # trailing\n   \n# footer\n"
+        assert parse_word_text(text) == Word(("a", "b", "a"))
+
+    @pytest.mark.parametrize("letter", ["", " ", "a b", "a\tb", "a#", "#"])
+    def test_word_rejects_letters_that_cannot_round_trip(self, letter):
+        with pytest.raises(WordError, match="bad letter"):
+            Word(("b", letter))
