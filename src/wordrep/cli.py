@@ -198,21 +198,25 @@ def _parse_range(text: Optional[str], default: tuple[int, int]) -> list[int]:
 
 def _catalog_entries(args: argparse.Namespace):
     family = args.family
+    if args.n is not None and family in (None, "t1bar", "t2bar"):
+        raise gr.GraphError("--n needs a --family other than t1bar or t2bar")
+    if args.k is not None and family not in (None, "crown"):
+        raise gr.GraphError("--k applies to the crown family only")
     if family in (None, "t1bar"):
         yield "t1bar", gr.named_witness("T1bar")
     if family in (None, "t2bar"):
         yield "t2bar", gr.named_witness("T2bar")
     if family in (None, "g1bar"):
-        for n in _parse_range(args.n if family else None, (3, 4)):
+        for n in _parse_range(args.n, (3, 4)):
             yield f"g1bar-n{n}", gr.named_witness("G1bar", n)
     if family in (None, "complement-path"):
-        for n in _parse_range(args.n if family else None, (1, 4)):
+        for n in _parse_range(args.n, (1, 4)):
             yield f"co-path-n{n}", cons.complement_path_graph(n)
     if family in (None, "complement-cycle"):
-        for n in _parse_range(args.n if family else None, (2, 4)):
+        for n in _parse_range(args.n, (2, 4)):
             yield f"co-cycle-n{n}", cons.complement_cycle_graph(n)
     if family in (None, "crown"):
-        for n in _parse_range(args.n if family else None, (2, 4)):
+        for n in _parse_range(args.n, (2, 4)):
             ks = _parse_range(args.k, (0, n - 1)) if args.k else range(n)
             for k in ks:
                 if 0 <= k <= n - 1:
@@ -222,10 +226,13 @@ def _catalog_entries(args: argparse.Namespace):
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
+    entries = list(_catalog_entries(args))
+    if not entries:
+        raise gr.GraphError("the selection matches no catalog graph")
     out_dir = args.out or Path("catalog")
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = []
-    for name, (graph, partition) in _catalog_entries(args):
+    for name, (graph, partition) in entries:
         text = gr.format_graph_text(graph, partition)
         path = out_dir / f"{name}.graph"
         path.write_text(text)
@@ -315,8 +322,9 @@ _HANDLERS = {
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    for flag in ("workers", "sample_threshold"):
-        if getattr(args, flag, 1) < 1:
+    for flag in ("workers", "sample_threshold", "max_k"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
             print(f"error: --{flag.replace('_', '-')} must be >= 1", file=sys.stderr)
             return EXIT_ERROR
     try:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .graphs import Graph, GraphError, _bits
-from .words import Word
+from .words import Word, _advance
 
 DEFAULT_MAX_VERTICES = 10
 DEFAULT_MAX_UNIFORMITY = 3
@@ -372,7 +372,8 @@ def find_noncomparability_witness(g: Graph, max_len: int) -> Optional[tuple[str,
                 return found
         return None
 
-    for k in range(5, max_len + 1, 2):
+    # A closed walk repeats no ordered pair, so it has at most 2|E| steps.
+    for k in range(5, min(max_len, 2 * g.edge_count) + 1, 2):
         for start in by_label:
             # Rotating a valid walk keeps it valid, so the start may be
             # pinned to the walk's label-minimal vertex.
@@ -400,79 +401,45 @@ def representable_via_dominant(g: Graph, x: str,
 def find_uniform_word(g: Graph, k: int) -> Optional[Word]:
     """Backtracking search for a k-uniform word representing g.
 
-    The word is built position by position.  A letter may repeat only after
-    all its graph neighbors have appeared since its previous occurrence
-    (otherwise some adjacent pair stops alternating), and every
-    non-adjacent pair must pick up a doubled letter before both letters run
-    out.  Since uniform words may be rotated freely, the first position is
-    pinned to the first vertex.
+    The word grows letter by letter in vertex order, its alternation state
+    kept by ``words._advance``, the step verification uses.  A letter may
+    repeat only after all its graph neighbors have appeared since its
+    previous occurrence, and every non-adjacent pair must split before both
+    letters run out.  Uniform words may be rotated freely, so the first
+    position is pinned to the first vertex.
     """
     n = len(g.vertices)
     if n == 0:
         raise GraphError("need at least one vertex")
     if k < 1:
         raise GraphError("multiplicity must be positive")
-    full = (1 << n) - 1
     adj = g.adj
+    full = (1 << n) - 1
     nonadj = [full & ~adj[i] & ~(1 << i) for i in range(n)]
-    total = n * k
-
     word: list[int] = []
     remaining = [k] * n
-    state = {"placed": 0}
-    since_last = [0] * n  # letters seen since this letter's last occurrence
-    doubled = [0] * n     # pairs that already fail alternation
 
-    def place(i: int) -> tuple:
-        snapshot = (since_last[:], doubled[:], state["placed"])
-        if state["placed"] >> i & 1:
-            newly = ~since_last[i] & nonadj[i]
-            if newly:
-                doubled[i] |= newly
-                for j in _bits(newly):
-                    doubled[j] |= 1 << i
-        bit = 1 << i
-        for j in range(n):
-            since_last[j] |= bit
-        since_last[i] = 0
-        state["placed"] |= bit
-        remaining[i] -= 1
-        word.append(i)
-        return snapshot
-
-    def unplace(i: int, snapshot: tuple) -> None:
-        since_last[:], doubled[:], state["placed"] = snapshot
-        remaining[i] += 1
-        word.pop()
-
-    def viable_after(i: int) -> bool:
-        if remaining[i] == 0:
-            # Pairs with i that never doubled need >= 2 later copies of the
-            # other letter (the pair restriction now ends with i).
-            for j in _bits(nonadj[i] & ~doubled[i]):
-                if remaining[j] <= 1:
-                    return False
-        return True
-
-    def search() -> bool:
-        if len(word) == total:
-            return all((nonadj[i] & ~doubled[i]) == 0 for i in range(n))
-        placed = state["placed"]
-        for i in range(n):
-            if remaining[i] == 0:
+    def search(since: list[int], split: list[int]) -> bool:
+        if len(word) == n * k:
+            return True
+        for i in range(n) if word else (0,):
+            if not remaining[i] or adj[i] & ~since[i]:
                 continue
-            if placed >> i & 1 and adj[i] & ~since_last[i]:
-                continue
-            snapshot = place(i)
-            if viable_after(i) and search():
+            remaining[i] -= 1
+            word.append(i)
+            since_i, split_i = _advance(since, split, i)
+            # Once i is used up, a pair with i that has not split ends its
+            # restriction with i, so it needs two more copies of the other,
+            # which split it: a complete word has split every such pair.
+            stuck = 0 if remaining[i] else nonadj[i] & ~split_i[i]
+            if all(remaining[j] > 1 for j in _bits(stuck)) and search(since_i, split_i):
                 return True
-            unplace(i, snapshot)
+            remaining[i] += 1
+            word.pop()
         return False
 
-    snapshot = place(0)
-    if viable_after(0) and search():
+    if search([full] * n, [0] * n):
         return Word(tuple(g.vertices[i] for i in word))
-    unplace(0, snapshot)
     return None
 
 
@@ -491,6 +458,8 @@ def bounded_representation_number(
         raise CapExceededError(
             f"multiplicity bound {max_k} exceeds {DEFAULT_MAX_UNIFORMITY}"
         )
+    if max_k < 1:
+        raise GraphError(f"multiplicity bound {max_k} must be at least 1")
     for k in range(1, max_k + 1):
         if find_uniform_word(g, k) is not None:
             return k

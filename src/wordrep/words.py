@@ -6,6 +6,11 @@ to state and check that condition: restriction to a letter subset, the
 alternation test itself, uniformity, initial/final permutations, and the
 two representation-preserving rewrites (prefixing the initial permutation,
 and cyclic rotation of uniform words).
+
+``alternates`` is the literal pairwise definition.  Verification, the
+relation, the neighborhoods and the uniform-word search in
+``orientations`` all use the one bitset step ``_advance`` instead, so one
+left-to-right pass over a word finds every non-alternating pair.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 
 class WordError(ValueError):
@@ -78,29 +83,49 @@ def alternates(w: Word, x: str, y: str) -> bool:
     return True
 
 
+def _advance(since: list[int], split: list[int], i: int) -> tuple[list[int], list[int]]:
+    """The alternation state after appending letter i; the inputs are not changed.
+
+    ``since[j]``: letters seen since j's last copy (all letters before its
+    first copy; j itself always).  ``split[j]``: letters that no longer
+    alternate with j.  Letters missing from ``since[i]`` split from i.
+    """
+    bit = 1 << i
+    missing = ((1 << len(since)) - 1) & ~since[i] & ~split[i]
+    if missing:
+        split = list(split)
+        split[i] |= missing
+        for j in _bits(missing):
+            split[j] |= bit
+    since = [s | bit for s in since]
+    since[i] = bit
+    return since, split
+
+
+def _alternating(w: Word, letters: list[str]) -> list[int]:
+    """For each of ``letters``, the bitset of the letters alternating with it in w."""
+    index = {x: i for i, x in enumerate(letters)}
+    full = (1 << len(letters)) - 1
+    since, split = [full] * len(letters), [0] * len(letters)
+    for x in w.letters:
+        since, split = _advance(since, split, index[x])
+    return [full & ~mask & ~(1 << i) for i, mask in enumerate(split)]
+
+
 def is_uniform(w: Word) -> int | None:
     """The common multiplicity k when every letter occurs exactly k times."""
-    if not w.letters:
-        return None
-    counts = {x: w.letters.count(x) for x in w.alphabet()}
-    values = set(counts.values())
-    return values.pop() if len(values) == 1 else None
+    counts = {w.letters.count(x) for x in w.alphabet()}
+    return counts.pop() if len(counts) == 1 else None
 
 
 def initial_permutation(w: Word) -> Word:
     """Leftmost occurrence of each letter, in order of first appearance."""
-    seen: dict[str, None] = {}
-    for x in w.letters:
-        seen.setdefault(x)
-    return Word(tuple(seen))
+    return Word(tuple(dict.fromkeys(w.letters)))
 
 
 def final_permutation(w: Word) -> Word:
     """Rightmost occurrence of each letter, in order of last appearance."""
-    seen: dict[str, None] = {}
-    for x in reversed(w.letters):
-        seen.setdefault(x)
-    return Word(tuple(reversed(seen.keys())))
+    return Word(tuple(reversed(dict.fromkeys(reversed(w.letters)))))
 
 
 def prepend_initial(w: Word) -> Word:
@@ -119,9 +144,10 @@ def rotate_uniform(w: Word, cut: int) -> Word:
 
 def alternation_neighborhood(w: Word, x: str) -> set[str]:
     """All letters alternating with x in w."""
-    if x not in w.alphabet():
+    letters = sorted(w.alphabet())
+    if x not in letters:
         raise WordError(f"letter {x!r} does not occur in the word")
-    return {y for y in w.alphabet() if y != x and alternates(w, x, y)}
+    return {letters[j] for j in _bits(_alternating(w, letters)[letters.index(x)])}
 
 
 def once_only_between(w: Word, x: str) -> list[set[str]]:
@@ -181,31 +207,23 @@ def represents(w: Word, g: Graph) -> VerifyReport:
         raise WordError(f"letters {sorted(alphabet - vertex_set)} are not vertices")
     if vertex_set - alphabet:
         raise WordError(f"vertices {sorted(vertex_set - alphabet)} missing from the word")
+    alternating = _alternating(w, list(g.vertices))
     violations = []
     for i, x in enumerate(g.vertices):
-        for y in g.vertices[i + 1 :]:
-            alt = alternates(w, x, y)
-            adjacent = g.has_edge(x, y)
-            if alt != adjacent:
-                violations.append(
-                    Violation(
-                        x, y,
-                        restriction=str(restrict(w, {x, y})),
-                        expected="alternate" if adjacent else "non-alternate",
-                    )
-                )
+        # the later vertices whose alternation with x differs from adjacency
+        for j in _bits((alternating[i] ^ g.adj[i]) >> (i + 1) << (i + 1)):
+            y, adjacent = g.vertices[j], g.adj[i] >> j & 1
+            violations.append(Violation(x, y, restriction=str(restrict(w, {x, y})),
+                                        expected="alternate" if adjacent else "non-alternate"))
     return VerifyReport(ok=not violations, violations=tuple(violations))
 
 
 def alternation_relation(w: Word) -> frozenset[frozenset[str]]:
     """The graph a word defines on its own alphabet: all alternating pairs."""
     letters = sorted(w.alphabet())
-    pairs = set()
-    for i, x in enumerate(letters):
-        for y in letters[i + 1 :]:
-            if alternates(w, x, y):
-                pairs.add(frozenset((x, y)))
-    return frozenset(pairs)
+    return frozenset(frozenset((letters[i], letters[j]))
+                     for i, mask in enumerate(_alternating(w, letters))
+                     for j in _bits(mask >> (i + 1) << (i + 1)))
 
 
 # --- text format: whitespace-separated letters on one line ---------------

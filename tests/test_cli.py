@@ -142,6 +142,23 @@ class TestRepresentable:
         assert code == 0
         assert json.loads(out)["representable"] is True
 
+    @pytest.mark.parametrize("max_k", ["0", "-1"])
+    def test_non_positive_max_k_exit_2(self, capsys, tmp_path, max_k):
+        g, _ = complement_path_graph(2)
+        gpath = write_graph(tmp_path, "cop4.graph", g)
+        code, out, err = run_cli(capsys, "representable", str(gpath), "--max-k", max_k)
+        assert code == 2 and out == "" and "--max-k" in err
+
+    def test_huge_walk_bound_is_quick(self, capsys, tmp_path):
+        # A closed walk repeats no ordered pair, so P4's 3 edges allow 6 steps.
+        g, _ = complement_path_graph(2)
+        gpath = write_graph(tmp_path, "cop4.graph", g)
+        with Budget("odd-walk search with a huge length bound", 1):
+            code, out, _ = run_cli(
+                capsys, "representable", str(gpath), "--max-walk", "2000001")
+        assert code == 0
+        assert json.loads(out)["oddWalk"] is None
+
     def test_cap_exit_2(self, capsys, tmp_path):
         g, part = named_witness("T1bar")
         gpath = write_graph(tmp_path, "t1bar.graph", g, part)
@@ -222,6 +239,28 @@ class TestCatalog:
         expected = sorted(
             f"crown-n{n}-k{k}.graph" for n in range(2, 6) for k in range(n))
         assert names == expected
+
+    @pytest.mark.parametrize("family", [[], ["--family", "t1bar"], ["--family", "t2bar"]])
+    def test_n_without_a_sized_family_exit_2(self, capsys, tmp_path, family):
+        out_dir = tmp_path / "cat"
+        code, out, err = run_cli(
+            capsys, "catalog", "--out", str(out_dir), "--n", "3", *family)
+        assert code == 2 and out == "" and "--n" in err
+        assert not out_dir.exists()
+
+    def test_k_with_a_non_crown_family_exit_2(self, capsys, tmp_path):
+        out_dir = tmp_path / "cat"
+        code, out, err = run_cli(
+            capsys, "catalog", "--out", str(out_dir), "--family", "g1bar", "--k", "1")
+        assert code == 2 and out == "" and "--k" in err
+        assert not out_dir.exists()
+
+    def test_empty_selection_exit_2(self, capsys, tmp_path):
+        out_dir = tmp_path / "cat"
+        code, out, err = run_cli(
+            capsys, "catalog", "--out", str(out_dir), "--family", "crown", "--k", "7")
+        assert code == 2 and out == "" and "no catalog graph" in err
+        assert not out_dir.exists()
 
     def test_catalog_graphs_parse_back(self, capsys, tmp_path):
         from wordrep.graphs import parse_graph_text

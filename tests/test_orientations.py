@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 import pytest
 
 from wordrep.graphs import GeneralizedCrownParams, Graph, GraphError, named_witness
-from wordrep.words import represents
+from wordrep.words import Word, alternates, represents
 from wordrep.constructions import complement_crown_graph, complement_path_graph
 from wordrep.orientations import (
     CapExceededError,
@@ -369,6 +369,34 @@ class TestDominantVertexRoute:
             assert representable_via_dominant(g, "x") == is_word_representable(g)
 
 
+def first_uniform_word(g, k):
+    """The lexicographically first k-uniform word over vertex indices that
+    starts with the first vertex and represents g by literal ``alternates``."""
+    n = len(g.vertices)
+    left = [k] * n
+    word = []
+
+    def extend():
+        if len(word) == n * k:
+            w = Word(tuple(g.vertices[i] for i in word))
+            if all(alternates(w, x, y) == g.has_edge(x, y)
+                   for x, y in combinations(g.vertices, 2)):
+                return w
+            return None
+        for i in range(n) if word else (0,):
+            if left[i]:
+                left[i] -= 1
+                word.append(i)
+                found = extend()
+                word.pop()
+                left[i] += 1
+                if found:
+                    return found
+        return None
+
+    return extend()
+
+
 class TestUniformWordSearch:
     def test_representation_numbers(self):
         assert bounded_representation_number(complete_graph(["1", "2", "3"])) == 1
@@ -386,6 +414,23 @@ class TestUniformWordSearch:
             assert represents(w, g).ok
             if k > 1:
                 assert find_uniform_word(g, k - 1) is None
+
+    def test_matches_brute_force_on_small_graphs(self):
+        cases = 0
+        for n, max_k in ((1, 3), (2, 3), (3, 3), (4, 2)):
+            labels = ["q", "c", "x", "a"][:n]  # not in sorted order
+            pairs = list(combinations(labels, 2))
+            for mask in range(1 << len(pairs)):
+                g = Graph.from_edges(labels, [e for b, e in enumerate(pairs) if mask >> b & 1])
+                for k in range(1, max_k + 1):
+                    assert find_uniform_word(g, k) == first_uniform_word(g, k), (g.adj, k)
+                    cases += 1
+        assert cases == 161
+
+    def test_rejects_a_non_positive_multiplicity_bound(self):
+        for max_k in (0, -1):
+            with pytest.raises(GraphError, match="at least 1"):
+                bounded_representation_number(complete_graph(["a", "b"]), max_k)
 
     def test_caps(self):
         g = complete_graph([f"v{i}" for i in range(7)])

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from wordrep.graphs import Graph, format_graph_text, parse_graph_text
 from wordrep.words import (
     Word,
+    alternates,
     alternation_relation,
     format_word_text,
     parse_word_text,
@@ -51,6 +52,14 @@ def test_graph_text_round_trip(g):
 @given(words())
 def test_word_text_round_trip(w):
     assert parse_word_text(format_word_text(w)) == w
+
+
+@common
+@given(words())
+def test_alternation_relation_matches_alternates_on_every_pair(w):
+    literal = {frozenset(pair) for pair in combinations(sorted(w.alphabet()), 2)
+               if alternates(w, *pair)}
+    assert alternation_relation(w) == literal
 
 
 @common

@@ -1,12 +1,14 @@
 """Word operations: restriction, alternation, verification, rewrites."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from wordrep.graphs import Graph
 from wordrep.words import (
+    Violation,
+    VerifyReport,
     Word,
     WordError,
     alternates,
@@ -121,6 +123,53 @@ class TestRepresents:
             represents(Word(tuple("11")), g)
         with pytest.raises(WordError):
             represents(Word(()), g)
+
+
+class TestAgainstLiteralAlternation:
+    """The one-pass relation against the pairwise definition ``alternates``."""
+
+    def test_relation_and_neighborhoods_on_all_short_words(self):
+        checked = 0
+        for m in (1, 2, 3):
+            alphabet = "bca"[:m]  # not in sorted order
+            for length in range(m, 8):
+                for letters in product(alphabet, repeat=length):
+                    if len(set(letters)) < m:
+                        continue
+                    w = Word(letters)
+                    literal = {frozenset((x, y)) for x, y in combinations(alphabet, 2)
+                               if alternates(w, x, y)}
+                    assert alternation_relation(w) == literal, w
+                    for x in alphabet:
+                        expected = {y for y in alphabet if y != x and alternates(w, x, y)}
+                        assert alternation_neighborhood(w, x) == expected, (w, x)
+                    checked += 1
+        assert checked == 2785
+
+    def test_represents_matches_a_literal_report(self):
+        rng = random.Random(71)
+        failing = 0
+        for _ in range(400):
+            w = random_word(rng)
+            vertices = sorted(w.alphabet())
+            rng.shuffle(vertices)
+            if rng.random() < 0.5:
+                edges = [e for e in combinations(vertices, 2) if rng.random() < 0.5]
+            else:
+                edges = [tuple(pair) for pair in sorted(map(sorted, alternation_relation(w)))]
+                if edges and rng.random() < 0.5:
+                    edges.pop(rng.randrange(len(edges)))
+            g = Graph.from_edges(vertices, edges)
+            violations = tuple(
+                Violation(x, y, restriction=str(restrict(w, {x, y})),
+                          expected="alternate" if g.has_edge(x, y) else "non-alternate")
+                for x, y in combinations(g.vertices, 2)
+                if alternates(w, x, y) != g.has_edge(x, y)
+            )
+            report = represents(w, g)
+            assert report == VerifyReport(ok=not violations, violations=violations)
+            failing += not report.ok
+        assert 100 < failing < 400
 
 
 class TestUniform:
