@@ -125,26 +125,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_representable(args: argparse.Namespace) -> int:
     graph, _ = gr.parse_graph_text(Path(args.graph).read_text())
     ori._check_cap(graph, args.max_vertices)
-    searcher = ori.ShortcutSearcher(graph)
-    found = None
-    acyclic = 0
-    for out in ori.acyclic_outsets(graph):
-        acyclic += 1
-        if searcher.find(out) is None:
-            found = ori.Orientation(graph, out)
-            break
+    # The word search has the smaller vertex cap; check it before searching.
+    number = None
+    if args.max_k is not None:
+        number = ori.bounded_representation_number(graph, args.max_k)
+    found = ori.find_semi_transitive_orientation(graph, args.max_vertices)
     payload: dict = {"representable": found is not None}
     lines = [f"representable: {str(found is not None).lower()}"]
     if found is not None:
         payload["orientation"] = [f"{u} -> {v}" for u, v in found.arcs()]
         lines += payload["orientation"]
     else:
+        acyclic = ori.count_acyclic_orientations(graph)
         payload["witnessSummary"] = {"acyclicOrientations": acyclic, "semiTransitive": 0}
         lines.append(f"acyclic orientations checked: {acyclic}")
-    if args.max_k is not None and len(graph.vertices) <= ori.WORD_SEARCH_MAX_VERTICES:
-        payload["representationNumber"] = ori.bounded_representation_number(
-            graph, args.max_k
-        )
+    if args.max_k is not None:
+        payload["representationNumber"] = number
     if args.max_walk is not None:
         walk = ori.find_noncomparability_witness(graph, args.max_walk)
         payload["oddWalk"] = list(walk) if walk else None
@@ -186,11 +182,12 @@ def cmd_characterize(args: argparse.Namespace) -> int:
 def _parse_range(text: Optional[str], default: tuple[int, int]) -> list[int]:
     if text is None:
         lo, hi = default
-    elif ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
     else:
-        lo = hi = int(text)
+        lo_s, dots, hi_s = text.partition("..")
+        try:
+            lo, hi = int(lo_s), int(hi_s if dots else lo_s)
+        except ValueError:
+            raise gr.GraphError(f"range {text!r} is not N or N..M") from None
     if lo > hi:
         raise gr.GraphError(f"empty range {text!r}")
     return list(range(lo, hi + 1))

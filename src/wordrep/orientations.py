@@ -15,6 +15,12 @@ that reaches v, so one pass over reachability bitsets checks an
 orientation in polynomial time.  The literal path-enumerating definition
 stays in the test suite as the oracle this test is checked against.
 
+Semi-transitivity and transitivity are hereditary (Halldorsson-Kitaev-
+Pyatkin 2016; Kitaev-Lozin, Words and Graphs, 2015), so the deciders prune
+the same enumerator with a prefix check and still return the unpruned
+scan's first hit.  A pruned search cannot count, so the orientation count
+of a negative verdict comes from a subset recurrence instead.
+
 Also here: transitive-orientation search (comparability), its odd-walk
 refutation witness, the dominant-vertex reduction, and a backtracking
 search for uniform representing words of bounded multiplicity.
@@ -23,7 +29,7 @@ search for uniform representing words of bounded multiplicity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import Graph, GraphError, _bits
 from .words import Word, _advance
@@ -89,7 +95,7 @@ class Orientation:
         return f"Orientation({', '.join(f'{u}->{v}' for u, v in self.arcs())})"
 
 
-def _topo_order(out: tuple[int, ...]) -> Optional[list[int]]:
+def _topo_order(out: Sequence[int]) -> Optional[list[int]]:
     """Topological order of the out-bitset digraph, or None on a cycle.
 
     Sweeps the pending vertices, placing each one whose successors are all
@@ -145,8 +151,10 @@ class ShortcutSearcher:
     every shortcut has such a pair.  So one pass in reverse topological
     order suffices: ``reach[u]`` holds the descendants of u and ``far[u]``
     the vertices reachable from u through a non-adjacent ordered pair.  The
-    pass stops at the first vertex u with an arc into ``far[u]``, so the
-    witness for a given orientation is deterministic.
+    pass stops at the first vertex u with an arc into ``far[u]`` and returns
+    that arc as an index pair, so the result for a given orientation is
+    deterministic.  ``find_shortcut`` builds the labelled path on request;
+    the searches and the sweep just test ``find(out) is None``.
     """
 
     def __init__(self, g: Graph):
@@ -154,7 +162,8 @@ class ShortcutSearcher:
         full = (1 << len(g.vertices)) - 1
         self.nonadj = [full & ~(mask | 1 << i) for i, mask in enumerate(g.adj)]
 
-    def find(self, out: tuple[int, ...]) -> Optional[ShortcutWitness]:
+    def find(self, out: Sequence[int]) -> Optional[tuple[int, int]]:
+        """The first shortcutting arc (u, v) as vertex indices, or None."""
         order = _topo_order(out)
         if order is None:
             raise OrientationError("shortcut search needs an acyclic orientation")
@@ -171,11 +180,16 @@ class ShortcutSearcher:
             reach[u], far[u] = r, f
             hit = out[u] & f
             if hit:
-                return self._witness(out, reach, u, next(_bits(hit)))
+                return u, next(_bits(hit))
         return None
 
-    def _witness(self, out: tuple[int, ...], reach: list[int],
-                 u: int, v: int) -> ShortcutWitness:
+    def _witness(self, out: Sequence[int], u: int, v: int) -> ShortcutWitness:
+        """The labelled path and missing pair behind the shortcutting arc u->v."""
+        reach = [0] * len(out)
+        for w in reversed(_topo_order(out)):
+            reach[w] = 1 << w
+            for z in _bits(out[w]):
+                reach[w] |= reach[z]
         x, y = next((x, y) for x in _bits(reach[u])
                     for y in _bits(reach[x] & self.nonadj[x]) if reach[y] >> v & 1)
         # Walk u ->* x ->* y ->* v, always stepping to the lowest-index
@@ -200,14 +214,16 @@ def find_shortcut(o: Orientation) -> Optional[ShortcutWitness]:
     shortcutting arc u->v, with a non-adjacent pair in path order; see
     ``ShortcutSearcher`` for which one is returned.
     """
-    return ShortcutSearcher(o.graph).find(o.out)
+    searcher = ShortcutSearcher(o.graph)
+    arc = searcher.find(o.out)
+    return None if arc is None else searcher._witness(o.out, *arc)
 
 
 def is_semi_transitive(o: Orientation) -> bool:
     return is_acyclic(o) and find_shortcut(o) is None
 
 
-def outs_transitive(out: tuple[int, ...]) -> bool:
+def outs_transitive(out: Sequence[int]) -> bool:
     """u->v and v->z always implies u->z."""
     for mask in out:
         for j in _bits(mask):
@@ -233,7 +249,9 @@ def outs_from_order(adj: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def acyclic_outsets(g: Graph) -> Iterator[tuple[int, ...]]:
+def acyclic_outsets(
+    g: Graph, prefix_ok: Optional[Callable[[list[int]], bool]] = None
+) -> Iterator[tuple[int, ...]]:
     """Out-bitsets of every acyclic orientation, each exactly once.
 
     Vertices join in index order.  Vertex k points at a set S of its
@@ -242,6 +260,13 @@ def acyclic_outsets(g: Graph) -> Iterator[tuple[int, ...]]:
     the earlier neighbours descendants-first (a descendant reaches fewer
     vertices) lets each one join S unless it reaches one already left out,
     so every branch completes and no orientation repeats.
+
+    With ``prefix_ok``, a branch is dropped once the predicate rejects the
+    orientation built on vertices 0..k (a list of k + 1 out-bitsets).  For
+    a hereditary property, kept by every induced sub-orientation, that
+    loses nothing: every completion of the branch induces the rejected
+    prefix.  The order is unchanged, so exactly the accepted orientations
+    are yielded, in unpruned order.
     """
     n = len(g.vertices)
     adj = g.adj
@@ -266,16 +291,47 @@ def acyclic_outsets(g: Graph) -> Iterator[tuple[int, ...]]:
             decided |= bit
         for s in choices:
             inward = back & ~s
+            out_k = [o | kbit if inward >> i & 1 else o for i, o in enumerate(out)] + [s]
+            if prefix_ok is not None and not prefix_ok(out_k):
+                continue
             reach_k = kbit
             for j in _bits(s):
                 reach_k |= reach[j]
             yield from extend(
                 k + 1,
-                [o | kbit if inward >> i & 1 else o for i, o in enumerate(out)] + [s],
+                out_k,
                 [r | reach_k if r & inward else r for r in reach] + [reach_k],
             )
 
     return extend(0, [], [])
+
+
+def count_acyclic_orientations(g: Graph) -> int:
+    """The number of acyclic orientations, counted without enumerating them.
+
+    An acyclic orientation of a non-empty vertex set S has a non-empty
+    independent set of sources, so inclusion-exclusion over that set gives
+    a(S) = sum of (-1)^(|I|+1) a(S - I) over non-empty independent I within
+    S (Stanley 1973).  Vertex sets are bitsets, evaluated in increasing
+    order: at most 3^n steps.
+    """
+    adj = g.adj
+    size = 1 << len(adj)
+    # sign[I] = (-1)^(|I|+1) for an independent set I, 0 otherwise.
+    sign = [-1] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        rest = mask ^ low
+        sign[mask] = 0 if adj[low.bit_length() - 1] & rest else -sign[rest]
+    count = [1] * size
+    for s in range(1, size):
+        total = 0
+        sub = s
+        while sub:
+            total += sign[sub] * count[s ^ sub]
+            sub = (sub - 1) & s
+        count[s] = total
+    return count[-1]
 
 
 def _check_cap(g: Graph, max_vertices: int) -> None:
@@ -300,10 +356,8 @@ def find_semi_transitive_orientation(
     """Exhaustive search; None means no semi-transitive orientation exists."""
     _check_cap(g, max_vertices)
     searcher = ShortcutSearcher(g)
-    for out in acyclic_outsets(g):
-        if searcher.find(out) is None:
-            return Orientation(g, out)
-    return None
+    out = next(acyclic_outsets(g, lambda out: searcher.find(out) is None), None)
+    return None if out is None else Orientation(g, out)
 
 
 def is_word_representable(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> bool:
@@ -316,10 +370,8 @@ def is_comparability(
 ) -> Optional[Orientation]:
     """A transitive orientation if one exists (comparability graph), else None."""
     _check_cap(g, max_vertices)
-    for out in acyclic_outsets(g):
-        if outs_transitive(out):
-            return Orientation(g, out)
-    return None
+    out = next(acyclic_outsets(g, outs_transitive), None)
+    return None if out is None else Orientation(g, out)
 
 
 # --- odd closed walks without triangular chords ----------------------------

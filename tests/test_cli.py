@@ -116,7 +116,7 @@ class TestRepresentable:
         assert code == 1
         payload = json.loads(out)
         assert payload["representable"] is False
-        assert payload["witnessSummary"]["acyclicOrientations"] > 0
+        assert payload["witnessSummary"]["acyclicOrientations"] == 1752
 
     def test_complete_graph_positive_with_extras(self, capsys, tmp_path):
         gpath = tmp_path / "k5.graph"
@@ -158,6 +158,12 @@ class TestRepresentable:
                 capsys, "representable", str(gpath), "--max-walk", "2000001")
         assert code == 0
         assert json.loads(out)["oddWalk"] is None
+
+    def test_max_k_above_the_word_search_cap_exit_2(self, capsys, tmp_path):
+        g, part = named_witness("T1bar")
+        gpath = write_graph(tmp_path, "t1bar.graph", g, part)
+        code, out, err = run_cli(capsys, "representable", str(gpath), "--max-k", "2")
+        assert code == 2 and out == "" and "cap of 6" in err
 
     def test_cap_exit_2(self, capsys, tmp_path):
         g, part = named_witness("T1bar")
@@ -253,6 +259,14 @@ class TestCatalog:
         code, out, err = run_cli(
             capsys, "catalog", "--out", str(out_dir), "--family", "g1bar", "--k", "1")
         assert code == 2 and out == "" and "--k" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag", [["--n", "x"], ["--k", "1..y"]])
+    def test_non_integer_range_exit_2(self, capsys, tmp_path, flag):
+        out_dir = tmp_path / "cat"
+        code, out, err = run_cli(
+            capsys, "catalog", "--out", str(out_dir), "--family", "crown", *flag)
+        assert code == 2 and out == "" and "is not N or N..M" in err
         assert not out_dir.exists()
 
     def test_empty_selection_exit_2(self, capsys, tmp_path):

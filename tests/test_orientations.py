@@ -12,8 +12,10 @@ from wordrep.orientations import (
     CapExceededError,
     Orientation,
     OrientationError,
+    ShortcutSearcher,
     acyclic_outsets,
     bounded_representation_number,
+    count_acyclic_orientations,
     enumerate_acyclic_orientations,
     find_noncomparability_witness,
     find_semi_transitive_orientation,
@@ -24,6 +26,7 @@ from wordrep.orientations import (
     is_semi_transitive,
     is_transitive,
     is_word_representable,
+    outs_transitive,
     representable_via_dominant,
 )
 
@@ -36,6 +39,24 @@ def random_graph(rng, labels, p=0.5):
     return Graph.from_edges(
         labels, [e for e in combinations(labels, 2) if rng.random() < p]
     )
+
+
+def labelled_graphs(n):
+    """Every labelled graph on the vertices v0..v(n-1)."""
+    labels = [f"v{i}" for i in range(n)]
+    pairs = list(combinations(labels, 2))
+    for bits in range(1 << len(pairs)):
+        yield Graph.from_edges(labels, [e for t, e in enumerate(pairs) if bits >> t & 1])
+
+
+def small_and_random_graphs():
+    """Every labelled graph on at most 5 vertices, then 500 seeded random
+    6-vertex graphs."""
+    for n in range(1, 6):
+        yield from labelled_graphs(n)
+    rng = random.Random(6)
+    for _ in range(500):
+        yield random_graph(rng, [f"v{i}" for i in range(6)])
 
 
 class TestAcyclicity:
@@ -103,13 +124,7 @@ def check_against_literal(g):
 class TestShortcut:
     def test_matches_literal_definition_on_all_small_graphs(self):
         # Every acyclic orientation of every labelled graph on <= 5 vertices.
-        checked = 0
-        for n in range(1, 6):
-            labels = [f"v{i}" for i in range(n)]
-            pairs = list(combinations(labels, 2))
-            for bits in range(1 << len(pairs)):
-                checked += check_against_literal(Graph.from_edges(
-                    labels, [e for t, e in enumerate(pairs) if bits >> t & 1]))
+        checked = sum(check_against_literal(g) for n in range(1, 6) for g in labelled_graphs(n))
         assert checked == 29_853
 
     def test_chordless_directed_c4_is_a_shortcut(self):
@@ -194,32 +209,64 @@ class TestEnumeration:
         # The literal definition: every acyclic orientation is induced by
         # some linear order.  Checked on every labelled graph of <= 5 vertices.
         for n in range(1, 6):
-            labels = [f"v{i}" for i in range(n)]
-            pairs = list(combinations(labels, 2))
-            for bits in range(1 << len(pairs)):
-                g = Graph.from_edges(
-                    labels, [e for t, e in enumerate(pairs) if bits >> t & 1])
+            for g in labelled_graphs(n):
                 yielded = list(acyclic_outsets(g))
                 literal = {Orientation.from_order(g, p).out
                            for p in permutations(g.vertices)}
-                assert len(yielded) == len(set(yielded)), (n, bits)
-                assert set(yielded) == literal, (n, bits)
+                assert len(yielded) == len(set(yielded)), g.adj
+                assert set(yielded) == literal, g.adj
 
     def test_known_counts(self):
         from math import factorial
 
+        def counts(g):
+            # The enumeration and the subset recurrence, side by side.
+            return sum(1 for _ in acyclic_outsets(g)), count_acyclic_orientations(g)
+
         for n in range(1, 8):
-            assert sum(1 for _ in acyclic_outsets(
-                complete_graph([f"v{i}" for i in range(n)]))) == factorial(n)
+            assert counts(complete_graph([f"v{i}" for i in range(n)])) == (factorial(n),) * 2
         for n in range(3, 9):
             labels = [f"c{i}" for i in range(n)]
             cycle = Graph.from_edges(
                 labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
-            assert sum(1 for _ in acyclic_outsets(cycle)) == 2 ** n - 2
+            assert counts(cycle) == (2 ** n - 2,) * 2
         for name, n, count in (("T1bar", None, 1752), ("T2bar", None, 1704),
                                ("G1bar", 4, 60120)):
             g, _ = named_witness(name, n)
-            assert sum(1 for _ in acyclic_outsets(g)) == count, name
+            assert counts(g) == (count, count), name
+
+    def test_recurrence_counts_the_enumeration(self):
+        for g in small_and_random_graphs():
+            assert count_acyclic_orientations(g) == sum(1 for _ in acyclic_outsets(g)), g.adj
+        assert count_acyclic_orientations(Graph.from_edges([], [])) == 1
+
+
+class TestPrunedSearch:
+    """The pruned deciders against the first hit of the unpruned scan."""
+
+    def test_deciders_return_the_first_hit_of_the_plain_scan(self):
+        for g in small_and_random_graphs():
+            searcher = ShortcutSearcher(g)
+            semi = next((out for out in acyclic_outsets(g) if searcher.find(out) is None), None)
+            found = find_semi_transitive_orientation(g)
+            assert (found and found.out) == semi, g.adj
+            transitive = next((out for out in acyclic_outsets(g) if outs_transitive(out)), None)
+            found = is_comparability(g)
+            assert (found and found.out) == transitive, g.adj
+
+    def test_pruned_stream_is_the_filtered_stream(self):
+        # A hereditary predicate drops only branches with no accepted
+        # completion, and the order of what is left is unchanged.
+        for n in range(1, 6):
+            for g in labelled_graphs(n):
+                searcher = ShortcutSearcher(g)
+
+                def free(out):
+                    return searcher.find(out) is None
+
+                for keep in (free, outs_transitive):
+                    assert list(acyclic_outsets(g, keep)) == [
+                        out for out in acyclic_outsets(g) if keep(out)], g.adj
 
 
 class TestRepresentability:
