@@ -138,7 +138,10 @@ def cmd_representable(args: argparse.Namespace) -> int:
     else:
         acyclic = ori.count_acyclic_orientations(graph)
         payload["witnessSummary"] = {"acyclicOrientations": acyclic, "semiTransitive": 0}
-        lines.append(f"acyclic orientations checked: {acyclic}")
+        if acyclic is None:
+            lines.append(f"acyclic orientations: not counted above {ori.COUNT_MAX_VERTICES} vertices")
+        else:
+            lines.append(f"acyclic orientations checked: {acyclic}")
     if args.max_k is not None:
         payload["representationNumber"] = number
     if args.max_walk is not None:

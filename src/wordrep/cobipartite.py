@@ -18,9 +18,17 @@ An orientation of a two-clique graph is semi-transitive exactly when
 first failure as ``clique-transitivity``, ``typing``, ``lemma41``,
 ``lemma42`` or ``lemma43``; on acyclic orientations its verdict matches the
 generic shortcut test (``ShortcutSearcher``), which the test suite sweeps
-exhaustively.  Every stage runs in index space on the out-neighbor and
-adjacency bitsets; labels appear only in the ``CharacterizationReport`` of
-a failing stage and in the label-level helpers, which wrap the same core.
+exhaustively.
+
+Every stage runs in index space on the out-neighbor and adjacency bitsets.
+The core, ``_failed_stage``, takes those bitsets and the clique index lists
+and masks of an already validated partition, and returns the first failing
+stage (or None) with the clique orders and vertex types it computed.  The
+lemma checks generate their violations as index tuples: the core stops at
+the first one, while the ``CharacterizationReport`` of a failing stage and
+the label-level helpers list them all and turn indices into labels.  The
+public functions validate the partition on every call; the dual-oracle
+sweep validates it once and calls the core directly.
 
 An empirical note from those sweeps: of the 145,152 acyclic orientations
 of the 512 graphs made of two 3-cliques, 22,536 pass, 97,056 first fail
@@ -36,7 +44,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from math import factorial
 from random import Random
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .graphs import (
     CoBipartitePartition,
@@ -83,19 +91,17 @@ class VertexTypeInfo:
     boundary: Optional[tuple[str, str]] = None
 
 
-def _order(out: tuple[int, ...], clique: list[int], labels: tuple[str, ...]) -> list[int]:
-    """Source-to-sink indices of a clique; a tournament is transitive exactly
-    when its out-degrees are all distinct."""
-    mask, last = sum(1 << i for i in clique), len(clique) - 1
+def _order(out: tuple[int, ...], clique: list[int], mask: int) -> Optional[list[int]]:
+    """Source-to-sink indices of a clique, or None when it is oriented cyclically;
+    a tournament is transitive exactly when its out-degrees are all distinct."""
+    last = len(clique) - 1
     order = [0] * len(clique)
     seen = 0
     for i in clique:
         score = (out[i] & mask).bit_count()
         seen |= 1 << score
         order[last - score] = i
-    if seen != (1 << len(clique)) - 1:
-        raise NonTransitiveCliqueError(f"clique {labels} is not oriented transitively")
-    return order
+    return order if seen == (1 << len(clique)) - 1 else None
 
 
 def _run(x: int) -> bool:
@@ -103,7 +109,7 @@ def _run(x: int) -> bool:
     return x & (x + (x & -x)) == 0
 
 
-def _vertex_types(out: tuple[int, ...], clique: list[int], order: list[int]) -> list[tuple]:
+def _vertex_types(out: tuple[int, ...], clique: list[int], order: list[int]) -> Iterator[tuple]:
     """(tag, outpos, inpos) of each clique vertex against the opposite ``order``.
 
     The tag is "A", "B", "C" or "Invalid"; outpos and inpos mask the
@@ -111,7 +117,6 @@ def _vertex_types(out: tuple[int, ...], clique: list[int], order: list[int]) -> 
     """
     slots = [(w, 1 << p) for p, w in enumerate(order)]
     sink = 1 << len(order) >> 1  # the last position's bit; 0 for an empty order
-    types = []
     for v in clique:
         outv, bit = out[v], 1 << v
         outpos = inpos = 0
@@ -128,55 +133,60 @@ def _vertex_types(out: tuple[int, ...], clique: list[int], order: list[int]) -> 
             tag = "C"
         else:
             tag = "Invalid"
-        types.append((tag, outpos, inpos))
+        yield tag, outpos, inpos
+
+
+def _cliques(g: Graph, partition: CoBipartitePartition) -> tuple:
+    """Validate the partition against ``g``; its cliques as (indices, mask) pairs.
+
+    Raises GraphError on a bad partition.
+    """
+    return tuple((idx, sum(1 << i for i in idx)) for idx in partition.validate(g))
+
+
+def _sides(out: tuple[int, ...], cliques: tuple) -> Optional[tuple]:
+    """(clique, other clique, other's mask, other's order) for both cliques,
+    or None when either clique is oriented cyclically."""
+    (a, mask_a), (b, mask_b) = cliques
+    order_a, order_b = _order(out, a, mask_a), _order(out, b, mask_b)
+    if order_a is None or order_b is None:
+        return None
+    return (a, b, mask_b, order_b), (b, a, mask_a, order_a)
+
+
+def _types(out: tuple[int, ...], sides: tuple) -> dict[int, tuple]:
+    """(tag, outpos, inpos) of every vertex, by index."""
+    types = {}
+    for clique, _, _, order in sides:
+        types.update(zip(clique, _vertex_types(out, clique, order)))
     return types
 
 
-def _typed(o: Orientation, partition: CoBipartitePartition) -> tuple[tuple, dict]:
-    """Sides (clique, other clique, other clique's order) and types by index.
-
-    Raises GraphError on a bad partition, NonTransitiveCliqueError on a cyclic clique.
-    """
-    out = o.out
-    a, b = partition.validate(o.graph)
-    order_a = _order(out, a, partition.clique_a)
-    order_b = _order(out, b, partition.clique_b)
-    sides = ((a, b, order_b), (b, a, order_a))
-    types = {}
-    for clique, _, order in sides:
-        types.update(zip(clique, _vertex_types(out, clique, order)))
-    return sides, types
+# The lemma checks yield their violations as index tuples, in a fixed
+# order; each has a companion that turns one into the labelled report entry.
 
 
-def _lemma41(o: Orientation, sides: tuple, types: dict) -> list[dict]:
-    adj, out, labels = o.graph.adj, o.out, o.graph.vertices
-    violations = []
-    for clique, other, _ in sides:
-        other_mask = sum(1 << i for i in other)
+def _lemma41(out: tuple[int, ...], adj: tuple[int, ...], sides: tuple,
+             types: dict) -> Iterator[tuple]:
+    for clique, _, other_mask, _ in sides:
         for x in clique:
+            if types[x][0] != "A":
+                continue
             for y in clique:
-                common = adj[x] & adj[y] & other_mask
-                if types[x][0] == "A" and types[y][0] == "B" and out[y] >> x & 1 and common:
-                    violations.append({
-                        "condition": "ab-common-neighbor", "x": labels[x], "y": labels[y],
-                        "common": sorted(labels[i] for i in _bits(common)),
-                    })
-    return violations
+                if types[y][0] == "B" and out[y] >> x & 1:
+                    common = adj[x] & adj[y] & other_mask
+                    if common:
+                        yield x, y, common
 
 
-def _lemma42(o: Orientation, sides: tuple, types: dict) -> list[dict]:
-    out, labels = o.out, o.graph.vertices
-    violations = []
+def _describe41(labels: tuple[str, ...], x: int, y: int, common: int) -> dict:
+    return {"condition": "ab-common-neighbor", "x": labels[x], "y": labels[y],
+            "common": sorted(labels[i] for i in _bits(common))}
 
-    def demand(pattern: int, x: int, y: int, s: int, t: int, tail: int, head: int) -> None:
-        if not out[tail] >> head & 1:
-            violations.append({
-                "condition": f"quad-pattern-{pattern}",
-                "x": labels[x], "y": labels[y], "s": labels[s], "t": labels[t],
-                "requires": f"{labels[tail]}->{labels[head]}",
-            })
 
-    for clique, other, _ in sides:
+def _lemma42(out: tuple[int, ...], adj: tuple[int, ...], sides: tuple,
+             types: dict) -> Iterator[tuple]:
+    for clique, other, _, _ in sides:
         for x in clique:
             for y in clique:
                 if y == x or not out[x] >> y & 1:
@@ -186,18 +196,27 @@ def _lemma42(o: Orientation, sides: tuple, types: dict) -> list[dict]:
                         if t == s or not out[s] >> t & 1:
                             continue
                         if out[s] >> x & 1 and out[y] >> t & 1:
-                            demand(1, x, y, s, t, x, t)
-                            demand(1, x, y, s, t, s, y)
+                            if not out[x] >> t & 1:
+                                yield 1, x, y, s, t, x, t
+                            if not out[s] >> y & 1:
+                                yield 1, x, y, s, t, s, y
                         if out[y] >> s & 1 and out[x] >> t & 1:
-                            demand(2, x, y, s, t, x, s)
-                            demand(2, x, y, s, t, y, t)
-    return violations
+                            if not out[x] >> s & 1:
+                                yield 2, x, y, s, t, x, s
+                            if not out[y] >> t & 1:
+                                yield 2, x, y, s, t, y, t
 
 
-def _lemma43(o: Orientation, sides: tuple, types: dict) -> list[dict]:
-    adj, out, labels = o.graph.adj, o.out, o.graph.vertices
-    violations = []
-    for clique, _, order in sides:
+def _describe42(labels: tuple[str, ...], pattern: int, x: int, y: int, s: int, t: int,
+                tail: int, head: int) -> dict:
+    return {"condition": f"quad-pattern-{pattern}",
+            "x": labels[x], "y": labels[y], "s": labels[s], "t": labels[t],
+            "requires": f"{labels[tail]}->{labels[head]}"}
+
+
+def _lemma43(out: tuple[int, ...], adj: tuple[int, ...], sides: tuple,
+             types: dict) -> Iterator[tuple]:
+    for clique, _, _, order in sides:
         for x in clique:
             tag, outpos, inpos = types[x]
             if tag != "C":
@@ -206,29 +225,85 @@ def _lemma43(o: Orientation, sides: tuple, types: dict) -> list[dict]:
             ps, pt = inpos.bit_length() - 1, (outpos & -outpos).bit_length() - 1
             s, t = order[ps], order[pt]
             both = 1 << s | 1 << t
-
-            def report(condition: str, y: int) -> None:
-                violations.append({"condition": condition, "x": labels[x], "y": labels[y],
-                                   "boundary": [labels[s], labels[t]]})
-
             for y in clique:
                 if y == x:
                     continue
                 ytag, youtpos, yinpos = types[y]
                 if out[x] >> y & 1:
                     if ytag == "A" and adj[y] & both == both:
-                        report("typec-successor-a", y)
+                        yield "typec-successor-a", x, y, s, t
                     if ytag == "C" and youtpos >> ps & 1:
-                        report("typec-successor-c", y)
+                        yield "typec-successor-c", x, y, s, t
                 elif out[y] >> x & 1:
                     if ytag == "B" and adj[y] & both == both:
-                        report("typec-predecessor-b", y)
+                        yield "typec-predecessor-b", x, y, s, t
                     if ytag == "C" and yinpos >> pt & 1:
-                        report("typec-predecessor-c", y)
-    return violations
+                        yield "typec-predecessor-c", x, y, s, t
 
 
-# --- label-level helpers over the index core ---------------------------------
+def _describe43(labels: tuple[str, ...], condition: str, x: int, y: int, s: int,
+                t: int) -> dict:
+    return {"condition": condition, "x": labels[x], "y": labels[y],
+            "boundary": [labels[s], labels[t]]}
+
+
+_LEMMAS = {
+    "lemma41": (_lemma41, _describe41),
+    "lemma42": (_lemma42, _describe42),
+    "lemma43": (_lemma43, _describe43),
+}
+
+
+def _failed_stage(out: tuple[int, ...], adj: tuple[int, ...],
+                  cliques: tuple) -> tuple[Optional[str], Optional[tuple], Optional[dict]]:
+    """The first failing stage of an orientation (None when it passes), with
+    the sides (None when a clique is cyclic) and the vertex types (None
+    unless typing passed) that it computed on the way.
+
+    The index-level core of ``is_semi_transitive_cobip``: ``cliques`` comes
+    from ``_cliques`` (a validated partition); typing stops at the first
+    Invalid vertex and each lemma check at its first violation.
+    """
+    sides = _sides(out, cliques)
+    if sides is None:
+        return "clique-transitivity", None, None
+    types = {}
+    for clique, _, _, order in sides:
+        for v, vtype in zip(clique, _vertex_types(out, clique, order)):
+            if vtype[0] == "Invalid":
+                return "typing", sides, None
+            types[v] = vtype
+    for stage, (lemma, _) in _LEMMAS.items():
+        if next(lemma(out, adj, sides, types), None) is not None:
+            return stage, sides, types
+    return None, sides, types
+
+
+# --- label-level API over the index core ---------------------------------------
+
+
+def _cyclic_clique_error(out: tuple[int, ...], cliques: tuple,
+                         partition: CoBipartitePartition) -> NonTransitiveCliqueError:
+    """The error naming the first clique that ``out`` orients cyclically."""
+    labels = next(labels for (clique, mask), labels
+                  in zip(cliques, (partition.clique_a, partition.clique_b))
+                  if _order(out, clique, mask) is None)
+    return NonTransitiveCliqueError(f"clique {labels} is not oriented transitively")
+
+
+def _violations(o: Orientation, partition: CoBipartitePartition, stage: str) -> list[dict]:
+    """Every labelled violation of one lemma stage, in check order.
+
+    Raises GraphError on a bad partition and NonTransitiveCliqueError when a
+    clique is oriented cyclically.
+    """
+    g, out = o.graph, o.out
+    cliques = _cliques(g, partition)
+    sides = _sides(out, cliques)
+    if sides is None:
+        raise _cyclic_clique_error(out, cliques, partition)
+    lemma, describe = _LEMMAS[stage]
+    return [describe(g.vertices, *v) for v in lemma(out, g.adj, sides, _types(out, sides))]
 
 
 def clique_order(o: Orientation, clique: tuple[str, ...]) -> CliqueOrder:
@@ -240,7 +315,10 @@ def clique_order(o: Orientation, clique: tuple[str, ...]) -> CliqueOrder:
     g = o.graph
     if not g.is_clique(clique):
         raise GraphError(f"{clique} does not induce a complete subgraph")
-    order = _order(o.out, [g.index(v) for v in clique], clique)
+    idx = [g.index(v) for v in clique]
+    order = _order(o.out, idx, sum(1 << i for i in idx))
+    if order is None:
+        raise NonTransitiveCliqueError(f"clique {clique} is not oriented transitively")
     return CliqueOrder(tuple(g.vertices[i] for i in order))
 
 
@@ -274,7 +352,7 @@ def check_condition_ab(o: Orientation, partition: CoBipartitePartition) -> list[
     If x is type A, y is type B, the edge runs y->x and both see a common
     vertex z opposite, then x->z and z->y close a directed triangle.
     """
-    return _lemma41(o, *_typed(o, partition))
+    return _violations(o, partition, "lemma41")
 
 
 def check_condition_quad(o: Orientation, partition: CoBipartitePartition) -> list[dict]:
@@ -285,7 +363,7 @@ def check_condition_quad(o: Orientation, partition: CoBipartitePartition) -> lis
     pattern 2: with y->s and x->t present, x->s and y->t must be present.
     A missing or reversed diagonal would complete a shortcut or a cycle.
     """
-    return _lemma42(o, *_typed(o, partition))
+    return _violations(o, partition, "lemma42")
 
 
 def check_condition_typec(o: Orientation, partition: CoBipartitePartition) -> list[dict]:
@@ -297,7 +375,7 @@ def check_condition_typec(o: Orientation, partition: CoBipartitePartition) -> li
     neither a type B vertex adjacent to both s and t, nor a type C vertex
     whose source group contains t.
     """
-    return _lemma43(o, *_typed(o, partition))
+    return _violations(o, partition, "lemma43")
 
 
 @dataclass(frozen=True)
@@ -321,22 +399,25 @@ def is_semi_transitive_cobip(
 
     True exactly when both cliques are transitive, every vertex types as
     A/B/C, and the three cross-pattern conditions are all clean.  The
-    report names the first failing stage; later stages are skipped because
-    their conditions presume a fully typed orientation.
+    report names the first failing stage and lists all of its violations;
+    later stages are skipped because their conditions presume a fully
+    typed orientation.  Raises GraphError on a bad partition.
     """
-    try:
-        sides, types = _typed(o, partition)
-    except NonTransitiveCliqueError as exc:
-        return False, CharacterizationReport(False, "clique-transitivity", (str(exc),))
-    labels = o.graph.vertices
-    invalid = sorted(labels[v] for v, (tag, _, _) in types.items() if tag == "Invalid")
-    if invalid:
-        return False, CharacterizationReport(False, "typing", tuple({"vertex": v} for v in invalid))
-    for stage, lemma in (("lemma41", _lemma41), ("lemma42", _lemma42), ("lemma43", _lemma43)):
-        violations = lemma(o, sides, types)
-        if violations:
-            return False, CharacterizationReport(False, stage, tuple(violations))
-    return True, CharacterizationReport(True, None)
+    g, out = o.graph, o.out
+    cliques = _cliques(g, partition)
+    stage, sides, types = _failed_stage(out, g.adj, cliques)
+    if stage is None:
+        return True, CharacterizationReport(True, None)
+    if stage == "clique-transitivity":
+        details = (str(_cyclic_clique_error(out, cliques, partition)),)
+    elif stage == "typing":
+        types = _types(out, sides)
+        invalid = sorted(g.vertices[v] for v, (tag, _, _) in types.items() if tag == "Invalid")
+        details = tuple({"vertex": v} for v in invalid)
+    else:
+        lemma, describe = _LEMMAS[stage]
+        details = tuple(describe(g.vertices, *v) for v in lemma(out, g.adj, sides, types))
+    return False, CharacterizationReport(False, stage, details)
 
 
 # --- dual-oracle sweep ------------------------------------------------------
@@ -345,7 +426,10 @@ def is_semi_transitive_cobip(
 # shortcut test and the staged structural test above) over one stream of
 # acyclic orientations of a co-bipartite graph and reports any
 # disagreement.  The stream is the exhaustive enumerator, or the distinct
-# orientations of seeded random orders when sampling.  With several
+# orientations of seeded random orders when sampling.  Each shard validates
+# the partition once and asks the index-level core for a bare verdict on
+# the raw out-neighbor tuple; only a disagreement builds an Orientation and
+# the full labelled report through is_semi_transitive_cobip.  With several
 # processes, worker w rebuilds the same stream and evaluates every w-th
 # item; counts add up and disagreements are merged by stream position, so
 # the result is identical to a single-worker run.
@@ -387,6 +471,7 @@ def _sweep_slice(g: Graph, partition: CoBipartitePartition, sample: Optional[int
                  seed: int, start: int, step: int) -> tuple[int, int, list]:
     """Counts and positioned disagreements over every step-th orientation from start."""
     searcher = ShortcutSearcher(g)
+    adj, cliques = g.adj, _cliques(g, partition)
     count = semi = 0
     disagreements = []
     stream = islice(_orientation_stream(g, sample, seed), start, None, step)
@@ -394,9 +479,9 @@ def _sweep_slice(g: Graph, partition: CoBipartitePartition, sample: Optional[int
         count += 1
         path_verdict = searcher.find(out) is None
         semi += path_verdict
-        o = Orientation(g, out)
-        structural_verdict, report = is_semi_transitive_cobip(o, partition)
-        if path_verdict != structural_verdict:
+        if path_verdict != (_failed_stage(out, adj, cliques)[0] is None):
+            o = Orientation(g, out)
+            structural_verdict, report = is_semi_transitive_cobip(o, partition)
             disagreements.append((start + position * step, {
                 "arcs": [f"{u} -> {v}" for u, v in o.arcs()],
                 "pathOracle": path_verdict,

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from wordrep.cli import main
-from wordrep.graphs import format_graph_text, named_witness
+from wordrep.graphs import Graph, format_graph_text, named_witness
 from wordrep.constructions import complement_path_graph
 
 from test_acceptance import Budget
@@ -164,6 +164,24 @@ class TestRepresentable:
         gpath = write_graph(tmp_path, "t1bar.graph", g, part)
         code, out, err = run_cli(capsys, "representable", str(gpath), "--max-k", "2")
         assert code == 2 and out == "" and "cap of 6" in err
+
+    def test_large_negative_skips_the_orientation_count(self, capsys, tmp_path):
+        # T1bar first, then a 10-vertex path hanging off it: the pruned search
+        # refutes every orientation of the first 7 vertices, and the 3^17-step
+        # count is not run.
+        t1bar, _ = named_witness("T1bar")
+        path = [f"p{i}" for i in range(10)]
+        edges = t1bar.edges() + [(t1bar.vertices[-1], path[0])]
+        edges += list(zip(path, path[1:]))
+        g = Graph.from_edges(t1bar.vertices + tuple(path), edges)
+        gpath = write_graph(tmp_path, "t1bar-path.graph", g)
+        with Budget("17-vertex T1bar-plus-path representable", 1):
+            code, out, _ = run_cli(
+                capsys, "representable", str(gpath), "--max-vertices", "30")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["representable"] is False
+        assert payload["witnessSummary"] == {"acyclicOrientations": None, "semiTransitive": 0}
 
     def test_cap_exit_2(self, capsys, tmp_path):
         g, part = named_witness("T1bar")

@@ -14,7 +14,6 @@ from wordrep.orientations import (
     find_semi_transitive_orientation,
 )
 from wordrep.cobipartite import (
-    CharacterizationReport,
     NonTransitiveCliqueError,
     check_condition_ab,
     check_condition_quad,
@@ -224,6 +223,53 @@ class TestStagedVerdict:
         assert found > 0
 
 
+def helper_stage(o, part):
+    """The first failing stage, derived from the label-level helpers alone."""
+    try:
+        for clique in (part.clique_a, part.clique_b):
+            clique_order(o, clique)
+    except NonTransitiveCliqueError:
+        return "clique-transitivity"
+    if any(classify_vertex(o, part, v).tag == "Invalid" for v in part.clique_a + part.clique_b):
+        return "typing"
+    for stage, check in (("lemma41", check_condition_ab), ("lemma42", check_condition_quad),
+                         ("lemma43", check_condition_typec)):
+        if check(o, part):
+            return stage
+    return None
+
+
+class TestIndexCore:
+    def test_core_stage_matches_the_report(self):
+        # Random directions on every edge, so cliques may be cyclic.
+        import random
+
+        import wordrep.cobipartite as cob
+
+        rng = random.Random(4711)
+        letters = list("abcdefgh")
+        seen = set()
+        for _ in range(2000):
+            na, nb = rng.randint(1, 4), rng.randint(1, 4)
+            labels = rng.sample(letters, na + nb)
+            part_a, part_b = labels[:na], labels[na:]
+            density = rng.random()
+            cross = [(x, y) for x in part_a for y in part_b if rng.random() < density]
+            g, part = join_graph(part_a, part_b, cross=cross)
+            shuffled = list(g.vertices)
+            rng.shuffle(shuffled)
+            g = Graph.from_edges(shuffled, g.edges())
+            arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in g.edges()]
+            o = Orientation.from_arcs(g, arcs)
+            _, report = is_semi_transitive_cobip(o, part)
+            stage, _, _ = cob._failed_stage(o.out, g.adj, cob._cliques(g, part))
+            assert stage == report.failed_stage == helper_stage(o, part), (part, arcs)
+            seen.add(stage)
+        # Lemma 4.1 cannot fail first (see the module docstring), and
+        # lemma 4.3 has not failed first on any graph this small.
+        assert seen == {None, "clique-transitivity", "typing", "lemma42"}
+
+
 class TestAgreementSweep:
     def test_exhaustive_2_plus_2(self):
         labels_a, labels_b = ["a1", "a2"], ["b1", "b2"]
@@ -263,12 +309,13 @@ class TestAgreementSweep:
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="workers must inherit the patched oracle")
     def test_disagreements_merge_in_stream_order(self, monkeypatch):
-        # A structural oracle that rejects everything disagrees with the
+        # A structural core that rejects everything disagrees with the
         # path oracle on exactly the semi-transitive orientations.
         import wordrep.cobipartite as cob
 
-        monkeypatch.setattr(cob, "is_semi_transitive_cobip", lambda o, part: (
-            False, CharacterizationReport(False, "typing")))
+        core = cob._failed_stage
+        monkeypatch.setattr(cob, "_failed_stage", lambda out, adj, cliques: (
+            "typing", *core(out, adj, cliques)[1:]))
         g, part = complement_path_graph(2)
         serial = sweep_orientations(g, part, workers=1)
         assert len(serial.disagreements) == serial.semi_transitive > 1
@@ -280,6 +327,20 @@ class TestAgreementSweep:
         for workers in (2, 3):
             parallel = sweep_orientations(g, part, workers=workers)
             assert parallel.to_json() == serial.to_json()
+
+    def test_partition_validated_once_per_sweep(self, monkeypatch):
+        calls = []
+        validate = CoBipartitePartition.validate
+
+        def counted(part, g):
+            calls.append(part)
+            return validate(part, g)
+
+        monkeypatch.setattr(CoBipartitePartition, "validate", counted)
+        g, part = complement_path_graph(3)
+        result = sweep_orientations(g, part, workers=1)
+        assert result.orientations > 100 and result.disagreements == ()
+        assert len(calls) <= 2  # once up front, once in the one shard
 
     def test_sweep_sampling_is_seeded(self):
         g, part = named_witness("T1bar")

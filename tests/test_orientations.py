@@ -240,6 +240,16 @@ class TestEnumeration:
             assert count_acyclic_orientations(g) == sum(1 for _ in acyclic_outsets(g)), g.adj
         assert count_acyclic_orientations(Graph.from_edges([], [])) == 1
 
+    def test_count_is_bounded(self):
+        from wordrep.orientations import COUNT_MAX_VERTICES
+
+        labels = [f"v{i}" for i in range(COUNT_MAX_VERTICES + 1)]
+        path = list(zip(labels, labels[1:]))
+        assert count_acyclic_orientations(Graph.from_edges(labels, path)) is None
+        # a forest with m edges has 2^m acyclic orientations
+        forest = Graph.from_edges(labels[1:], path[1:])
+        assert count_acyclic_orientations(forest) == 2 ** (COUNT_MAX_VERTICES - 1)
+
 
 class TestPrunedSearch:
     """The pruned deciders against the first hit of the unpruned scan."""
