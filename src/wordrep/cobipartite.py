@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from math import factorial
 from random import Random
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .graphs import (
     CoBipartitePartition,
@@ -426,13 +426,23 @@ def is_semi_transitive_cobip(
 # shortcut test and the staged structural test above) over one stream of
 # acyclic orientations of a co-bipartite graph and reports any
 # disagreement.  The stream is the exhaustive enumerator, or the distinct
-# orientations of seeded random orders when sampling.  Each shard validates
-# the partition once and asks the index-level core for a bare verdict on
-# the raw out-neighbor tuple; only a disagreement builds an Orientation and
-# the full labelled report through is_semi_transitive_cobip.  With several
-# processes, worker w rebuilds the same stream and evaluates every w-th
-# item; counts add up and disagreements are merged by stream position, so
-# the result is identical to a single-worker run.
+# orientations of seeded random orders when sampling.
+#
+# Path verdicts: a full sweep walks the plain enumerator in lockstep with
+# the same enumerator pruned by the incremental shortcut check
+# (ShortcutSearcher.prefix_free).  The pruned stream is the plain one
+# filtered to the shortcut-free orientations, in the same order, so an
+# orientation is shortcut-free exactly when it is the next pruned item; no
+# orientation is searched on its own.  A sampled stream has no such twin
+# and calls ShortcutSearcher.find on each orientation.
+#
+# Structural verdicts: each shard validates the partition once and asks the
+# index-level core about every orientation's raw out-neighbor tuple; only a
+# disagreement builds an Orientation and the full labelled report through
+# is_semi_transitive_cobip.  With several processes, worker w rebuilds the
+# same stream and evaluates every w-th item; counts add up and
+# disagreements are merged by stream position, so the result is identical
+# to a single-worker run.
 
 
 @dataclass(frozen=True)
@@ -455,29 +465,41 @@ class SweepResult:
         }
 
 
-def _orientation_stream(g: Graph, sample: Optional[int],
-                        seed: int) -> Iterable[tuple[int, ...]]:
-    """Every acyclic orientation, or the distinct ones induced by ``sample`` seeded orders."""
-    if sample is None:
-        return acyclic_outsets(g)
-    rng = Random(seed)
-    base = list(range(len(g.vertices)))
-    return dict.fromkeys(
-        outs_from_order(g.adj, rng.sample(base, len(base))) for _ in range(sample)
-    )
+def _orientation_stream(g: Graph, sample: Optional[int], seed: int, start: int,
+                        step: int) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """Every step-th item from start of the sweep's stream, with its path verdict.
+
+    The stream is every acyclic orientation, or the distinct ones induced by
+    ``sample`` seeded orders; each comes as ``(out, shortcut_free)``.
+    """
+    searcher = ShortcutSearcher(g)
+    if sample is not None:
+        rng = Random(seed)
+        base = list(range(len(g.vertices)))
+        sampled = dict.fromkeys(
+            outs_from_order(g.adj, rng.sample(base, len(base))) for _ in range(sample))
+        for out in islice(sampled, start, None, step):
+            yield out, searcher.find(out) is None
+        return
+    free = acyclic_outsets(g, searcher.prefix_free)
+    next_free = next(free, None)
+    for position, out in enumerate(acyclic_outsets(g)):
+        shortcut_free = out == next_free
+        if shortcut_free:
+            next_free = next(free, None)
+        if position >= start and (position - start) % step == 0:
+            yield out, shortcut_free
 
 
 def _sweep_slice(g: Graph, partition: CoBipartitePartition, sample: Optional[int],
                  seed: int, start: int, step: int) -> tuple[int, int, list]:
     """Counts and positioned disagreements over every step-th orientation from start."""
-    searcher = ShortcutSearcher(g)
     adj, cliques = g.adj, _cliques(g, partition)
     count = semi = 0
     disagreements = []
-    stream = islice(_orientation_stream(g, sample, seed), start, None, step)
-    for position, out in enumerate(stream):
+    for position, (out, path_verdict) in enumerate(
+            _orientation_stream(g, sample, seed, start, step)):
         count += 1
-        path_verdict = searcher.find(out) is None
         semi += path_verdict
         if path_verdict != (_failed_stage(out, adj, cliques)[0] is None):
             o = Orientation(g, out)

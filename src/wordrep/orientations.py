@@ -18,8 +18,13 @@ stays in the test suite as the oracle this test is checked against.
 Semi-transitivity and transitivity are hereditary (Halldorsson-Kitaev-
 Pyatkin 2016; Kitaev-Lozin, Words and Graphs, 2015), so the deciders prune
 the same enumerator with a prefix check and still return the unpruned
-scan's first hit.  A pruned search cannot count, so the orientation count
-of a negative verdict comes from a subset recurrence instead.
+scan's first hit.  The shortcut prefix check is incremental: when vertex k
+joins, only k and its ancestors change their reachability, so only they
+can gain a shortcut and only their bitsets are recomputed; the rest are
+kept from the parent prefix, which the enumerator's DFS preorder
+guarantees was the last one accepted at its length.  A pruned search
+cannot count, so the orientation count of a negative verdict comes from a
+subset recurrence instead.
 
 Also here: transitive-orientation search (comparability), its odd-walk
 refutation witness, the dominant-vertex reduction, and a backtracking
@@ -126,6 +131,19 @@ def is_acyclic(o: Orientation) -> bool:
     return _topo_order(o.out) is not None
 
 
+def _reach_far(u: int, succ: int, nonadj_u: int, reach: Sequence[int],
+               far: Sequence[int]) -> tuple[int, int]:
+    """``reach`` and ``far`` of u from those of its successors ``succ``: the
+    successors' own, plus the reach of every non-neighbour u reaches."""
+    r, f = 1 << u, 0
+    for w in _bits(succ):
+        r |= reach[w]
+        f |= far[w]
+    for y in _bits(r & nonadj_u):
+        f |= reach[y]
+    return r, f
+
+
 @dataclass(frozen=True)
 class ShortcutWitness:
     """A directed path, its shortcutting edge, and the pair breaking transitivity."""
@@ -153,17 +171,23 @@ class ShortcutSearcher:
     u->*x->*y->*v then has at least four vertices and a missing pair, and
     every shortcut has such a pair.  So one pass in reverse topological
     order suffices: ``reach[u]`` holds the descendants of u and ``far[u]``
-    the vertices reachable from u through a non-adjacent ordered pair.  The
-    pass stops at the first vertex u with an arc into ``far[u]`` and returns
-    that arc as an index pair, so the result for a given orientation is
-    deterministic.  ``find_shortcut`` builds the labelled path on request;
-    the searches and the sweep just test ``find(out) is None``.
+    the vertices reachable from u through a non-adjacent ordered pair, both
+    computed from u's successors by ``_reach_far``.  ``find`` stops at the
+    first vertex u with an arc into ``far[u]`` and returns that arc as an
+    index pair, so the result for a given orientation is deterministic.
+    ``find_shortcut`` builds the labelled path on request.
+
+    ``prefix_free`` is the incremental form of the same pass, the prefix
+    check of the pruned enumeration: see its docstring.
     """
 
     def __init__(self, g: Graph):
         self.graph = g
-        full = (1 << len(g.vertices)) - 1
+        n = len(g.vertices)
+        full = (1 << n) - 1
         self.nonadj = [full & ~(mask | 1 << i) for i, mask in enumerate(g.adj)]
+        # _accepted[d]: reach and far of the last accepted prefix of d vertices.
+        self._accepted: list = [([], [])] + [None] * n
 
     def find(self, out: Sequence[int]) -> Optional[tuple[int, int]]:
         """The first shortcutting arc (u, v) as vertex indices, or None."""
@@ -174,17 +198,38 @@ class ShortcutSearcher:
         reach = [0] * len(out)
         far = [0] * len(out)
         for u in reversed(order):
-            r, f = 1 << u, 0
-            for w in _bits(out[u]):
-                r |= reach[w]
-                f |= far[w]
-            for y in _bits(r & nonadj[u]):
-                f |= reach[y]
-            reach[u], far[u] = r, f
-            hit = out[u] & f
+            reach[u], far[u] = _reach_far(u, out[u], nonadj[u], reach, far)
+            hit = out[u] & far[u]
             if hit:
                 return u, next(_bits(hit))
         return None
+
+    def prefix_free(self, out: Sequence[int]) -> bool:
+        """Whether the orientation of vertices 0..k (``out``, k + 1 out-bitsets)
+        is shortcut-free, given that the shortcut-free parent prefix on
+        0..k-1 is the last one this method accepted with k bitsets.
+
+        ``acyclic_outsets`` checks prefixes in DFS preorder, which meets that
+        contract (a one-vertex prefix has the empty parent).  Joining k
+        changes the reach only of k and its ancestors, so every other vertex
+        keeps its ``reach`` and ``far`` from the parent and cannot gain a
+        shortcut.  The step recomputes k, then its ancestors in ascending
+        ``reach`` popcount order: an arc u->w implies ``reach[u]`` strictly
+        contains ``reach[w]``, so every descendant is done first.
+        """
+        k = len(out) - 1
+        reach, far = self._accepted[k]
+        reach, far = reach + [0], far + [0]
+        nonadj = self.nonadj
+        inward = self.graph.adj[k] & ((1 << k) - 1) & ~out[k]
+        ancestors = sorted((u for u in range(k) if reach[u] & inward),
+                           key=lambda u: reach[u].bit_count())
+        for u in (k, *ancestors):
+            reach[u], far[u] = _reach_far(u, out[u], nonadj[u], reach, far)
+            if out[u] & far[u]:
+                return False
+        self._accepted[k + 1] = reach, far
+        return True
 
     def _witness(self, out: Sequence[int], u: int, v: int) -> ShortcutWitness:
         """The labelled path and missing pair behind the shortcutting arc u->v."""
@@ -269,15 +314,19 @@ def acyclic_outsets(
     a hereditary property, kept by every induced sub-orientation, that
     loses nothing: every completion of the branch induces the rejected
     prefix.  The order is unchanged, so exactly the accepted orientations
-    are yielded, in unpruned order.
+    are yielded, in unpruned order.  Prefixes reach the predicate in DFS
+    preorder: each one after its parent prefix was accepted and before any
+    other prefix of the parent's length is checked.  So a predicate may keep
+    state per prefix length and extend its parent's state, as
+    ``ShortcutSearcher.prefix_free`` does.  An accepted prefix of all n
+    vertices is yielded as it stands.
     """
     n = len(g.vertices)
     adj = g.adj
+    if n == 0:
+        return iter([()])
 
     def extend(k: int, out: list[int], reach: list[int]) -> Iterator[tuple[int, ...]]:
-        if k == n:
-            yield tuple(out)
-            return
         kbit = 1 << k
         back = adj[k] & (kbit - 1)
         choices = [0]
@@ -296,6 +345,9 @@ def acyclic_outsets(
             inward = back & ~s
             out_k = [o | kbit if inward >> i & 1 else o for i, o in enumerate(out)] + [s]
             if prefix_ok is not None and not prefix_ok(out_k):
+                continue
+            if k == n - 1:
+                yield tuple(out_k)
                 continue
             reach_k = kbit
             for j in _bits(s):
@@ -361,8 +413,7 @@ def find_semi_transitive_orientation(
 ) -> Optional[Orientation]:
     """Exhaustive search; None means no semi-transitive orientation exists."""
     _check_cap(g, max_vertices)
-    searcher = ShortcutSearcher(g)
-    out = next(acyclic_outsets(g, lambda out: searcher.find(out) is None), None)
+    out = next(acyclic_outsets(g, ShortcutSearcher(g).prefix_free), None)
     return None if out is None else Orientation(g, out)
 
 

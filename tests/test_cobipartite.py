@@ -284,6 +284,30 @@ class TestAgreementSweep:
                 structural_verdict, _ = is_semi_transitive_cobip(o, part)
                 assert path_verdict == structural_verdict, (bits, o.arcs())
 
+    def test_stream_path_verdicts_match_find(self):
+        # The full sweep reads its path verdicts off the pruned stream; find
+        # on each orientation stays the oracle, and shards slice one stream.
+        import random
+
+        from wordrep.cobipartite import _orientation_stream
+
+        def two_three(bits):
+            a, b = ["a1", "a2"], ["b1", "b2", "b3"]
+            pairs = [(x, y) for x in a for y in b]
+            return join_graph(a, b, cross=[e for t, e in enumerate(pairs) if bits >> t & 1])
+
+        rng = random.Random(88)
+        a, b = ["a1", "a2", "a3"], ["b1", "b2", "b3", "b4"]
+        graphs = [two_three(bits)[0] for bits in range(64)] + [
+            join_graph(a, b, cross=[(x, y) for x in a for y in b if rng.random() < 0.5])[0]
+            for _ in range(3)]
+        for g in graphs:
+            searcher = ShortcutSearcher(g)
+            expected = [(out, searcher.find(out) is None) for out in acyclic_outsets(g)]
+            assert list(_orientation_stream(g, None, 0, 0, 1)) == expected, g.adj
+            for start in range(3):
+                assert list(_orientation_stream(g, None, 0, start, 3)) == expected[start::3]
+
     def test_sweep_helper_counts(self):
         g, part = join_graph(["a1", "a2"], ["b1", "b2"], cross=[])
         result = sweep_orientations(g, part)
@@ -305,6 +329,12 @@ class TestAgreementSweep:
         parallel = sweep_orientations(g, part, workers=2)
         assert serial.to_json() == parallel.to_json()
         assert serial.semi_transitive == 0
+        g, part = complement_path_graph(3)
+        for threshold in (200_000, 300):
+            serial = sweep_orientations(g, part, workers=1, sample_threshold=threshold, seed=4)
+            parallel = sweep_orientations(g, part, workers=2, sample_threshold=threshold, seed=4)
+            assert serial.to_json() == parallel.to_json()
+            assert serial.semi_transitive > 0
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="workers must inherit the patched oracle")

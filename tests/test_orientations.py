@@ -1,7 +1,7 @@
 """Orientation engine: enumeration, shortcut search, exhaustive deciders."""
 
 import random
-from itertools import combinations, permutations
+from itertools import chain, combinations, islice, permutations
 
 import pytest
 
@@ -240,6 +240,15 @@ class TestEnumeration:
             assert count_acyclic_orientations(g) == sum(1 for _ in acyclic_outsets(g)), g.adj
         assert count_acyclic_orientations(Graph.from_edges([], [])) == 1
 
+    def test_empty_and_single_vertex_graphs_have_one_orientation(self):
+        for g in (Graph.from_edges([], []), Graph.from_edges(["a"], [])):
+            n = len(g.vertices)
+            expected = [(0,) * n]
+            assert list(acyclic_outsets(g)) == expected
+            assert list(acyclic_outsets(g, ShortcutSearcher(g).prefix_free)) == expected
+            assert list(acyclic_outsets(g, outs_transitive)) == expected
+            assert count_acyclic_orientations(g) == 1
+
     def test_count_is_bounded(self):
         from wordrep.orientations import COUNT_MAX_VERTICES
 
@@ -277,6 +286,26 @@ class TestPrunedSearch:
                 for keep in (free, outs_transitive):
                     assert list(acyclic_outsets(g, keep)) == [
                         out for out in acyclic_outsets(g) if keep(out)], g.adj
+
+    def test_incremental_check_matches_find(self):
+        # find, a full reach/far pass per orientation, stays the oracle of
+        # the incremental prefix check.
+        rng = random.Random(7)
+        sevens = (random_graph(rng, [f"v{i}" for i in range(7)]) for _ in range(300))
+        for g in chain(small_and_random_graphs(), sevens):
+            searcher = ShortcutSearcher(g)
+            expected = [out for out in acyclic_outsets(g) if searcher.find(out) is None]
+            assert list(acyclic_outsets(g, searcher.prefix_free)) == expected, g.adj
+
+    def test_incremental_check_survives_an_abandoned_search(self):
+        # A search stopped at its first hit leaves per-depth state behind;
+        # the next search from the empty prefix overwrites it before use.
+        g, _ = complement_path_graph(4)
+        searcher = ShortcutSearcher(g)
+        expected = [out for out in acyclic_outsets(g) if searcher.find(out) is None]
+        for stop in (1, 5, len(expected)):
+            assert list(islice(acyclic_outsets(g, searcher.prefix_free), stop)) == expected[:stop]
+        assert list(acyclic_outsets(g, searcher.prefix_free)) == expected
 
 
 class TestRepresentability:
