@@ -46,6 +46,10 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
 
 # --- construct -------------------------------------------------------------
 
+# The flags each family reads; giving it any other is a usage error.
+_FAMILY_FLAGS = {"complement-path": ("n", "odd"), "complement-cycle": ("n",), "crown": ("n", "k"),
+                 "cobip-k2": ("profile",), "cobip-k3": ("profile",)}
+
 
 def _build_family(family: str, args: argparse.Namespace):
     """Word plus the graph it must represent, for one family instance."""
@@ -89,6 +93,9 @@ def _require_n(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    for flag in ("n", "k", "odd", "profile"):
+        if getattr(args, flag) is not None and flag not in _FAMILY_FLAGS[args.family]:
+            raise gr.GraphError(f"--{flag} does not apply to {args.family}")
     word, graph, params = _build_family(args.family, args)
     verified = wd.represents(word, graph).ok
     if args.out is not None:
@@ -182,7 +189,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
 # --- catalog -----------------------------------------------------------------
 
 
-def _parse_range(text: Optional[str], default: tuple[int, int]) -> list[int]:
+def _parse_range(text: Optional[str], default: tuple[int, int]) -> range:
     if text is None:
         lo, hi = default
     else:
@@ -193,7 +200,7 @@ def _parse_range(text: Optional[str], default: tuple[int, int]) -> list[int]:
             raise gr.GraphError(f"range {text!r} is not N or N..M") from None
     if lo > hi:
         raise gr.GraphError(f"empty range {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _catalog_entries(args: argparse.Namespace):
@@ -217,12 +224,11 @@ def _catalog_entries(args: argparse.Namespace):
             yield f"co-cycle-n{n}", cons.complement_cycle_graph(n)
     if family in (None, "crown"):
         for n in _parse_range(args.n, (2, 4)):
-            ks = _parse_range(args.k, (0, n - 1)) if args.k else range(n)
-            for k in ks:
-                if 0 <= k <= n - 1:
-                    yield f"crown-n{n}-k{k}", cons.complement_crown_graph(
-                        gr.GeneralizedCrownParams(n, k)
-                    )
+            ks = range(n) if args.k is None else _parse_range(args.k, (0, n - 1))
+            for k in range(max(ks.start, 0), min(ks.stop, n)):
+                yield f"crown-n{n}-k{k}", cons.complement_crown_graph(
+                    gr.GeneralizedCrownParams(n, k)
+                )
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
@@ -268,11 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("construct", help="build and verify a family word")
-    p.add_argument("family", choices=(
-        "complement-path", "complement-cycle", "crown", "cobip-k2", "cobip-k3"))
+    p.add_argument("family", choices=tuple(_FAMILY_FLAGS))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--odd", action="store_true",
+    p.add_argument("--odd", action="store_true", default=None,
                    help="complement-path only: drop the last primed vertex")
     p.add_argument("--profile", help="comma list label:class, e.g. a:N12,b:N1")
     p.add_argument("--out", type=Path, help="also write the word file here")
@@ -330,10 +335,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except (gr.GraphError, wd.WordError, ori.OrientationError,
-            ori.CapExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+            ori.CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

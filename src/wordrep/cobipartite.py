@@ -40,25 +40,19 @@ first at the sizes swept.  All stages stay active: each is sound alone.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from math import factorial
 from random import Random
 from typing import Iterator, Optional
 
-from .graphs import (
-    CoBipartitePartition,
-    Graph,
-    GraphError,
-    _bits,
-    format_graph_text,
-    parse_graph_text,
-)
+from .graphs import CoBipartitePartition, Graph, GraphError, _bits
 from .orientations import (
     Orientation,
     ShortcutSearcher,
-    acyclic_outsets,
     outs_from_order,
+    outsets_shortcut_free,
 )
 
 
@@ -428,21 +422,20 @@ def is_semi_transitive_cobip(
 # disagreement.  The stream is the exhaustive enumerator, or the distinct
 # orientations of seeded random orders when sampling.
 #
-# Path verdicts: a full sweep walks the plain enumerator in lockstep with
-# the same enumerator pruned by the incremental shortcut check
-# (ShortcutSearcher.prefix_free).  The pruned stream is the plain one
-# filtered to the shortcut-free orientations, in the same order, so an
-# orientation is shortcut-free exactly when it is the next pruned item; no
-# orientation is searched on its own.  A sampled stream has no such twin
-# and calls ShortcutSearcher.find on each orientation.
+# Path verdicts: a full sweep reads them off one walk of the enumerator,
+# outsets_shortcut_free, whose never-pruning prefix check runs the
+# incremental shortcut test (ShortcutSearcher.prefix_free) only under a
+# shortcut-free parent; that relies on the enumerator's DFS preorder, and
+# no orientation is searched on its own.  A sampled stream calls
+# ShortcutSearcher.find on each orientation.
 #
 # Structural verdicts: each shard validates the partition once and asks the
 # index-level core about every orientation's raw out-neighbor tuple; only a
 # disagreement builds an Orientation and the full labelled report through
-# is_semi_transitive_cobip.  With several processes, worker w rebuilds the
-# same stream and evaluates every w-th item; counts add up and
-# disagreements are merged by stream position, so the result is identical
-# to a single-worker run.
+# is_semi_transitive_cobip.  With N shards, shard w walks the same stream
+# and evaluates items w, w + N, ...; the shards share at most one process
+# per core and receive the graph as it is.  Counts add up and disagreements
+# are merged by stream position, so the result equals a one-shard run.
 
 
 @dataclass(frozen=True)
@@ -472,23 +465,14 @@ def _orientation_stream(g: Graph, sample: Optional[int], seed: int, start: int,
     The stream is every acyclic orientation, or the distinct ones induced by
     ``sample`` seeded orders; each comes as ``(out, shortcut_free)``.
     """
-    searcher = ShortcutSearcher(g)
-    if sample is not None:
-        rng = Random(seed)
-        base = list(range(len(g.vertices)))
-        sampled = dict.fromkeys(
-            outs_from_order(g.adj, rng.sample(base, len(base))) for _ in range(sample))
-        for out in islice(sampled, start, None, step):
-            yield out, searcher.find(out) is None
-        return
-    free = acyclic_outsets(g, searcher.prefix_free)
-    next_free = next(free, None)
-    for position, out in enumerate(acyclic_outsets(g)):
-        shortcut_free = out == next_free
-        if shortcut_free:
-            next_free = next(free, None)
-        if position >= start and (position - start) % step == 0:
-            yield out, shortcut_free
+    if sample is None:
+        return islice(outsets_shortcut_free(g), start, None, step)
+    rng = Random(seed)
+    base = list(range(len(g.vertices)))
+    sampled = dict.fromkeys(
+        outs_from_order(g.adj, rng.sample(base, len(base))) for _ in range(sample))
+    find = ShortcutSearcher(g).find
+    return ((out, find(out) is None) for out in islice(sampled, start, None, step))
 
 
 def _sweep_slice(g: Graph, partition: CoBipartitePartition, sample: Optional[int],
@@ -513,12 +497,6 @@ def _sweep_slice(g: Graph, partition: CoBipartitePartition, sample: Optional[int
     return count, semi, disagreements
 
 
-def _sweep_shard(payload: tuple) -> tuple[int, int, list]:
-    text, sample, seed, start, step = payload
-    g, partition = parse_graph_text(text)
-    return _sweep_slice(g, partition, sample, seed, start, step)
-
-
 def sweep_orientations(
     g: Graph,
     partition: CoBipartitePartition,
@@ -532,7 +510,8 @@ def sweep_orientations(
     many orders are drawn with the seeded generator instead (the result
     records the seed and that sampling happened).  Disagreeing
     orientations are returned in stream order with both verdicts and the
-    structural report.
+    structural report.  ``workers`` shards the stream; the shards run in
+    at most one process per core.
     """
     if sample_threshold < 1:
         raise ValueError(f"sample_threshold must be >= 1, got {sample_threshold}")
@@ -546,10 +525,9 @@ def sweep_orientations(
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        text = format_graph_text(g, partition)
-        payloads = [(text, sample, seed, w, workers) for w in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            shards = list(pool.map(_sweep_shard, payloads))
+        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+            shards = list(pool.map(_sweep_slice, repeat(g), repeat(partition), repeat(sample),
+                                   repeat(seed), range(workers), repeat(workers)))
 
     positioned = sorted(item for _, _, found in shards for item in found)
     return SweepResult(

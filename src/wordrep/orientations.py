@@ -22,9 +22,11 @@ scan's first hit.  The shortcut prefix check is incremental: when vertex k
 joins, only k and its ancestors change their reachability, so only they
 can gain a shortcut and only their bitsets are recomputed; the rest are
 kept from the parent prefix, which the enumerator's DFS preorder
-guarantees was the last one accepted at its length.  A pruned search
-cannot count, so the orientation count of a negative verdict comes from a
-subset recurrence instead.
+guarantees was the last one accepted at its length.  The same preorder
+lets one unpruned walk flag every orientation as shortcut-free or not,
+which is how the co-bipartite sweep gets its path verdicts.  A pruned
+search cannot count, so the orientation count of a negative verdict comes
+from a subset recurrence instead.
 
 Also here: transitive-orientation search (comparability), its odd-walk
 refutation witness, the dominant-vertex reduction, and a backtracking
@@ -318,8 +320,9 @@ def acyclic_outsets(
     preorder: each one after its parent prefix was accepted and before any
     other prefix of the parent's length is checked.  So a predicate may keep
     state per prefix length and extend its parent's state, as
-    ``ShortcutSearcher.prefix_free`` does.  An accepted prefix of all n
-    vertices is yielded as it stands.
+    ``ShortcutSearcher.prefix_free`` does, directly in the pruned deciders
+    and under the never-pruning predicate of ``outsets_shortcut_free``.  An
+    accepted prefix of all n vertices is yielded as it stands.
     """
     n = len(g.vertices)
     adj = g.adj
@@ -361,6 +364,28 @@ def acyclic_outsets(
     return extend(0, [], [])
 
 
+def outsets_shortcut_free(g: Graph) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """Every acyclic orientation as ``(out, shortcut_free)`` from one walk of
+    ``acyclic_outsets``, in its order.
+
+    The prefix predicate never prunes: it runs ``prefix_free`` only under a
+    shortcut-free parent prefix (every completion of a prefix keeps its
+    shortcut) and records the verdict per depth.  By the DFS preorder,
+    ``prefix_free`` then sees a prefix only after accepting its parent and
+    before any other prefix of the parent's length, as its contract needs.
+    """
+    searcher = ShortcutSearcher(g)
+    free = [True] * (len(g.vertices) + 1)
+
+    def record(out: list[int]) -> bool:
+        k = len(out)
+        free[k] = free[k - 1] and searcher.prefix_free(out)
+        return True
+
+    for out in acyclic_outsets(g, record):
+        yield out, free[-1]
+
+
 def count_acyclic_orientations(g: Graph) -> Optional[int]:
     """The number of acyclic orientations, counted without enumerating them,
     or None when ``g`` has more than COUNT_MAX_VERTICES vertices.
@@ -399,11 +424,9 @@ def _check_cap(g: Graph, max_vertices: int) -> None:
         )
 
 
-def enumerate_acyclic_orientations(
-    g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> Iterator[Orientation]:
+def enumerate_acyclic_orientations(g: Graph) -> Iterator[Orientation]:
     """Every acyclic orientation exactly once."""
-    _check_cap(g, max_vertices)
+    _check_cap(g, DEFAULT_MAX_VERTICES)
     for out in acyclic_outsets(g):
         yield Orientation(g, out)
 
@@ -417,16 +440,14 @@ def find_semi_transitive_orientation(
     return None if out is None else Orientation(g, out)
 
 
-def is_word_representable(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> bool:
+def is_word_representable(g: Graph) -> bool:
     """A graph is word-representable iff it has a semi-transitive orientation."""
-    return find_semi_transitive_orientation(g, max_vertices) is not None
+    return find_semi_transitive_orientation(g) is not None
 
 
-def is_comparability(
-    g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> Optional[Orientation]:
+def is_comparability(g: Graph) -> Optional[Orientation]:
     """A transitive orientation if one exists (comparability graph), else None."""
-    _check_cap(g, max_vertices)
+    _check_cap(g, DEFAULT_MAX_VERTICES)
     out = next(acyclic_outsets(g, outs_transitive), None)
     return None if out is None else Orientation(g, out)
 
@@ -492,8 +513,7 @@ def find_noncomparability_witness(g: Graph, max_len: int) -> Optional[tuple[str,
     return None
 
 
-def representable_via_dominant(g: Graph, x: str,
-                               max_vertices: int = DEFAULT_MAX_VERTICES) -> bool:
+def representable_via_dominant(g: Graph, x: str) -> bool:
     """Decide representability through a dominant vertex.
 
     With x adjacent to everything else, the graph is word-representable iff
@@ -501,7 +521,7 @@ def representable_via_dominant(g: Graph, x: str,
     """
     if g.degree(x) != len(g.vertices) - 1:
         raise OrientationError(f"{x!r} is not adjacent to all other vertices")
-    return is_comparability(g.without(x), max_vertices) is not None
+    return is_comparability(g.without(x)) is not None
 
 
 # --- bounded-multiplicity word search --------------------------------------
@@ -553,16 +573,14 @@ def find_uniform_word(g: Graph, k: int) -> Optional[Word]:
 
 
 def bounded_representation_number(
-    g: Graph,
-    max_k: int = DEFAULT_MAX_UNIFORMITY,
-    max_vertices: int = WORD_SEARCH_MAX_VERTICES,
+    g: Graph, max_k: int = DEFAULT_MAX_UNIFORMITY
 ) -> Optional[int]:
     """Least multiplicity k <= max_k admitting a k-uniform representing word.
 
     None means no such word within the bound, which does not by itself
     disprove representability.
     """
-    _check_cap(g, max_vertices)
+    _check_cap(g, WORD_SEARCH_MAX_VERTICES)
     if max_k > DEFAULT_MAX_UNIFORMITY:
         raise CapExceededError(
             f"multiplicity bound {max_k} exceeds {DEFAULT_MAX_UNIFORMITY}"

@@ -57,6 +57,21 @@ class TestConstruct:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["complement-cycle", "--n", "3", "--k", "2"], "--k"),
+        (["complement-path", "--n", "3", "--k", "0"], "--k"),
+        (["cobip-k3", "--profile", "a:N1", "--k", "1"], "--k"),
+        (["complement-cycle", "--n", "3", "--odd"], "--odd"),
+        (["crown", "--n", "3", "--k", "1", "--odd"], "--odd"),
+        (["complement-path", "--n", "3", "--profile", "a:1"], "--profile"),
+        (["crown", "--n", "3", "--k", "1", "--profile", "a:1"], "--profile"),
+        (["cobip-k2", "--profile", "a:N12", "--n", "5"], "--n"),
+        (["cobip-k3", "--n", "2"], "--n"),
+    ])
+    def test_flag_the_family_ignores_exit_2(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "construct", *argv)
+        assert code == 2 and out == "" and flag in err
+
     def test_missing_n_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "construct", "complement-path")
         assert code == 2
@@ -279,7 +294,7 @@ class TestCatalog:
         assert code == 2 and out == "" and "--k" in err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("flag", [["--n", "x"], ["--k", "1..y"]])
+    @pytest.mark.parametrize("flag", [["--n", "x"], ["--k", "1..y"], ["--k", ""]])
     def test_non_integer_range_exit_2(self, capsys, tmp_path, flag):
         out_dir = tmp_path / "cat"
         code, out, err = run_cli(
@@ -292,6 +307,27 @@ class TestCatalog:
         code, out, err = run_cli(
             capsys, "catalog", "--out", str(out_dir), "--family", "crown", "--k", "7")
         assert code == 2 and out == "" and "no catalog graph" in err
+        assert not out_dir.exists()
+
+    def test_huge_k_range_is_clamped(self, capsys, tmp_path):
+        with Budget("crown --k 0..10**12", 1):
+            code, _, _ = run_cli(capsys, "catalog", "--out", str(tmp_path / "huge"),
+                                 "--family", "crown", "--n", "2", "--k", f"0..{10**12}")
+        assert code == 0
+        run_cli(capsys, "catalog", "--out", str(tmp_path / "small"),
+                "--family", "crown", "--n", "2", "--k", "0..1")
+        files = sorted(p.name for p in (tmp_path / "small").iterdir())
+        assert sorted(p.name for p in (tmp_path / "huge").iterdir()) == files
+        for name in files:
+            assert (tmp_path / "huge" / name).read_bytes() == (
+                tmp_path / "small" / name).read_bytes()
+
+    def test_huge_n_range_fails_fast(self, capsys, tmp_path):
+        out_dir = tmp_path / "cat"
+        with Budget("complement-path --n 1..10**12", 1):
+            code, out, err = run_cli(capsys, "catalog", "--out", str(out_dir),
+                                     "--family", "complement-path", "--n", f"1..{10**12}")
+        assert code == 2 and out == "" and "too many vertices" in err
         assert not out_dir.exists()
 
     def test_catalog_graphs_parse_back(self, capsys, tmp_path):

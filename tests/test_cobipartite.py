@@ -358,6 +358,52 @@ class TestAgreementSweep:
             parallel = sweep_orientations(g, part, workers=workers)
             assert parallel.to_json() == serial.to_json()
 
+    def test_full_sweep_walks_the_enumerator_once(self, monkeypatch):
+        import wordrep.orientations as ori
+
+        calls = []
+        enumerate_outsets = ori.acyclic_outsets
+
+        def counted(*args):
+            calls.append(args)
+            return enumerate_outsets(*args)
+
+        monkeypatch.setattr(ori, "acyclic_outsets", counted)
+        g, part = named_witness("T2bar")
+        result = sweep_orientations(g, part, workers=1)
+        assert result.orientations > 0 and result.disagreements == ()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("workers, cores, processes",
+                             [(5, 2, 2), (2, 8, 2), (3, None, 1)])
+    def test_sweep_processes_bounded_by_cores(self, monkeypatch, workers, cores,
+                                              processes):
+        # The shard count stays at workers; only the process count is capped.
+        import concurrent.futures
+        import os
+
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        g, part = complement_path_graph(2)
+        result = sweep_orientations(g, part, workers=workers)
+        assert started == [processes]
+        assert result.to_json() == sweep_orientations(g, part, workers=1).to_json()
+
     def test_partition_validated_once_per_sweep(self, monkeypatch):
         calls = []
         validate = CoBipartitePartition.validate

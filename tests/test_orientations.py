@@ -27,6 +27,7 @@ from wordrep.orientations import (
     is_transitive,
     is_word_representable,
     outs_transitive,
+    outsets_shortcut_free,
     representable_via_dominant,
 )
 
@@ -296,6 +297,13 @@ class TestPrunedSearch:
             searcher = ShortcutSearcher(g)
             expected = [out for out in acyclic_outsets(g) if searcher.find(out) is None]
             assert list(acyclic_outsets(g, searcher.prefix_free)) == expected, g.adj
+
+    def test_flagged_stream_matches_find(self):
+        # One unpruned walk flags every orientation with find's verdict.
+        for g in small_and_random_graphs():
+            searcher = ShortcutSearcher(g)
+            expected = [(out, searcher.find(out) is None) for out in acyclic_outsets(g)]
+            assert list(outsets_shortcut_free(g)) == expected, g.adj
 
     def test_incremental_check_survives_an_abandoned_search(self):
         # A search stopped at its first hit leaves per-depth state behind;
