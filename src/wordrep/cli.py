@@ -19,6 +19,7 @@ Exit codes: 0 success or positive verdict, 1 legitimate negative verdict,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -262,7 +263,9 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="wordrep",
         description="Representing words and semi-transitive orientations for "

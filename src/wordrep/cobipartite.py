@@ -20,15 +20,21 @@ first failure as ``clique-transitivity``, ``typing``, ``lemma41``,
 generic shortcut test (``ShortcutSearcher``), which the test suite sweeps
 exhaustively.
 
-Every stage runs in index space on the out-neighbor and adjacency bitsets.
-The core, ``_failed_stage``, takes those bitsets and the clique index lists
-and masks of an already validated partition, and returns the first failing
-stage (or None) with the clique orders and vertex types it computed.  The
-lemma checks generate their violations as index tuples: the core stops at
-the first one, while the ``CharacterizationReport`` of a failing stage and
-the label-level helpers list them all and turn indices into labels.  The
-public functions validate the partition on every call; the dual-oracle
-sweep validates it once and calls the core directly.
+Every stage runs in index space.  ``_cliques`` validates a partition and
+records, once, each clique's indices and mask and each vertex's cross
+neighbors (those in the opposite clique).  Per orientation, the core,
+``_failed_stage``, fills per-index lists: a rank bit (bit r for r
+successors in the vertex's own clique) while the out-degrees test
+transitivity, then a tag and the rank bits of the cross neighbors each
+vertex sends to and receives from.  Typing reads the cross neighbors
+alone, so every edge must be directed exactly once, as it is by
+``Orientation.from_arcs``, ``Orientation.from_order``, the enumerator and
+the sampled orders.  Typing and the lemma checks generate their
+violations: the core stops at the first one, while the
+``CharacterizationReport`` of a failing stage and the label-level helpers
+list them all and turn indices into labels.  The public functions
+validate the partition on every call; the dual-oracle sweep validates it
+once and calls the core directly.
 
 An empirical note from those sweeps: of the 145,152 acyclic orientations
 of the 512 graphs made of two 3-cliques, 22,536 pass, 97,056 first fail
@@ -85,17 +91,41 @@ class VertexTypeInfo:
     boundary: Optional[tuple[str, str]] = None
 
 
-def _order(out: tuple[int, ...], clique: list[int], mask: int) -> Optional[list[int]]:
-    """Source-to-sink indices of a clique, or None when it is oriented cyclically;
-    a tournament is transitive exactly when its out-degrees are all distinct."""
-    last = len(clique) - 1
-    order = [0] * len(clique)
-    seen = 0
-    for i in clique:
-        score = (out[i] & mask).bit_count()
-        seen |= 1 << score
-        order[last - score] = i
-    return order if seen == (1 << len(clique)) - 1 else None
+def _cliques(g: Graph, partition: CoBipartitePartition) -> tuple:
+    """Validate the partition against ``g``; return its sides and cross edges.
+
+    Each side is (clique, other clique, clique mask, other mask), first for
+    clique A and then for clique B.  ``cross[v]`` is the bitset of v's
+    neighbors in the opposite clique and ``cross_lists[v]`` lists them.
+    Raises GraphError on a bad partition.
+    """
+    a, b = partition.validate(g)
+    mask_a, mask_b = (sum(1 << i for i in idx) for idx in (a, b))
+    sides = (a, b, mask_a, mask_b), (b, a, mask_b, mask_a)
+    cross = [0] * len(g.vertices)
+    for clique, _, _, other_mask in sides:
+        for v in clique:
+            cross[v] = g.adj[v] & other_mask
+    return sides, cross, [list(_bits(c)) for c in cross]
+
+
+def _ranks(out: tuple[int, ...], sides: tuple) -> Optional[list[int]]:
+    """The rank bit of every clique vertex by index, or None when a clique is
+    oriented cyclically.
+
+    A vertex with r successors in its own clique has bit r, so each sink has
+    bit 0; the cliques are disjoint, so one list serves both.  A tournament
+    is transitive exactly when its out-degrees are all distinct.
+    """
+    rank = [0] * len(out)
+    for clique, _, mask, _ in sides:
+        seen = 0
+        for i in clique:
+            rank[i] = bit = 1 << (out[i] & mask).bit_count()
+            seen |= bit
+        if seen != (1 << len(clique)) - 1:
+            return None
+    return rank
 
 
 def _run(x: int) -> bool:
@@ -103,72 +133,69 @@ def _run(x: int) -> bool:
     return x & (x + (x & -x)) == 0
 
 
-def _vertex_types(out: tuple[int, ...], clique: list[int], order: list[int]) -> Iterator[tuple]:
-    """(tag, outpos, inpos) of each clique vertex against the opposite ``order``.
+def _typing(out: tuple[int, ...], cliques: tuple, typed: tuple) -> Iterator[int]:
+    """Type each clique vertex against the opposite clique; yield the Invalid ones.
 
-    The tag is "A", "B", "C" or "Invalid"; outpos and inpos mask the
-    positions in ``order`` that the vertex sends to and receives from.
+    ``typed`` is (rank, tags, outrank, inrank), lists by vertex index with
+    the rank bits filled in; this fills in the rest.  The tag is "A", "B",
+    "C" or "Invalid"; outrank and inrank hold the rank bits of the opposite
+    vertices that the vertex sends to and receives from, read off its cross
+    neighbors alone.  That needs every cross edge directed exactly once:
+    the cross neighbors a vertex does not send to are then those it
+    receives from.
     """
-    slots = [(w, 1 << p) for p, w in enumerate(order)]
-    sink = 1 << len(order) >> 1  # the last position's bit; 0 for an empty order
-    for v in clique:
-        outv, bit = out[v], 1 << v
-        outpos = inpos = 0
-        for w, at in slots:
-            if outv >> w & 1:
-                outpos |= at
-            if out[w] & bit:
-                inpos |= at
-        if not inpos:
-            tag = "A" if _run(outpos) else "Invalid"
-        elif not outpos:
-            tag = "B" if _run(inpos) else "Invalid"
-        elif inpos & 1 and outpos & sink and _run(inpos) and _run(outpos):
-            tag = "C"
-        else:
-            tag = "Invalid"
-        yield tag, outpos, inpos
+    sides, _, cross_lists = cliques
+    rank, tags, outranks, inranks = typed
+    for clique, other, _, _ in sides:
+        above_source = 1 << len(other)
+        for v in clique:
+            outv = out[v]
+            outrank = inrank = 0
+            for w in cross_lists[v]:
+                if outv >> w & 1:
+                    outrank |= rank[w]
+                else:
+                    inrank |= rank[w]
+            if not inrank:
+                tag = "A" if _run(outrank) else "Invalid"
+            elif not outrank:
+                tag = "B" if _run(inrank) else "Invalid"
+            elif inrank + (inrank & -inrank) == above_source and not outrank & (outrank + 1):
+                tag = "C"  # a run of in-neighbors from the source, of out-neighbors to the sink
+            else:
+                tag = "Invalid"
+            tags[v], outranks[v], inranks[v] = tag, outrank, inrank
+            if tag == "Invalid":
+                yield v
 
 
-def _cliques(g: Graph, partition: CoBipartitePartition) -> tuple:
-    """Validate the partition against ``g``; its cliques as (indices, mask) pairs.
-
-    Raises GraphError on a bad partition.
-    """
-    return tuple((idx, sum(1 << i for i in idx)) for idx in partition.validate(g))
-
-
-def _sides(out: tuple[int, ...], cliques: tuple) -> Optional[tuple]:
-    """(clique, other clique, other's mask, other's order) for both cliques,
-    or None when either clique is oriented cyclically."""
-    (a, mask_a), (b, mask_b) = cliques
-    order_a, order_b = _order(out, a, mask_a), _order(out, b, mask_b)
-    if order_a is None or order_b is None:
+def _typed(out: tuple[int, ...], cliques: tuple) -> Optional[tuple]:
+    """The whole typing (rank, tags, outrank, inrank), each a list by vertex
+    index, or None when a clique is oriented cyclically."""
+    rank = _ranks(out, cliques[0])
+    if rank is None:
         return None
-    return (a, b, mask_b, order_b), (b, a, mask_a, order_a)
-
-
-def _types(out: tuple[int, ...], sides: tuple) -> dict[int, tuple]:
-    """(tag, outpos, inpos) of every vertex, by index."""
-    types = {}
-    for clique, _, _, order in sides:
-        types.update(zip(clique, _vertex_types(out, clique, order)))
-    return types
+    n = len(out)
+    typed = rank, [None] * n, [0] * n, [0] * n
+    for _ in _typing(out, cliques, typed):
+        pass
+    return typed
 
 
 # The lemma checks yield their violations as index tuples, in a fixed
 # order; each has a companion that turns one into the labelled report entry.
 
 
-def _lemma41(out: tuple[int, ...], adj: tuple[int, ...], sides: tuple,
-             types: dict) -> Iterator[tuple]:
-    for clique, _, other_mask, _ in sides:
+def _lemma41(out: tuple[int, ...], cliques: tuple, typed: tuple) -> Iterator[tuple]:
+    sides, cross, _ = cliques
+    tags = typed[1]
+    for clique, _, _, _ in sides:
         for x in clique:
-            if types[x][0] != "A":
+            if tags[x] != "A":
                 continue
             for y in clique:
-                if types[y][0] == "B" and out[y] >> x & 1:
-                    common = adj[x] & adj[y] & other_mask
+                if tags[y] == "B" and out[y] >> x & 1:
+                    common = cross[x] & cross[y]
                     if common:
                         yield x, y, common
 
@@ -178,26 +205,34 @@ def _describe41(labels: tuple[str, ...], x: int, y: int, common: int) -> dict:
             "common": sorted(labels[i] for i in _bits(common))}
 
 
-def _lemma42(out: tuple[int, ...], adj: tuple[int, ...], sides: tuple,
-             types: dict) -> Iterator[tuple]:
-    for clique, other, _, _ in sides:
+def _lemma42(out: tuple[int, ...], cliques: tuple, typed: tuple) -> Iterator[tuple]:
+    for clique, other, _, other_mask in cliques[0]:
         for x in clique:
+            outx = out[x]
             for y in clique:
-                if y == x or not out[x] >> y & 1:
+                if not outx >> y & 1:
                     continue
+                outy = out[y]
                 for s in other:
+                    outs = out[s]
+                    # one and two mask the t (with s->t) of pattern 1 (s->x,
+                    # y->t) and pattern 2 (y->s, x->t); the t loop below runs,
+                    # in clique order, only when one of them misses a diagonal
+                    one = outs & outy & other_mask if outs >> x & 1 else 0
+                    two = outs & outx & other_mask if outy >> s & 1 else 0
+                    if not (one & ~outx or one and not outs >> y & 1
+                            or two and not outx >> s & 1 or two & ~outy):
+                        continue
                     for t in other:
-                        if t == s or not out[s] >> t & 1:
-                            continue
-                        if out[s] >> x & 1 and out[y] >> t & 1:
-                            if not out[x] >> t & 1:
+                        if one >> t & 1:
+                            if not outx >> t & 1:
                                 yield 1, x, y, s, t, x, t
-                            if not out[s] >> y & 1:
+                            if not outs >> y & 1:
                                 yield 1, x, y, s, t, s, y
-                        if out[y] >> s & 1 and out[x] >> t & 1:
-                            if not out[x] >> s & 1:
+                        if two >> t & 1:
+                            if not outx >> s & 1:
                                 yield 2, x, y, s, t, x, s
-                            if not out[y] >> t & 1:
+                            if not outy >> t & 1:
                                 yield 2, x, y, s, t, y, t
 
 
@@ -208,30 +243,31 @@ def _describe42(labels: tuple[str, ...], pattern: int, x: int, y: int, s: int, t
             "requires": f"{labels[tail]}->{labels[head]}"}
 
 
-def _lemma43(out: tuple[int, ...], adj: tuple[int, ...], sides: tuple,
-             types: dict) -> Iterator[tuple]:
-    for clique, _, _, order in sides:
+def _lemma43(out: tuple[int, ...], cliques: tuple, typed: tuple) -> Iterator[tuple]:
+    sides, cross, _ = cliques
+    rank, tags, outrank, inrank = typed
+    for clique, other, _, _ in sides:
         for x in clique:
-            tag, outpos, inpos = types[x]
-            if tag != "C":
+            if tags[x] != "C":
                 continue
-            # boundary: last in-neighbor s and first out-neighbor t, by position
-            ps, pt = inpos.bit_length() - 1, (outpos & -outpos).bit_length() - 1
-            s, t = order[ps], order[pt]
+            # boundary: last in-neighbor s and first out-neighbor t, by rank
+            last_in, first_out = inrank[x] & -inrank[x], 1 << outrank[x].bit_length() >> 1
+            s = next(w for w in other if rank[w] == last_in)
+            t = next(w for w in other if rank[w] == first_out)
             both = 1 << s | 1 << t
             for y in clique:
                 if y == x:
                     continue
-                ytag, youtpos, yinpos = types[y]
+                ytag = tags[y]
                 if out[x] >> y & 1:
-                    if ytag == "A" and adj[y] & both == both:
+                    if ytag == "A" and cross[y] & both == both:
                         yield "typec-successor-a", x, y, s, t
-                    if ytag == "C" and youtpos >> ps & 1:
+                    if ytag == "C" and outrank[y] & last_in:
                         yield "typec-successor-c", x, y, s, t
                 elif out[y] >> x & 1:
-                    if ytag == "B" and adj[y] & both == both:
+                    if ytag == "B" and cross[y] & both == both:
                         yield "typec-predecessor-b", x, y, s, t
-                    if ytag == "C" and yinpos >> pt & 1:
+                    if ytag == "C" and inrank[y] & first_out:
                         yield "typec-predecessor-c", x, y, s, t
 
 
@@ -248,29 +284,28 @@ _LEMMAS = {
 }
 
 
-def _failed_stage(out: tuple[int, ...], adj: tuple[int, ...],
-                  cliques: tuple) -> tuple[Optional[str], Optional[tuple], Optional[dict]]:
+def _failed_stage(out: tuple[int, ...], cliques: tuple) -> tuple[Optional[str], Optional[tuple]]:
     """The first failing stage of an orientation (None when it passes), with
-    the sides (None when a clique is cyclic) and the vertex types (None
-    unless typing passed) that it computed on the way.
+    the typing in ``_typed``'s shape when every vertex typed.
 
-    The index-level core of ``is_semi_transitive_cobip``: ``cliques`` comes
-    from ``_cliques`` (a validated partition); typing stops at the first
-    Invalid vertex and each lemma check at its first violation.
+    The index-level core of ``is_semi_transitive_cobip``.  ``cliques`` comes
+    from ``_cliques`` (a validated partition), and ``out`` must direct every
+    edge exactly once, as the out-bitsets of ``Orientation.from_arcs``,
+    ``Orientation.from_order``, the enumerator and a sampled order all do.
+    Typing stops at the first Invalid vertex and each lemma check at its
+    first violation.
     """
-    sides = _sides(out, cliques)
-    if sides is None:
-        return "clique-transitivity", None, None
-    types = {}
-    for clique, _, _, order in sides:
-        for v, vtype in zip(clique, _vertex_types(out, clique, order)):
-            if vtype[0] == "Invalid":
-                return "typing", sides, None
-            types[v] = vtype
+    rank = _ranks(out, cliques[0])
+    if rank is None:
+        return "clique-transitivity", None
+    n = len(out)
+    typed = rank, [None] * n, [0] * n, [0] * n
+    if next(_typing(out, cliques, typed), None) is not None:
+        return "typing", None
     for stage, (lemma, _) in _LEMMAS.items():
-        if next(lemma(out, adj, sides, types), None) is not None:
-            return stage, sides, types
-    return None, sides, types
+        if next(lemma(out, cliques, typed), None) is not None:
+            return stage, typed
+    return None, typed
 
 
 # --- label-level API over the index core ---------------------------------------
@@ -279,9 +314,9 @@ def _failed_stage(out: tuple[int, ...], adj: tuple[int, ...],
 def _cyclic_clique_error(out: tuple[int, ...], cliques: tuple,
                          partition: CoBipartitePartition) -> NonTransitiveCliqueError:
     """The error naming the first clique that ``out`` orients cyclically."""
-    labels = next(labels for (clique, mask), labels
-                  in zip(cliques, (partition.clique_a, partition.clique_b))
-                  if _order(out, clique, mask) is None)
+    labels = next(labels for side, labels
+                  in zip(cliques[0], (partition.clique_a, partition.clique_b))
+                  if _ranks(out, [side]) is None)
     return NonTransitiveCliqueError(f"clique {labels} is not oriented transitively")
 
 
@@ -293,11 +328,11 @@ def _violations(o: Orientation, partition: CoBipartitePartition, stage: str) -> 
     """
     g, out = o.graph, o.out
     cliques = _cliques(g, partition)
-    sides = _sides(out, cliques)
-    if sides is None:
+    typed = _typed(out, cliques)
+    if typed is None:
         raise _cyclic_clique_error(out, cliques, partition)
     lemma, describe = _LEMMAS[stage]
-    return [describe(g.vertices, *v) for v in lemma(out, g.adj, sides, _types(out, sides))]
+    return [describe(g.vertices, *v) for v in lemma(out, cliques, typed)]
 
 
 def clique_order(o: Orientation, clique: tuple[str, ...]) -> CliqueOrder:
@@ -310,10 +345,11 @@ def clique_order(o: Orientation, clique: tuple[str, ...]) -> CliqueOrder:
     if not g.is_clique(clique):
         raise GraphError(f"{clique} does not induce a complete subgraph")
     idx = [g.index(v) for v in clique]
-    order = _order(o.out, idx, sum(1 << i for i in idx))
-    if order is None:
+    rank = _ranks(o.out, [(idx, [], sum(1 << i for i in idx), 0)])  # a side with no opposite
+    if rank is None:
         raise NonTransitiveCliqueError(f"clique {clique} is not oriented transitively")
-    return CliqueOrder(tuple(g.vertices[i] for i in order))
+    return CliqueOrder(tuple(g.vertices[i] for i in sorted(idx, key=rank.__getitem__,
+                                                             reverse=True)))
 
 
 def classify_vertex(o: Orientation, partition: CoBipartitePartition, v: str,
@@ -329,9 +365,16 @@ def classify_vertex(o: Orientation, partition: CoBipartitePartition, v: str,
     side = partition.side_of(v)
     if opposite is None:
         opposite = clique_order(o, partition.clique_b if side == "A" else partition.clique_a)
+    i = g.index(v)
     order = [g.index(w) for w in opposite.vertices]
-    [(tag, outpos, inpos)] = _vertex_types(o.out, [g.index(v)], order)
-    outs, ins = (tuple(opposite.vertices[p] for p in _bits(m)) for m in (outpos, inpos))
+    # v alone as a side against the given order; dicts stand in for the lists
+    alone = ([([i], order, 0, 0)], None, {i: [w for w in order if g.adj[i] >> w & 1]})
+    rank = {w: 1 << r for r, w in enumerate(reversed(order))}
+    tags, outrank, inrank = {}, {}, {}
+    next(_typing(o.out, alone, (rank, tags, outrank, inrank)), None)
+    tag = tags[i]
+    outs, ins = (tuple(label for label, w in zip(opposite.vertices, order) if rank[w] & m)
+                 for m in (outrank[i], inrank[i]))
     if tag == "C":
         return VertexTypeInfo(v, "C", source_group=ins, sink_group=outs,
                               boundary=(ins[-1], outs[0]))
@@ -395,22 +438,24 @@ def is_semi_transitive_cobip(
     A/B/C, and the three cross-pattern conditions are all clean.  The
     report names the first failing stage and lists all of its violations;
     later stages are skipped because their conditions presume a fully
-    typed orientation.  Raises GraphError on a bad partition.
+    typed orientation.  ``o`` must direct every edge exactly once, as every
+    orientation built by ``from_arcs`` or ``from_order`` or yielded by the
+    enumerator does.  Raises GraphError on a bad partition.
     """
     g, out = o.graph, o.out
     cliques = _cliques(g, partition)
-    stage, sides, types = _failed_stage(out, g.adj, cliques)
+    stage, typed = _failed_stage(out, cliques)
     if stage is None:
         return True, CharacterizationReport(True, None)
     if stage == "clique-transitivity":
         details = (str(_cyclic_clique_error(out, cliques, partition)),)
     elif stage == "typing":
-        types = _types(out, sides)
-        invalid = sorted(g.vertices[v] for v, (tag, _, _) in types.items() if tag == "Invalid")
+        tags = _typed(out, cliques)[1]
+        invalid = sorted(g.vertices[v] for v, tag in enumerate(tags) if tag == "Invalid")
         details = tuple({"vertex": v} for v in invalid)
     else:
         lemma, describe = _LEMMAS[stage]
-        details = tuple(describe(g.vertices, *v) for v in lemma(out, g.adj, sides, types))
+        details = tuple(describe(g.vertices, *v) for v in lemma(out, cliques, typed))
     return False, CharacterizationReport(False, stage, details)
 
 
@@ -429,13 +474,20 @@ def is_semi_transitive_cobip(
 # no orientation is searched on its own.  A sampled stream calls
 # ShortcutSearcher.find on each orientation.
 #
-# Structural verdicts: each shard validates the partition once and asks the
-# index-level core about every orientation's raw out-neighbor tuple; only a
+# Structural verdicts: each shard validates the partition once, which also
+# fixes the cross-neighbor masks and lists, and asks the index-level core
+# about every orientation's raw out-neighbor tuple.  Every one of them
+# directs each edge exactly once, as the core requires.  Only a
 # disagreement builds an Orientation and the full labelled report through
-# is_semi_transitive_cobip.  With N shards, shard w walks the same stream
-# and evaluates items w, w + N, ...; the shards share at most one process
-# per core and receive the graph as it is.  Counts add up and disagreements
-# are merged by stream position, so the result equals a one-shard run.
+# is_semi_transitive_cobip.
+#
+# Shards: with N shards, shard w evaluates stream items w, w + N, ...  In a
+# full sweep every shard walks the enumerator and skips the others' items.
+# A sampled sweep draws and dedups its orders once, up front, and sends
+# each shard only its stride of the distinct orientations.  The shards
+# share at most one process per core and receive the graph as it is.
+# Counts add up and disagreements are merged by stream position, so the
+# result equals a one-shard run.
 
 
 @dataclass(frozen=True)
@@ -458,34 +510,31 @@ class SweepResult:
         }
 
 
-def _orientation_stream(g: Graph, sample: Optional[int], seed: int, start: int,
+def _orientation_stream(g: Graph, stride: Optional[list], start: int,
                         step: int) -> Iterator[tuple[tuple[int, ...], bool]]:
-    """Every step-th item from start of the sweep's stream, with its path verdict.
+    """One shard's items of the sweep's stream, each as ``(out, shortcut_free)``.
 
-    The stream is every acyclic orientation, or the distinct ones induced by
-    ``sample`` seeded orders; each comes as ``(out, shortcut_free)``.
+    In a full sweep (``stride`` None), every step-th acyclic orientation
+    from start; in a sampled one, the items of ``stride``, which already is
+    the shard's stride of the distinct sampled orientations.
     """
-    if sample is None:
+    if stride is None:
         return islice(outsets_shortcut_free(g), start, None, step)
-    rng = Random(seed)
-    base = list(range(len(g.vertices)))
-    sampled = dict.fromkeys(
-        outs_from_order(g.adj, rng.sample(base, len(base))) for _ in range(sample))
     find = ShortcutSearcher(g).find
-    return ((out, find(out) is None) for out in islice(sampled, start, None, step))
+    return ((out, find(out) is None) for out in stride)
 
 
-def _sweep_slice(g: Graph, partition: CoBipartitePartition, sample: Optional[int],
-                 seed: int, start: int, step: int) -> tuple[int, int, list]:
-    """Counts and positioned disagreements over every step-th orientation from start."""
-    adj, cliques = g.adj, _cliques(g, partition)
+def _sweep_slice(g: Graph, partition: CoBipartitePartition, stride: Optional[list],
+                 start: int, step: int) -> tuple[int, int, list]:
+    """Counts and positioned disagreements over every step-th stream item from start."""
+    cliques = _cliques(g, partition)
     count = semi = 0
     disagreements = []
     for position, (out, path_verdict) in enumerate(
-            _orientation_stream(g, sample, seed, start, step)):
+            _orientation_stream(g, stride, start, step)):
         count += 1
         semi += path_verdict
-        if path_verdict != (_failed_stage(out, adj, cliques)[0] is None):
+        if path_verdict != (_failed_stage(out, cliques)[0] is None):
             o = Orientation(g, out)
             structural_verdict, report = is_semi_transitive_cobip(o, partition)
             disagreements.append((start + position * step, {
@@ -518,16 +567,23 @@ def sweep_orientations(
     partition.validate(g)
     total_orders = factorial(len(g.vertices))
     sampled = total_orders > sample_threshold
-    sample = sample_threshold if sampled else None
+    step = max(workers, 1)
+    strides = repeat(None)
+    if sampled:
+        rng = Random(seed)
+        base = list(range(len(g.vertices)))
+        distinct = list(dict.fromkeys(outs_from_order(g.adj, rng.sample(base, len(base)))
+                                      for _ in range(sample_threshold)))
+        strides = (distinct[start::step] for start in range(step))
 
-    if workers <= 1:
-        shards = [_sweep_slice(g, partition, sample, seed, 0, 1)]
+    if step == 1:
+        shards = [_sweep_slice(g, partition, next(strides), 0, 1)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            shards = list(pool.map(_sweep_slice, repeat(g), repeat(partition), repeat(sample),
-                                   repeat(seed), range(workers), repeat(workers)))
+        with ProcessPoolExecutor(max_workers=min(step, os.cpu_count() or 1)) as pool:
+            shards = list(pool.map(_sweep_slice, repeat(g), repeat(partition), strides,
+                                   range(step), repeat(step)))
 
     positioned = sorted(item for _, _, found in shards for item in found)
     return SweepResult(

@@ -339,3 +339,29 @@ class TestCatalog:
             g, part = parse_graph_text(path.read_text())
             assert part is not None
             part.validate(g)
+
+
+class TestParser:
+    def test_parser_is_built_once(self):
+        from wordrep.cli import build_parser
+
+        assert build_parser() is build_parser()
+
+    def test_usage_errors_leave_the_parser_reusable(self, capsys, tmp_path):
+        g, part = named_witness("T1bar")
+        gpath = write_graph(tmp_path, "t1bar.graph", g, part)
+        with pytest.raises(SystemExit) as exc:
+            main(["representable", str(gpath), "--no-such-flag"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, _, err = run_cli(capsys, "characterize", str(gpath), "--workers", "0")
+        assert code == 2 and "--workers" in err
+        code, out, _ = run_cli(capsys, "representable", str(gpath))
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["representable"] is False
+        assert payload["witnessSummary"]["acyclicOrientations"] == 1752
+        code, out, _ = run_cli(capsys, "characterize", str(gpath))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["workers"] == 1 and payload["semiTransitive"] == 0

@@ -1,6 +1,7 @@
 """A/B/C typing, the cross-pattern conditions, and the staged verdict."""
 
 import multiprocessing
+import os
 from itertools import combinations
 
 import pytest
@@ -239,35 +240,134 @@ def helper_stage(o, part):
     return None
 
 
+def literal_order(o, clique):
+    """Source-to-sink indices of a clique read off the definition, or None
+    when some triangle is a directed cycle (a tournament is transitive
+    exactly when it has no directed 3-cycle)."""
+    g, out = o.graph, o.out
+    idx = [g.index(v) for v in clique]
+    for a, b, c in combinations(idx, 3):
+        if (out[a] >> b & out[b] >> c & out[c] >> a & 1
+                or out[a] >> c & out[c] >> b & out[b] >> a & 1):
+            return None
+    return sorted(idx, key=lambda i: -sum(out[i] >> j & 1 for j in idx))
+
+
+def literal_types(o, part):
+    """(tag, outrank, inrank) of every vertex by index, by the slot walk, or
+    None when a clique is cyclic.
+
+    Each vertex walks every slot of the opposite clique's order, reading
+    the out-arc from its own out-bitset and the in-arc from the slot
+    vertex's out-bitset; the masks hold rank bits, which count positions
+    from the sink.
+    """
+    def run(ps):
+        return not ps or ps[-1] - ps[0] == len(ps) - 1
+
+    g, out = o.graph, o.out
+    orders = [literal_order(o, clique) for clique in (part.clique_b, part.clique_a)]
+    if None in orders:
+        return None
+    types = {}
+    for clique, order in zip((part.clique_a, part.clique_b), orders):
+        last = len(order) - 1
+        for v in clique:
+            i = g.index(v)
+            outs = [p for p, w in enumerate(order) if out[i] >> w & 1]
+            ins = [p for p, w in enumerate(order) if out[w] >> i & 1]
+            if not ins:
+                tag = "A" if run(outs) else "Invalid"
+            elif not outs:
+                tag = "B" if run(ins) else "Invalid"
+            elif ins[0] == 0 and outs[-1] == last and run(ins) and run(outs):
+                tag = "C"
+            else:
+                tag = "Invalid"
+            types[i] = (tag, sum(1 << last - p for p in outs), sum(1 << last - p for p in ins))
+    return types
+
+
+def random_two_clique_case(rng):
+    """A random graph of two cliques of 1-5 vertices with shuffled indices,
+    and an orientation of it: random directions on every edge (cliques may
+    be cyclic), a random linear order, or random order on the cliques with
+    random cross directions."""
+    na, nb = rng.randint(1, 5), rng.randint(1, 5)
+    labels = rng.sample("abcdefghij", na + nb)
+    part_a, part_b = labels[:na], labels[na:]
+    density = rng.random()
+    cross = [(x, y) for x in part_a for y in part_b if rng.random() < density]
+    g, part = join_graph(part_a, part_b, cross=cross)
+    shuffled = list(g.vertices)
+    rng.shuffle(shuffled)
+    g = Graph.from_edges(shuffled, g.edges())
+    mode = rng.randrange(3)
+    rank = {v: rng.random() for v in g.vertices}
+    arcs = []
+    for u, v in g.edges():
+        same_clique = (u in part_a) == (v in part_a)
+        if mode == 0 or (mode == 2 and not same_clique):
+            forward = rng.random() < 0.5
+        else:
+            forward = rank[u] < rank[v]
+        arcs.append((u, v) if forward else (v, u))
+    return g, part, Orientation.from_arcs(g, arcs)
+
+
 class TestIndexCore:
     def test_core_stage_matches_the_report(self):
-        # Random directions on every edge, so cliques may be cyclic.
         import random
 
         import wordrep.cobipartite as cob
 
         rng = random.Random(4711)
-        letters = list("abcdefgh")
         seen = set()
-        for _ in range(2000):
-            na, nb = rng.randint(1, 4), rng.randint(1, 4)
-            labels = rng.sample(letters, na + nb)
-            part_a, part_b = labels[:na], labels[na:]
-            density = rng.random()
-            cross = [(x, y) for x in part_a for y in part_b if rng.random() < density]
-            g, part = join_graph(part_a, part_b, cross=cross)
-            shuffled = list(g.vertices)
-            rng.shuffle(shuffled)
-            g = Graph.from_edges(shuffled, g.edges())
-            arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in g.edges()]
-            o = Orientation.from_arcs(g, arcs)
+        for _ in range(10_000):
+            g, part, o = random_two_clique_case(rng)
             _, report = is_semi_transitive_cobip(o, part)
-            stage, _, _ = cob._failed_stage(o.out, g.adj, cob._cliques(g, part))
-            assert stage == report.failed_stage == helper_stage(o, part), (part, arcs)
+            cliques = cob._cliques(g, part)
+            stage, typed = cob._failed_stage(o.out, cliques)
+            assert stage == report.failed_stage == helper_stage(o, part), (part, o)
+            # the slot walk agrees on the cliques, on every vertex's type and
+            # so on whether typing fails
+            literal = literal_types(o, part)
+            if literal is None:
+                assert stage == "clique-transitivity", (part, o)
+            else:
+                _, tags, outrank, inrank = cob._typed(o.out, cliques)
+                assert {i: (tags[i], outrank[i], inrank[i]) for i in literal} == literal
+                invalid = any(tag == "Invalid" for tag, _, _ in literal.values())
+                assert (stage == "typing") == invalid == (typed is None), (part, o)
             seen.add(stage)
         # Lemma 4.1 cannot fail first (see the module docstring), and
         # lemma 4.3 has not failed first on any graph this small.
         assert seen == {None, "clique-transitivity", "typing", "lemma42"}
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Run sweep shards in this process instead of a process pool; the
+    returned list records each pool's process count."""
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return started
 
 
 class TestAgreementSweep:
@@ -304,9 +404,9 @@ class TestAgreementSweep:
         for g in graphs:
             searcher = ShortcutSearcher(g)
             expected = [(out, searcher.find(out) is None) for out in acyclic_outsets(g)]
-            assert list(_orientation_stream(g, None, 0, 0, 1)) == expected, g.adj
+            assert list(_orientation_stream(g, None, 0, 1)) == expected, g.adj
             for start in range(3):
-                assert list(_orientation_stream(g, None, 0, start, 3)) == expected[start::3]
+                assert list(_orientation_stream(g, None, start, 3)) == expected[start::3]
 
     def test_sweep_helper_counts(self):
         g, part = join_graph(["a1", "a2"], ["b1", "b2"], cross=[])
@@ -344,8 +444,8 @@ class TestAgreementSweep:
         import wordrep.cobipartite as cob
 
         core = cob._failed_stage
-        monkeypatch.setattr(cob, "_failed_stage", lambda out, adj, cliques: (
-            "typing", *core(out, adj, cliques)[1:]))
+        monkeypatch.setattr(cob, "_failed_stage", lambda out, cliques: (
+            "typing", *core(out, cliques)[1:]))
         g, part = complement_path_graph(2)
         serial = sweep_orientations(g, part, workers=1)
         assert len(serial.disagreements) == serial.semi_transitive > 1
@@ -376,33 +476,35 @@ class TestAgreementSweep:
 
     @pytest.mark.parametrize("workers, cores, processes",
                              [(5, 2, 2), (2, 8, 2), (3, None, 1)])
-    def test_sweep_processes_bounded_by_cores(self, monkeypatch, workers, cores,
+    def test_sweep_processes_bounded_by_cores(self, monkeypatch, serial_pool, workers, cores,
                                               processes):
         # The shard count stays at workers; only the process count is capped.
-        import concurrent.futures
-        import os
-
-        started = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         g, part = complement_path_graph(2)
         result = sweep_orientations(g, part, workers=workers)
-        assert started == [processes]
+        assert serial_pool == [processes]
         assert result.to_json() == sweep_orientations(g, part, workers=1).to_json()
+
+    def test_sampled_sweep_draws_once(self, monkeypatch, serial_pool):
+        # The sweep draws and dedups the sampled orders; each shard gets its stride.
+        import wordrep.cobipartite as cob
+
+        draws = []
+        draw = cob.outs_from_order
+
+        def counted(adj, order):
+            draws.append(order)
+            return draw(adj, order)
+
+        monkeypatch.setattr(cob, "outs_from_order", counted)
+        g, part = complement_path_graph(3)
+        parallel = sweep_orientations(g, part, workers=3, sample_threshold=300, seed=4)
+        assert serial_pool == [min(3, os.cpu_count() or 1)]
+        assert len(draws) == 300
+        assert parallel.sampled and parallel.orientations > 3
+        serial = sweep_orientations(g, part, workers=1, sample_threshold=300, seed=4)
+        assert len(draws) == 600
+        assert parallel.to_json() == serial.to_json()
 
     def test_partition_validated_once_per_sweep(self, monkeypatch):
         calls = []
