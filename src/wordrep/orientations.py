@@ -28,6 +28,13 @@ which is how the co-bipartite sweep gets its path verdicts.  A pruned
 search cannot count, so the orientation count of a negative verdict comes
 from a subset recurrence instead.
 
+Reversing every arc keeps an orientation semi-transitive, or transitive,
+so both deciders keep only the half in which the first edge the
+enumerator decides points forward; the first hit lies in that half, since
+its reverse would otherwise precede it, and a negative walks half the
+tree.  A graph the decider rejects has no representing word, so the
+bounded multiplicity search asks the decider before multiplicity 2.
+
 Also here: transitive-orientation search (comparability), its odd-walk
 refutation witness, the dominant-vertex reduction, and a backtracking
 search for uniform representing words of bounded multiplicity.
@@ -431,12 +438,44 @@ def enumerate_acyclic_orientations(g: Graph) -> Iterator[Orientation]:
         yield Orientation(g, out)
 
 
+def _one_mirror_half(g: Graph, prefix_ok: Callable[[list[int]], bool]
+                     ) -> Callable[[list[int]], bool]:
+    """``prefix_ok`` restricted to the orientations with u->k, where k is the
+    first vertex with an earlier neighbour and u the lowest-index one.
+
+    For a property kept by reversing every arc, such as semi-transitivity
+    and transitivity, the unpruned scan's first hit has u->k: vertices
+    0..k-1 span no edge, so u, reaching only itself, is the first earlier
+    neighbour k decides, and every choice with u->k precedes every choice
+    with k->u.  A first hit with k->u would come after its own reverse,
+    which is also a hit.  So the first hit is kept and a negative walks one
+    mirror half.  A rejected prefix never reaches ``prefix_ok``, which
+    therefore still sees its prefixes in DFS preorder.
+    """
+    k = next((k for k, mask in enumerate(g.adj) if mask & ((1 << k) - 1)), None)
+    if k is None:
+        return prefix_ok
+    u = (g.adj[k] & -g.adj[k]).bit_length() - 1
+
+    def kept(out: list[int]) -> bool:
+        if len(out) == k + 1 and not out[u] >> k & 1:
+            return False
+        return prefix_ok(out)
+
+    return kept
+
+
 def find_semi_transitive_orientation(
     g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> Optional[Orientation]:
-    """Exhaustive search; None means no semi-transitive orientation exists."""
+    """Exhaustive search; None means no semi-transitive orientation exists.
+
+    Pruned by the incremental shortcut check over one mirror half
+    (``_one_mirror_half``); it returns the unpruned scan's first hit.
+    """
     _check_cap(g, max_vertices)
-    out = next(acyclic_outsets(g, ShortcutSearcher(g).prefix_free), None)
+    keep = _one_mirror_half(g, ShortcutSearcher(g).prefix_free)
+    out = next(acyclic_outsets(g, keep), None)
     return None if out is None else Orientation(g, out)
 
 
@@ -446,9 +485,13 @@ def is_word_representable(g: Graph) -> bool:
 
 
 def is_comparability(g: Graph) -> Optional[Orientation]:
-    """A transitive orientation if one exists (comparability graph), else None."""
+    """A transitive orientation if one exists (comparability graph), else None.
+
+    Pruned by transitivity over one mirror half (``_one_mirror_half``); it
+    returns the unpruned scan's first hit.
+    """
     _check_cap(g, DEFAULT_MAX_VERTICES)
-    out = next(acyclic_outsets(g, outs_transitive), None)
+    out = next(acyclic_outsets(g, _one_mirror_half(g, outs_transitive)), None)
     return None if out is None else Orientation(g, out)
 
 
@@ -578,7 +621,9 @@ def bounded_representation_number(
     """Least multiplicity k <= max_k admitting a k-uniform representing word.
 
     None means no such word within the bound, which does not by itself
-    disprove representability.
+    disprove representability.  A graph with no semi-transitive orientation
+    has no representing word at all, so once k = 1 fails (complete graphs
+    never get past it) the decider is asked before the longer searches.
     """
     _check_cap(g, WORD_SEARCH_MAX_VERTICES)
     if max_k > DEFAULT_MAX_UNIFORMITY:
@@ -590,4 +635,6 @@ def bounded_representation_number(
     for k in range(1, max_k + 1):
         if find_uniform_word(g, k) is not None:
             return k
+        if k == 1 and max_k > 1 and find_semi_transitive_orientation(g) is None:
+            return None
     return None

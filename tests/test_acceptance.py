@@ -130,6 +130,16 @@ def test_criterion_3_clique3_exhaustive():
                 assert represents(word_cobip_k3(prof), g).ok, assign
                 checked += 1
         assert checked == 1 + 6 + 36 + 216 + 1296
+        # The class sets with 5 or 6 of the 6 classes, 1 and 2 members each.
+        for size in (5, 6):
+            for classes in combinations(CLASSES3, size):
+                for copies in (1, 2):
+                    assign = [c for c in classes for _ in range(copies)]
+                    prof = NeighborhoodProfile3({f"m{i}": c for i, c in enumerate(assign)})
+                    g, _ = cobip_k3_graph(prof)
+                    assert represents(word_cobip_k3(prof), g).ok, assign
+                    checked += 1
+        assert checked == 1 + 6 + 36 + 216 + 1296 + 2 * 7
 
 
 def test_criterion_4_nonrepresentability_witnesses():
@@ -259,9 +269,11 @@ def test_criterion_10_cross_oracle_representability():
         for bits in range(1 << len(pairs)):
             edges = [pairs[t] for t in range(len(pairs)) if bits >> t & 1]
             g = Graph.from_edges(labels, edges)
-            k = bounded_representation_number(g, 3)
-            if k is not None:
-                w = find_uniform_word(g, k)
+            # The literal word search, which never consults the decider, so
+            # the two oracles stay independent.
+            words = (find_uniform_word(g, k) for k in (1, 2, 3))
+            w = next((w for w in words if w is not None), None)
+            if w is not None:
                 assert represents(w, g).ok, bits
                 if not is_word_representable(g):
                     contradictions.append(bits)

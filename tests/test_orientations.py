@@ -5,6 +5,7 @@ from itertools import chain, combinations, islice, permutations
 
 import pytest
 
+from wordrep import orientations
 from wordrep.graphs import GeneralizedCrownParams, Graph, GraphError, named_witness
 from wordrep.words import Word, alternates, represents
 from wordrep.constructions import complement_crown_graph, complement_path_graph
@@ -13,6 +14,7 @@ from wordrep.orientations import (
     Orientation,
     OrientationError,
     ShortcutSearcher,
+    _one_mirror_half,
     acyclic_outsets,
     bounded_representation_number,
     count_acyclic_orientations,
@@ -58,6 +60,30 @@ def small_and_random_graphs():
     rng = random.Random(6)
     for _ in range(500):
         yield random_graph(rng, [f"v{i}" for i in range(6)])
+
+
+def wheel5():
+    """W5: a 5-cycle c1..c5 and a hub h adjacent to all of it, hub first."""
+    cyc = [(f"c{i}", f"c{i % 5 + 1}") for i in range(1, 6)]
+    hub = [("h", f"c{i}") for i in range(1, 6)]
+    return Graph.from_edges(["h"] + [f"c{i}" for i in range(1, 6)], cyc + hub)
+
+
+def labelled_copies(g):
+    """Every distinct graph on g's vertex labels isomorphic to g."""
+    seen = set()
+    for perm in permutations(g.vertices):
+        relabel = dict(zip(g.vertices, perm))
+        edges = frozenset(frozenset((relabel[a], relabel[b])) for a, b in g.edges())
+        if edges not in seen:
+            seen.add(edges)
+            yield Graph.from_edges(g.vertices, [tuple(sorted(e)) for e in edges])
+
+
+def reversed_outs(out):
+    """The out-bitsets with every arc reversed."""
+    return tuple(sum((mask >> i & 1) << j for j, mask in enumerate(out))
+                 for i in range(len(out)))
 
 
 class TestAcyclicity:
@@ -274,6 +300,49 @@ class TestPrunedSearch:
             found = is_comparability(g)
             assert (found and found.out) == transitive, g.adj
 
+    def test_deciders_walk_one_mirror_half(self):
+        # Reversal keeps semi-transitivity and transitivity, so the half
+        # with the first decided edge u->k, together with its reverse, is
+        # the whole set, and the half is exactly the set's members with u->k.
+        for g in small_and_random_graphs():
+            first = min(((k, u) for k, mask in enumerate(g.adj) for u in range(k)
+                         if mask >> u & 1), default=None)
+            searcher = ShortcutSearcher(g)
+            semi = [out for out in acyclic_outsets(g) if searcher.find(out) is None]
+            transitive = [out for out in acyclic_outsets(g) if outs_transitive(out)]
+            for full, keep in ((semi, searcher.prefix_free),
+                               (transitive, outs_transitive)):
+                kept = list(acyclic_outsets(g, _one_mirror_half(g, keep)))
+                if first is None:
+                    assert kept == full, g.adj
+                    continue
+                k, u = first
+                assert kept == [out for out in full if out[u] >> k & 1], g.adj
+                assert sorted(full) == sorted(kept + [reversed_outs(o) for o in kept]), g.adj
+
+    def test_decider_work_counts(self, monkeypatch):
+        # The searches are deterministic, so their work counts are exact
+        # regression values.  Each is about half the count of a walk over
+        # both mirror halves.
+        calls = []
+        prefix_free = ShortcutSearcher.prefix_free
+        transitive = orientations.outs_transitive
+        monkeypatch.setattr(ShortcutSearcher, "prefix_free",
+                            lambda self, out: calls.append(1) or prefix_free(self, out))
+        monkeypatch.setattr(orientations, "outs_transitive",
+                            lambda out: calls.append(1) or transitive(out))
+        negatives = [(named_witness(name, n)[0], count) for name, n, count in (
+            ("T1bar", None, 206), ("T2bar", None, 181), ("G1bar", 3, 210))]
+        for g, count in negatives + [(wheel5(), 65)]:
+            calls.clear()
+            assert find_semi_transitive_orientation(g) is None
+            assert len(calls) == count, g.vertices
+        for params, count in ((GeneralizedCrownParams(3, 0), 25),
+                              (GeneralizedCrownParams(4, 0), 77)):
+            calls.clear()
+            assert is_comparability(complement_crown_graph(params)[0]) is None
+            assert len(calls) == count, params
+
     def test_pruned_stream_is_the_filtered_stream(self):
         # A hereditary predicate drops only branches with no accepted
         # completion, and the order of what is left is unchanged.
@@ -338,10 +407,7 @@ class TestRepresentability:
             assert not is_word_representable(g), name
 
     def test_wheel_on_six_vertices_is_not(self):
-        cyc = [(f"c{i}", f"c{i % 5 + 1}") for i in range(1, 6)]
-        hub = [("h", f"c{i}") for i in range(1, 6)]
-        g = Graph.from_edges(["h"] + [f"c{i}" for i in range(1, 6)], cyc + hub)
-        assert not is_word_representable(g)
+        assert not is_word_representable(wheel5())
 
     def test_semi_transitive_orientation_restricts_transitively_to_cliques(self):
         # any clique inside a semi-transitive orientation carries a
@@ -520,6 +586,23 @@ class TestUniformWordSearch:
                     assert find_uniform_word(g, k) == first_uniform_word(g, k), (g.adj, k)
                     cases += 1
         assert cases == 161
+
+    def test_decider_precheck_keeps_the_literal_answer(self):
+        # After k = 1 fails, bounded_representation_number asks the decider
+        # and skips the longer searches on a negative; the literal loop over
+        # find_uniform_word stays its oracle.  Up to isomorphism, W5 is the
+        # one graph on at most 6 vertices with no representing word.
+        def literal(g):
+            return next((k for k in (1, 2, 3) if find_uniform_word(g, k) is not None), None)
+
+        w5 = wheel5()
+        assert [find_uniform_word(w5, k) for k in (1, 2, 3)] == [None] * 3
+        copies = list(labelled_copies(w5))
+        assert len(copies) == 72
+        rng = random.Random(66)
+        sixes = [random_graph(rng, [f"v{i}" for i in range(6)]) for _ in range(300)]
+        for g in chain(copies, sixes):
+            assert bounded_representation_number(g, 3) == literal(g), g.adj
 
     def test_rejects_a_non_positive_multiplicity_bound(self):
         for max_k in (0, -1):
