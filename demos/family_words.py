@@ -15,15 +15,13 @@ from wordrep import (
     is_uniform,
     represents,
     restrict,
-    word_cobip_k2,
-    word_cobip_k3,
+    word_cobip,
     word_complement_even_cycle,
     word_complement_path,
     word_generalized_crown,
 )
 from wordrep.constructions import (
-    cobip_k2_graph,
-    cobip_k3_graph,
+    cobip_graph,
     complement_crown_graph,
     complement_cycle_graph,
     complement_path_graph,
@@ -63,27 +61,28 @@ for n, k in ((3, 0), (4, 1), (5, 2)):
 
 # --- fixed clique of size 2 ---------------------------------------------------
 # Members of the free clique are grouped by which of {1, 2} they see;
-# the word is a fixed block template with each group as a block.
+# the word is the profile type's block template with each group as a block.
 
 profile = NeighborhoodProfile2({
     "a": frozenset({"1", "2"}),
     "b": frozenset({"1"}),
     "c": frozenset(),
 })
-w = word_cobip_k2(profile)
-g, _ = cobip_k2_graph(profile)
+w = word_cobip(profile)
+g, _ = cobip_graph(profile)
 print("clique-2 word:", w, "  verified:", represents(w, g).ok)
 
 # --- fixed clique of size 3 ---------------------------------------------------
-# Same idea with six admissible groups; members seeing all of {1, 2, 3}
-# or none of it are rejected, since such graphs can fail to have a word.
+# Same functions, another profile type with six admissible groups;
+# members seeing all of {1, 2, 3} or none of it are rejected, since such
+# graphs can fail to have a word.
 
 profile = NeighborhoodProfile3({
     "a": frozenset({"1", "3"}),
     "b": frozenset({"2"}),
 })
-w = word_cobip_k3(profile)
-g, _ = cobip_k3_graph(profile)
+w = word_cobip(profile)
+g, _ = cobip_graph(profile)
 print("clique-3 word:", w, "  verified:", represents(w, g).ok)
 
 # --- what a failed verification looks like ------------------------------------

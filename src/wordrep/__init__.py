@@ -40,10 +40,10 @@ from .words import (
     rotate_uniform,
 )
 from .constructions import (
+    NeighborhoodProfile,
     NeighborhoodProfile2,
     NeighborhoodProfile3,
-    word_cobip_k2,
-    word_cobip_k3,
+    word_cobip,
     word_complement_even_cycle,
     word_complement_path,
     word_generalized_crown,

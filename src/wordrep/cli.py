@@ -2,8 +2,10 @@
 
 Subcommands:
 
-* ``construct`` builds a family word, re-verifies it against the family
-  graph, and prints a JSON envelope (or the bare word with ``--format text``).
+* ``construct <family>`` builds a family word, re-verifies it against the
+  family graph, and prints a JSON envelope (or the bare word with
+  ``--format text``).  Each family is a subcommand that declares exactly
+  the flags it reads, so argparse alone rejects any other.
 * ``verify`` checks a word file against a graph file.
 * ``representable`` decides word-representability by exhaustive
   orientation search.
@@ -13,7 +15,8 @@ Subcommands:
   files with a checksum manifest.
 
 Exit codes: 0 success or positive verdict, 1 legitimate negative verdict,
-2 usage, parse, or cap errors.
+2 usage, parse, or cap errors.  ``main`` returns every one of them, usage
+errors included; only ``run`` exits the process.
 """
 
 from __future__ import annotations
@@ -47,57 +50,31 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
 
 # --- construct -------------------------------------------------------------
 
-# The flags each family reads; giving it any other is a usage error.
-_FAMILY_FLAGS = {"complement-path": ("n", "odd"), "complement-cycle": ("n",), "crown": ("n", "k"),
-                 "cobip-k2": ("profile",), "cobip-k3": ("profile",)}
-
-
-def _build_family(family: str, args: argparse.Namespace):
+def _build_family(args: argparse.Namespace):
     """Word plus the graph it must represent, for one family instance."""
-    if family == "complement-path":
-        n = _require_n(args)
+    if args.family == "complement-path":
         even = not args.odd
-        word = cons.word_complement_path(n, even)
-        graph, _ = cons.complement_path_graph(n, even)
-        return word, graph, {"n": n, "even": even}
-    if family == "complement-cycle":
-        n = _require_n(args)
-        word = cons.word_complement_even_cycle(n)
-        graph, _ = cons.complement_cycle_graph(n)
-        return word, graph, {"n": n}
-    if family == "crown":
-        n = _require_n(args)
-        if args.k is None:
-            raise gr.GraphError("crown needs --k")
-        params = gr.GeneralizedCrownParams(n, args.k)
+        word = cons.word_complement_path(args.n, even)
+        graph, _ = cons.complement_path_graph(args.n, even)
+        return word, graph, {"n": args.n, "even": even}
+    if args.family == "complement-cycle":
+        word = cons.word_complement_even_cycle(args.n)
+        graph, _ = cons.complement_cycle_graph(args.n)
+        return word, graph, {"n": args.n}
+    if args.family == "crown":
+        params = gr.GeneralizedCrownParams(args.n, args.k)
         word = cons.word_generalized_crown(params)
         graph, _ = cons.complement_crown_graph(params)
-        return word, graph, {"n": n, "k": args.k}
-    if family in ("cobip-k2", "cobip-k3"):
-        size = 2 if family == "cobip-k2" else 3
-        profile = cons.parse_profile(args.profile or "", size)
-        if size == 2:
-            word = cons.word_cobip_k2(profile)
-            graph, _ = cons.cobip_k2_graph(profile)
-        else:
-            word = cons.word_cobip_k3(profile)
-            graph, _ = cons.cobip_k3_graph(profile)
-        classes = {m: "".join(sorted(adj)) or "0" for m, adj in profile.adjacency.items()}
-        return word, graph, {"profile": classes}
-    raise gr.GraphError(f"unknown family {family!r}")
-
-
-def _require_n(args: argparse.Namespace) -> int:
-    if args.n is None:
-        raise gr.GraphError("this family needs --n")
-    return args.n
+        return word, graph, {"n": args.n, "k": args.k}
+    profile = cons.parse_profile(args.profile, 2 if args.family == "cobip-k2" else 3)
+    word = cons.word_cobip(profile)
+    graph, _ = cons.cobip_graph(profile)
+    classes = {m: "".join(sorted(adj)) or "0" for m, adj in profile.adjacency.items()}
+    return word, graph, {"profile": classes}
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    for flag in ("n", "k", "odd", "profile"):
-        if getattr(args, flag) is not None and flag not in _FAMILY_FLAGS[args.family]:
-            raise gr.GraphError(f"--{flag} does not apply to {args.family}")
-    word, graph, params = _build_family(args.family, args)
+    word, graph, params = _build_family(args)
     verified = wd.represents(word, graph).ok
     if args.out is not None:
         args.out.write_text(wd.format_word_text(word))
@@ -263,6 +240,16 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it unchanged."""
@@ -273,41 +260,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, handler) -> None:
         p.add_argument("--format", choices=("json", "text"), default="json")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("construct", help="build and verify a family word")
-    p.add_argument("family", choices=tuple(_FAMILY_FLAGS))
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--odd", action="store_true", default=None,
-                   help="complement-path only: drop the last primed vertex")
-    p.add_argument("--profile", help="comma list label:class, e.g. a:N12,b:N1")
-    p.add_argument("--out", type=Path, help="also write the word file here")
-    common(p)
+    families = p.add_subparsers(dest="family", required=True, metavar="family")
+
+    def family(name: str, help: str) -> argparse.ArgumentParser:
+        f = families.add_parser(name, help=help)
+        f.add_argument("--out", type=Path, help="also write the word file here")
+        common(f, cmd_construct)
+        return f
+
+    f = family("complement-path", "co-bipartite complement of a path")
+    f.add_argument("--n", type=int, required=True)
+    f.add_argument("--odd", action="store_true", help="drop the last primed vertex")
+    f = family("complement-cycle", "co-bipartite complement of an even cycle")
+    f.add_argument("--n", type=int, required=True)
+    f = family("crown", "co-bipartite complement of a generalized crown")
+    f.add_argument("--n", type=int, required=True)
+    f.add_argument("--k", type=int, required=True)
+    for size in (2, 3):
+        f = family(f"cobip-k{size}", f"co-bipartite graph with a fixed clique of size {size}")
+        f.add_argument("--profile", default="", help="comma list label:class, e.g. a:N12,b:N1")
 
     p = sub.add_parser("verify", help="check a word file against a graph file")
     p.add_argument("graph")
     p.add_argument("word")
-    common(p)
+    common(p, cmd_verify)
 
     p = sub.add_parser("representable", help="exhaustive orientation search")
     p.add_argument("graph")
     p.add_argument("--max-vertices", type=int, default=ori.DEFAULT_MAX_VERTICES)
-    p.add_argument("--max-k", type=int,
+    p.add_argument("--max-k", type=_positive_int,
                    help="also report the bounded representation number")
     p.add_argument("--max-walk", type=int,
                    help="also search for a chordless odd closed walk")
-    common(p)
+    common(p, cmd_representable)
 
     p = sub.add_parser("characterize",
                        help="dual-oracle sweep over acyclic orientations")
     p.add_argument("graph")
     p.add_argument("--max-vertices", type=int, default=ori.DEFAULT_MAX_VERTICES)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample-threshold", type=int, default=200_000)
-    common(p)
+    p.add_argument("--sample-threshold", type=_positive_int, default=200_000)
+    common(p, cmd_characterize)
 
     p = sub.add_parser("catalog", help="write family graph files plus manifest")
     p.add_argument("--out", type=Path)
@@ -315,28 +314,17 @@ def build_parser() -> argparse.ArgumentParser:
         "t1bar", "t2bar", "g1bar", "complement-path", "complement-cycle", "crown"))
     p.add_argument("--n", help="range like 3 or 2..5")
     p.add_argument("--k", help="range like 0 or 0..2 (crown only)")
-    common(p)
+    common(p, cmd_catalog)
     return parser
 
 
-_HANDLERS = {
-    "construct": cmd_construct,
-    "verify": cmd_verify,
-    "representable": cmd_representable,
-    "characterize": cmd_characterize,
-    "catalog": cmd_catalog,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    for flag in ("workers", "sample_threshold", "max_k"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            print(f"error: --{flag.replace('_', '-')} must be >= 1", file=sys.stderr)
-            return EXIT_ERROR
     try:
-        return _HANDLERS[args.command](args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (2), or --help (0)
+        return exc.code
+    try:
+        return args.handler(args)
     except (gr.GraphError, wd.WordError, ori.OrientationError,
             ori.CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,15 +6,17 @@ callers can always re-verify the pair with ``words.represents``.  The
 builders follow the construction recipes literally: the path word is a
 concatenation of two fixed permutations, the cycle word is obtained from
 it by one position swap, the crown word expands five letter-to-word
-homomorphisms, and the fixed-clique words expand block templates in which
-every neighborhood class is a block.
+homomorphisms, and the fixed-clique word expands a block template in which
+every neighborhood class is a block.  Clique sizes 2 and 3 differ only in
+the constants of their profile type (the fixed clique, the rejected
+classes and the template); ``cobip_graph`` and ``word_cobip`` serve both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 from .graphs import (
     CoBipartitePartition,
@@ -123,41 +125,54 @@ def complement_crown_graph(params: GeneralizedCrownParams) -> tuple[Graph, CoBip
 #
 # The vertices of the free clique are classified by which of the fixed
 # clique's vertices they are adjacent to.  A profile maps each free vertex
-# to that adjacency subset; the word expands a fixed block template where
-# every class appears as a block (members in ascending label order).
-
-
-def _check_profile(adjacency: Mapping[str, frozenset[str]], fixed: tuple[str, ...],
-                   forbidden: tuple[frozenset[str], ...]) -> None:
-    fixed_set = set(fixed)
-    for member, adj in adjacency.items():
-        if member in fixed_set:
-            raise GraphError(f"member label {member!r} collides with the fixed clique")
-        if not set(adj) <= fixed_set:
-            raise GraphError(f"{member!r} lists non-clique neighbors {sorted(set(adj) - fixed_set)}")
-        if frozenset(adj) in forbidden:
-            raise GraphError(
-                f"{member!r} has forbidden neighborhood {{{', '.join(sorted(adj)) or ''}}}"
-            )
+# to that adjacency subset; the word expands the profile type's block
+# template, where every class appears as a block (members in ascending
+# label order).  Both sizes share one graph builder and one expander.
 
 
 @dataclass(frozen=True)
-class NeighborhoodProfile2:
-    """Adjacency of each free-clique vertex towards the fixed clique {1, 2}."""
+class NeighborhoodProfile:
+    """Adjacency of each free-clique vertex towards the fixed clique ``FIXED``.
+
+    Subclasses fix the clique, the classes they reject and the block
+    template: strings in it name the fixed-clique letters, frozensets the
+    class adjacent to exactly that subset.
+    """
 
     adjacency: Mapping[str, frozenset[str]]
 
-    FIXED = ("1", "2")
+    FIXED: ClassVar[tuple[str, ...]]
+    FORBIDDEN: ClassVar[tuple[frozenset[str], ...]] = ()
+    TEMPLATE: ClassVar[tuple[str | frozenset[str], ...]]
 
     def __post_init__(self) -> None:
-        _check_profile(self.adjacency, self.FIXED, forbidden=())
+        fixed = set(self.FIXED)
+        for member, adj in self.adjacency.items():
+            if member in fixed:
+                raise GraphError(f"member label {member!r} collides with the fixed clique")
+            if not set(adj) <= fixed:
+                raise GraphError(
+                    f"{member!r} lists non-clique neighbors {sorted(set(adj) - fixed)}")
+            if frozenset(adj) in self.FORBIDDEN:
+                raise GraphError(
+                    f"{member!r} has forbidden neighborhood {{{', '.join(sorted(adj))}}}")
 
     def members_of(self, klass: frozenset[str]) -> list[str]:
         return sorted(m for m, adj in self.adjacency.items() if adj == klass)
 
 
-@dataclass(frozen=True)
-class NeighborhoodProfile3:
+class NeighborhoodProfile2(NeighborhoodProfile):
+    """Adjacency towards the fixed clique {1, 2}; every class is allowed."""
+
+    FIXED = ("1", "2")
+    TEMPLATE = (
+        frozenset({"1", "2"}), "1", frozenset({"2"}), "2", frozenset(),
+        frozenset({"1"}), frozenset({"1", "2"}), frozenset({"2"}), frozenset(),
+        "1", frozenset({"1"}), "2",
+    )
+
+
+class NeighborhoodProfile3(NeighborhoodProfile):
     """Adjacency towards the fixed clique {1, 2, 3}.
 
     Vertices adjacent to all three or to none are rejected: both patterns
@@ -165,77 +180,31 @@ class NeighborhoodProfile3:
     for them.
     """
 
-    adjacency: Mapping[str, frozenset[str]]
-
     FIXED = ("1", "2", "3")
-
-    def __post_init__(self) -> None:
-        _check_profile(
-            self.adjacency, self.FIXED,
-            forbidden=(frozenset({"1", "2", "3"}), frozenset()),
-        )
-
-    def members_of(self, klass: frozenset[str]) -> list[str]:
-        return sorted(m for m, adj in self.adjacency.items() if adj == klass)
-
-
-def _profile_graph(fixed: tuple[str, ...], adjacency: Mapping[str, frozenset[str]]
-                   ) -> tuple[Graph, CoBipartitePartition]:
-    members = tuple(sorted(adjacency))
-    edges = []
-    edges.extend(combinations(fixed, 2))
-    edges.extend(combinations(members, 2))
-    for m in members:
-        for t in sorted(adjacency[m]):
-            edges.append((m, t))
-    g = Graph.from_edges(fixed + members, edges)
-    return g, CoBipartitePartition(fixed, members)
+    FORBIDDEN = (frozenset({"1", "2", "3"}), frozenset())
+    TEMPLATE = (
+        "1", frozenset({"1", "3"}), "2", frozenset({"1"}), frozenset({"1", "2"}),
+        "3", frozenset({"2"}), "1", frozenset({"2", "3"}), "2", frozenset({"3"}),
+        frozenset({"1", "3"}), "3", frozenset({"1"}), frozenset({"1", "2"}), "1",
+        frozenset({"2"}), frozenset({"2", "3"}), frozenset({"3"}), frozenset({"1", "3"}),
+        frozenset({"1"}), "2", frozenset({"1", "2"}), frozenset({"2"}), "3",
+        frozenset({"2", "3"}), frozenset({"3"}),
+    )
 
 
-def cobip_k2_graph(profile: NeighborhoodProfile2) -> tuple[Graph, CoBipartitePartition]:
-    return _profile_graph(profile.FIXED, profile.adjacency)
+def cobip_graph(profile: NeighborhoodProfile) -> tuple[Graph, CoBipartitePartition]:
+    """The co-bipartite graph of a profile: both cliques plus its cross edges."""
+    fixed, members = profile.FIXED, tuple(sorted(profile.adjacency))
+    edges = list(combinations(fixed, 2)) + list(combinations(members, 2))
+    edges += [(m, t) for m in members for t in sorted(profile.adjacency[m])]
+    return Graph.from_edges(fixed + members, edges), CoBipartitePartition(fixed, members)
 
 
-def cobip_k3_graph(profile: NeighborhoodProfile3) -> tuple[Graph, CoBipartitePartition]:
-    return _profile_graph(profile.FIXED, profile.adjacency)
-
-
-# Block templates.  Strings name the fixed-clique letters; frozensets name
-# the class adjacent to exactly that subset.
-_K2_TEMPLATE = (
-    frozenset({"1", "2"}), "1", frozenset({"2"}), "2", frozenset(),
-    frozenset({"1"}), frozenset({"1", "2"}), frozenset({"2"}), frozenset(),
-    "1", frozenset({"1"}), "2",
-)
-
-_K3_TEMPLATE = (
-    "1", frozenset({"1", "3"}), "2", frozenset({"1"}), frozenset({"1", "2"}),
-    "3", frozenset({"2"}), "1", frozenset({"2", "3"}), "2", frozenset({"3"}),
-    frozenset({"1", "3"}), "3", frozenset({"1"}), frozenset({"1", "2"}), "1",
-    frozenset({"2"}), frozenset({"2", "3"}), frozenset({"3"}), frozenset({"1", "3"}),
-    frozenset({"1"}), "2", frozenset({"1", "2"}), frozenset({"2"}), "3",
-    frozenset({"2", "3"}), frozenset({"3"}),
-)
-
-
-def _expand_template(template, profile) -> Word:
-    letters = []
-    for block in template:
-        if isinstance(block, str):
-            letters.append(block)
-        else:
-            letters.extend(profile.members_of(block))
-    return Word(tuple(letters))
-
-
-def word_cobip_k2(profile: NeighborhoodProfile2) -> Word:
-    """Block word for a co-bipartite graph whose fixed clique is {1, 2}."""
-    return _expand_template(_K2_TEMPLATE, profile)
-
-
-def word_cobip_k3(profile: NeighborhoodProfile3) -> Word:
-    """Block word for a co-bipartite graph whose fixed clique is {1, 2, 3}."""
-    return _expand_template(_K3_TEMPLATE, profile)
+def word_cobip(profile: NeighborhoodProfile) -> Word:
+    """Block word for a profile: its template with each class block expanded."""
+    return Word(tuple(chain.from_iterable(
+        [block] if isinstance(block, str) else profile.members_of(block)
+        for block in profile.TEMPLATE)))
 
 
 # --- class-token parsing shared with the command line ---------------------
@@ -255,8 +224,11 @@ def parse_class_token(token: str, size: int) -> frozenset[str]:
     return frozenset(digits)
 
 
-def parse_profile(text: str, size: int):
+def parse_profile(text: str, size: int) -> NeighborhoodProfile:
     """Parse 'a:N12,b:1,c:none' into a neighborhood profile for clique size 2 or 3."""
+    profile_type = {2: NeighborhoodProfile2, 3: NeighborhoodProfile3}.get(size)
+    if profile_type is None:
+        raise GraphError("fixed clique size must be 2 or 3")
     adjacency: dict[str, frozenset[str]] = {}
     text = text.strip()
     if text:
@@ -268,8 +240,4 @@ def parse_profile(text: str, size: int):
             if label in adjacency:
                 raise GraphError(f"duplicate member {label!r}")
             adjacency[label] = parse_class_token(token.strip(), size)
-    if size == 2:
-        return NeighborhoodProfile2(adjacency)
-    if size == 3:
-        return NeighborhoodProfile3(adjacency)
-    raise GraphError("fixed clique size must be 2 or 3")
+    return profile_type(adjacency)

@@ -29,13 +29,11 @@ from wordrep.words import (
 from wordrep.constructions import (
     NeighborhoodProfile2,
     NeighborhoodProfile3,
-    cobip_k2_graph,
-    cobip_k3_graph,
+    cobip_graph,
     complement_crown_graph,
     complement_cycle_graph,
     complement_path_graph,
-    word_cobip_k2,
-    word_cobip_k3,
+    word_cobip,
     word_complement_even_cycle,
     word_complement_path,
     word_generalized_crown,
@@ -109,15 +107,15 @@ def test_criterion_2_clique2_exhaustive_and_random():
         for m in range(0, 5):
             for assign in product(CLASSES2, repeat=m):
                 prof = NeighborhoodProfile2(dict(zip(MEMBER_LABELS, assign)))
-                g, _ = cobip_k2_graph(prof)
-                assert represents(word_cobip_k2(prof), g).ok, assign
+                g, _ = cobip_graph(prof)
+                assert represents(word_cobip(prof), g).ok, assign
         rng = random.Random(2024)
         for _ in range(500):
             m = rng.randint(1, 8)
             assign = [rng.choice(CLASSES2) for _ in range(m)]
             prof = NeighborhoodProfile2(dict(zip(MEMBER_LABELS, assign)))
-            g, _ = cobip_k2_graph(prof)
-            assert represents(word_cobip_k2(prof), g).ok, assign
+            g, _ = cobip_graph(prof)
+            assert represents(word_cobip(prof), g).ok, assign
 
 
 def test_criterion_3_clique3_exhaustive():
@@ -126,8 +124,8 @@ def test_criterion_3_clique3_exhaustive():
         for m in range(0, 5):
             for assign in product(CLASSES3, repeat=m):
                 prof = NeighborhoodProfile3(dict(zip(MEMBER_LABELS, assign)))
-                g, _ = cobip_k3_graph(prof)
-                assert represents(word_cobip_k3(prof), g).ok, assign
+                g, _ = cobip_graph(prof)
+                assert represents(word_cobip(prof), g).ok, assign
                 checked += 1
         assert checked == 1 + 6 + 36 + 216 + 1296
         # The class sets with 5 or 6 of the 6 classes, 1 and 2 members each.
@@ -136,8 +134,8 @@ def test_criterion_3_clique3_exhaustive():
                 for copies in (1, 2):
                     assign = [c for c in classes for _ in range(copies)]
                     prof = NeighborhoodProfile3({f"m{i}": c for i, c in enumerate(assign)})
-                    g, _ = cobip_k3_graph(prof)
-                    assert represents(word_cobip_k3(prof), g).ok, assign
+                    g, _ = cobip_graph(prof)
+                    assert represents(word_cobip(prof), g).ok, assign
                     checked += 1
         assert checked == 1 + 6 + 36 + 216 + 1296 + 2 * 7
 

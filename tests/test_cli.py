@@ -1,6 +1,7 @@
 """Command-line behavior: envelopes, exit codes, determinism."""
 
 import json
+import re
 
 import pytest
 
@@ -73,8 +74,24 @@ class TestConstruct:
         assert code == 2 and out == "" and flag in err
 
     def test_missing_n_exit_2(self, capsys):
-        code, _, _ = run_cli(capsys, "construct", "complement-path")
-        assert code == 2
+        code, out, err = run_cli(capsys, "construct", "complement-path")
+        assert code == 2 and out == "" and "--n" in err
+
+    def test_crown_without_k_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "construct", "crown", "--n", "3")
+        assert code == 2 and out == "" and "--k" in err
+
+    @pytest.mark.parametrize("family, flags", [
+        ("complement-path", {"--n", "--odd"}),
+        ("complement-cycle", {"--n"}),
+        ("crown", {"--n", "--k"}),
+        ("cobip-k2", {"--profile"}),
+        ("cobip-k3", {"--profile"}),
+    ])
+    def test_family_help_lists_its_flags(self, capsys, family, flags):
+        code, out, _ = run_cli(capsys, "construct", family, "-h")
+        assert code == 0
+        assert set(re.findall(r"--[a-z-]+", out)) == flags | {"--help", "--out", "--format"}
 
 
 class TestVerify:
@@ -350,10 +367,8 @@ class TestParser:
     def test_usage_errors_leave_the_parser_reusable(self, capsys, tmp_path):
         g, part = named_witness("T1bar")
         gpath = write_graph(tmp_path, "t1bar.graph", g, part)
-        with pytest.raises(SystemExit) as exc:
-            main(["representable", str(gpath), "--no-such-flag"])
-        assert exc.value.code == 2
-        capsys.readouterr()
+        code, out, err = run_cli(capsys, "representable", str(gpath), "--no-such-flag")
+        assert code == 2 and out == "" and "unrecognized arguments: --no-such-flag" in err
         code, _, err = run_cli(capsys, "characterize", str(gpath), "--workers", "0")
         assert code == 2 and "--workers" in err
         code, out, _ = run_cli(capsys, "representable", str(gpath))

@@ -1,23 +1,23 @@
 """Family words: frozen small cases plus oracle verification."""
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from wordrep.graphs import GeneralizedCrownParams, GraphError
 from wordrep.words import Word, is_uniform, represents, restrict
+from wordrep.orientations import find_semi_transitive_orientation
 from wordrep.constructions import (
+    NeighborhoodProfile,
     NeighborhoodProfile2,
     NeighborhoodProfile3,
-    cobip_k2_graph,
-    cobip_k3_graph,
+    cobip_graph,
     complement_crown_graph,
     complement_cycle_graph,
     complement_path_graph,
     parse_class_token,
     parse_profile,
-    word_cobip_k2,
-    word_cobip_k3,
+    word_cobip,
     word_complement_even_cycle,
     word_complement_path,
     word_generalized_crown,
@@ -134,33 +134,33 @@ class TestGeneralizedCrownWord:
 class TestFixedCliqueWords:
     def test_single_member_adjacent_to_both(self):
         prof = NeighborhoodProfile2({"a": frozenset({"1", "2"})})
-        assert str(word_cobip_k2(prof)) == "a 1 2 a 1 2"
+        assert str(word_cobip(prof)) == "a 1 2 a 1 2"
 
     def test_two_members_example(self):
         prof = NeighborhoodProfile2({"u": frozenset({"1"}), "v": frozenset()})
-        w = word_cobip_k2(prof)
+        w = word_cobip(prof)
         assert str(w) == "1 2 v u v 1 u 2"
-        g, _ = cobip_k2_graph(prof)
+        g, _ = cobip_graph(prof)
         assert g.edge_set() == {
             frozenset(("1", "2")), frozenset(("u", "v")), frozenset(("1", "u")),
         }
         assert represents(w, g).ok
 
     def test_empty_profile(self):
-        assert str(word_cobip_k2(NeighborhoodProfile2({}))) == "1 2 1 2"
-        w3 = word_cobip_k3(NeighborhoodProfile3({}))
+        assert str(word_cobip(NeighborhoodProfile2({}))) == "1 2 1 2"
+        w3 = word_cobip(NeighborhoodProfile3({}))
         assert str(restrict(w3, {"1", "2", "3"})) == "1 2 3 1 2 3 1 2 3"
 
     def test_k2_exhaustive_m2(self):
         for assign in product(CLASSES2, repeat=2):
             prof = NeighborhoodProfile2(dict(zip(MEMBERS, assign)))
-            g, _ = cobip_k2_graph(prof)
-            assert represents(word_cobip_k2(prof), g).ok, assign
+            g, _ = cobip_graph(prof)
+            assert represents(word_cobip(prof), g).ok, assign
 
     def test_k3_single_member_alternations(self):
         prof = NeighborhoodProfile3({"a": frozenset({"1", "3"})})
-        w = word_cobip_k3(prof)
-        g, _ = cobip_k3_graph(prof)
+        w = word_cobip(prof)
+        g, _ = cobip_graph(prof)
         assert represents(w, g).ok
         from wordrep.words import alternates
         assert alternates(w, "a", "1") and alternates(w, "a", "3")
@@ -169,17 +169,17 @@ class TestFixedCliqueWords:
     def test_k3_exhaustive_m2(self):
         for assign in product(CLASSES3, repeat=2):
             prof = NeighborhoodProfile3(dict(zip(MEMBERS, assign)))
-            g, _ = cobip_k3_graph(prof)
-            assert represents(word_cobip_k3(prof), g).ok, assign
+            g, _ = cobip_graph(prof)
+            assert represents(word_cobip(prof), g).ok, assign
 
     def test_k3_uses_every_member_three_times(self):
         prof = NeighborhoodProfile3(dict(zip(MEMBERS, CLASSES3[:4])))
-        w = word_cobip_k3(prof)
+        w = word_cobip(prof)
         assert is_uniform(w) == 3
 
     def test_k2_uses_every_member_twice(self):
         prof = NeighborhoodProfile2(dict(zip(MEMBERS, CLASSES2)))
-        w = word_cobip_k2(prof)
+        w = word_cobip(prof)
         assert is_uniform(w) == 2
 
     def test_forbidden_k3_classes(self):
@@ -211,3 +211,36 @@ class TestProfileParsing:
             parse_profile("a:N12,a:N1", 2)
         with pytest.raises(GraphError):
             parse_profile("a", 2)
+        for size in (1, 4):
+            with pytest.raises(GraphError, match="must be 2 or 3"):
+                parse_profile("a:N1", size)
+
+
+class AnyClass3(NeighborhoodProfile):
+    """Fixed clique {1, 2, 3} with every class allowed, ∅ and 123 included."""
+
+    FIXED = ("1", "2", "3")
+
+
+class TestClassSets:
+    @pytest.mark.parametrize("profile_type, representable", [
+        (NeighborhoodProfile2, 16), (AnyClass3, 213),
+    ])
+    def test_duplicating_a_twin_keeps_the_verdict(self, profile_type, representable):
+        # Members of one class are true twins, so only the set of classes
+        # should decide representability: doubling a class never changes it.
+        def verdict(adjacency):
+            g, _ = cobip_graph(profile_type(adjacency))
+            return find_semi_transitive_orientation(g, max_vertices=12) is not None
+
+        fixed = profile_type.FIXED
+        classes = [frozenset(c) for r in range(len(fixed) + 1) for c in combinations(fixed, r)]
+        positives = 0
+        for chosen in product((False, True), repeat=len(classes)):
+            adjacency = {f"m{''.join(sorted(c)) or '0'}": c
+                         for c, keep in zip(classes, chosen) if keep}
+            base = verdict(adjacency)
+            positives += base
+            for member, klass in adjacency.items():
+                assert verdict({**adjacency, member + "'": klass}) == base, (adjacency, member)
+        assert positives == representable
