@@ -51,20 +51,24 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
 # --- construct -------------------------------------------------------------
 
 def _build_family(args: argparse.Namespace):
-    """Word plus the graph it must represent, for one family instance."""
+    """Word plus the graph it must represent, for one family instance.
+
+    The path, cycle and crown graphs come first: their builders reject an
+    ``--n`` above the vertex cap before any list grows with it.
+    """
     if args.family == "complement-path":
         even = not args.odd
-        word = cons.word_complement_path(args.n, even)
         graph, _ = cons.complement_path_graph(args.n, even)
+        word = cons.word_complement_path(args.n, even)
         return word, graph, {"n": args.n, "even": even}
     if args.family == "complement-cycle":
-        word = cons.word_complement_even_cycle(args.n)
         graph, _ = cons.complement_cycle_graph(args.n)
+        word = cons.word_complement_even_cycle(args.n)
         return word, graph, {"n": args.n}
     if args.family == "crown":
         params = gr.GeneralizedCrownParams(args.n, args.k)
-        word = cons.word_generalized_crown(params)
         graph, _ = cons.complement_crown_graph(params)
+        word = cons.word_generalized_crown(params)
         return word, graph, {"n": args.n, "k": args.k}
     profile = cons.parse_profile(args.profile, 2 if args.family == "cobip-k2" else 3)
     word = cons.word_cobip(profile)
@@ -110,10 +114,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_representable(args: argparse.Namespace) -> int:
     graph, _ = gr.parse_graph_text(Path(args.graph).read_text())
     ori._check_cap(graph, args.max_vertices)
-    # The word search has the smaller vertex cap; check it before searching.
-    number = None
+    # The word search has the smaller caps; check them before searching.
     if args.max_k is not None:
-        number = ori.bounded_representation_number(graph, args.max_k)
+        ori._check_word_search(graph, args.max_k)
     found = ori.find_semi_transitive_orientation(graph, args.max_vertices)
     payload: dict = {"representable": found is not None}
     lines = [f"representable: {str(found is not None).lower()}"]
@@ -128,7 +131,10 @@ def cmd_representable(args: argparse.Namespace) -> int:
         else:
             lines.append(f"acyclic orientations checked: {acyclic}")
     if args.max_k is not None:
-        payload["representationNumber"] = number
+        # A graph with no semi-transitive orientation has no representing
+        # word, so the word search runs only after a positive verdict.
+        payload["representationNumber"] = (
+            None if found is None else ori.bounded_representation_number(graph, args.max_k))
     if args.max_walk is not None:
         walk = ori.find_noncomparability_witness(graph, args.max_walk)
         payload["oddWalk"] = list(walk) if walk else None

@@ -32,9 +32,10 @@ alone, so every edge must be directed exactly once, as it is by
 the sampled orders.  Typing and the lemma checks generate their
 violations: the core stops at the first one, while the
 ``CharacterizationReport`` of a failing stage and the label-level helpers
-list them all and turn indices into labels.  The public functions
-validate the partition on every call; the dual-oracle sweep validates it
-once and calls the core directly.
+list them all and turn indices into labels.  ``_cliques`` keeps its
+result on the graph per partition, so the public functions validate a
+(graph, partition) pair on its first call only; the dual-oracle sweep
+fetches that result once and calls the core directly.
 
 An empirical note from those sweeps: of the 145,152 acyclic orientations
 of the 512 graphs made of two 3-cliques, 22,536 pass, 97,056 first fail
@@ -97,16 +98,22 @@ def _cliques(g: Graph, partition: CoBipartitePartition) -> tuple:
     Each side is (clique, other clique, clique mask, other mask), first for
     clique A and then for clique B.  ``cross[v]`` is the bitset of v's
     neighbors in the opposite clique and ``cross_lists[v]`` lists them.
-    Raises GraphError on a bad partition.
+    Raises GraphError on a bad partition.  The result is kept on ``g`` per
+    partition, so a pair is validated once; it is all tuples, so no caller
+    can change what the next one gets.
     """
-    a, b = partition.validate(g)
+    memo = g._by_partition
+    if partition in memo:
+        return memo[partition]
+    a, b = map(tuple, partition.validate(g))
     mask_a, mask_b = (sum(1 << i for i in idx) for idx in (a, b))
     sides = (a, b, mask_a, mask_b), (b, a, mask_b, mask_a)
     cross = [0] * len(g.vertices)
     for clique, _, _, other_mask in sides:
         for v in clique:
             cross[v] = g.adj[v] & other_mask
-    return sides, cross, [list(_bits(c)) for c in cross]
+    memo[partition] = found = sides, tuple(cross), tuple(tuple(_bits(c)) for c in cross)
+    return found
 
 
 def _ranks(out: tuple[int, ...], sides: tuple) -> Optional[list[int]]:
@@ -474,8 +481,9 @@ def is_semi_transitive_cobip(
 # no orientation is searched on its own.  A sampled stream calls
 # ShortcutSearcher.find on each orientation.
 #
-# Structural verdicts: each shard validates the partition once, which also
-# fixes the cross-neighbor masks and lists, and asks the index-level core
+# Structural verdicts: _cliques validates the partition once per graph,
+# which also fixes the cross-neighbor masks and lists (a worker gets them
+# with the graph), and each shard asks the index-level core
 # about every orientation's raw out-neighbor tuple.  Every one of them
 # directs each edge exactly once, as the core requires.  Only a
 # disagreement builds an Orientation and the full labelled report through
@@ -564,7 +572,7 @@ def sweep_orientations(
     """
     if sample_threshold < 1:
         raise ValueError(f"sample_threshold must be >= 1, got {sample_threshold}")
-    partition.validate(g)
+    _cliques(g, partition)
     total_orders = factorial(len(g.vertices))
     sampled = total_orders > sample_threshold
     step = max(workers, 1)

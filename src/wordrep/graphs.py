@@ -43,6 +43,12 @@ class Graph:
     def _index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
+    @cached_property
+    def _by_partition(self) -> dict:
+        """What ``cobipartite`` derives from this graph and a partition, by
+        partition: both are immutable, so it is computed once."""
+        return {}
+
     @classmethod
     def from_edges(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "Graph":
         verts = tuple(vertices)
@@ -217,6 +223,17 @@ def primed(i: int) -> str:
     return f"{i}'"
 
 
+def _parts(n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The parts 1..n and 1'..n' of the path, cycle and crown families.
+
+    Rejects 2n > MAX_VERTICES here, before a caller builds its edge lists,
+    which grow with n^2 in the co-bipartite complement.
+    """
+    if 2 * n > MAX_VERTICES:
+        raise GraphError(f"too many vertices ({2 * n} > {MAX_VERTICES})")
+    return tuple(unprimed(i) for i in range(1, n + 1)), tuple(primed(i) for i in range(1, n + 1))
+
+
 def path_bipartite(n: int) -> BipartiteSpec:
     """Even path on 2n vertices, laid out as 1, 1', 2, 2', ..., n, n'.
 
@@ -225,15 +242,12 @@ def path_bipartite(n: int) -> BipartiteSpec:
     """
     if n < 1:
         raise GraphError("need n >= 1")
+    part_x, part_y = _parts(n)
     edges = {(unprimed(1), primed(1))}
     for i in range(2, n + 1):
         edges.add((unprimed(i), primed(i - 1)))
         edges.add((unprimed(i), primed(i)))
-    return BipartiteSpec(
-        tuple(unprimed(i) for i in range(1, n + 1)),
-        tuple(primed(i) for i in range(1, n + 1)),
-        frozenset(edges),
-    )
+    return BipartiteSpec(part_x, part_y, frozenset(edges))
 
 
 def cycle_bipartite(n: int) -> BipartiteSpec:
@@ -255,17 +269,14 @@ def crown_removed_neighbors(params: GeneralizedCrownParams, i: int) -> set[str]:
 def generalized_crown(params: GeneralizedCrownParams) -> BipartiteSpec:
     """Complete bipartite K_{n,n} with k+1 structured perfect matchings removed."""
     n = params.n
+    part_x, part_y = _parts(n)
     edges = set()
     for i in range(1, n + 1):
         removed = crown_removed_neighbors(params, i)
         for j in range(1, n + 1):
             if primed(j) not in removed:
                 edges.add((unprimed(i), primed(j)))
-    return BipartiteSpec(
-        tuple(unprimed(i) for i in range(1, n + 1)),
-        tuple(primed(i) for i in range(1, n + 1)),
-        frozenset(edges),
-    )
+    return BipartiteSpec(part_x, part_y, frozenset(edges))
 
 
 def cobipartite_from_bipartite(spec: BipartiteSpec) -> tuple[Graph, CoBipartitePartition]:

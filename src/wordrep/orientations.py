@@ -22,9 +22,11 @@ scan's first hit.  The shortcut prefix check is incremental: when vertex k
 joins, only k and its ancestors change their reachability, so only they
 can gain a shortcut and only their bitsets are recomputed; the rest are
 kept from the parent prefix, which the enumerator's DFS preorder
-guarantees was the last one accepted at its length.  The same preorder
-lets one unpruned walk flag every orientation as shortcut-free or not,
-which is how the co-bipartite sweep gets its path verdicts.  A pruned
+guarantees was the last one accepted at its length.  k is checked first,
+against the parent's state, which is copied only once k passes; a rejected
+prefix leaves the accepted state untouched.  The same preorder lets one
+unpruned walk flag every orientation as shortcut-free or not, which is how
+the co-bipartite sweep gets its path verdicts.  A pruned
 search cannot count, so the orientation count of a negative verdict comes
 from a subset recurrence instead.
 
@@ -145,11 +147,17 @@ def _reach_far(u: int, succ: int, nonadj_u: int, reach: Sequence[int],
     """``reach`` and ``far`` of u from those of its successors ``succ``: the
     successors' own, plus the reach of every non-neighbour u reaches."""
     r, f = 1 << u, 0
-    for w in _bits(succ):
+    while succ:
+        low = succ & -succ
+        w = low.bit_length() - 1
         r |= reach[w]
         f |= far[w]
-    for y in _bits(r & nonadj_u):
-        f |= reach[y]
+        succ ^= low
+    ys = r & nonadj_u
+    while ys:
+        low = ys & -ys
+        f |= reach[low.bit_length() - 1]
+        ys ^= low
     return r, f
 
 
@@ -225,18 +233,25 @@ class ShortcutSearcher:
         shortcut.  The step recomputes k, then its ancestors in ascending
         ``reach`` popcount order: an arc u->w implies ``reach[u]`` strictly
         contains ``reach[w]``, so every descendant is done first.
+        A shortcut at k is found before the parent's lists are copied, and
+        a rejected prefix leaves ``_accepted`` untouched.
         """
         k = len(out) - 1
         reach, far = self._accepted[k]
-        reach, far = reach + [0], far + [0]
         nonadj = self.nonadj
+        r, f = _reach_far(k, out[k], nonadj[k], reach, far)
+        if out[k] & f:
+            return False
+        reach, far = reach + [r], far + [f]
         inward = self.graph.adj[k] & ((1 << k) - 1) & ~out[k]
-        ancestors = sorted((u for u in range(k) if reach[u] & inward),
-                           key=lambda u: reach[u].bit_count())
-        for u in (k, *ancestors):
-            reach[u], far[u] = _reach_far(u, out[u], nonadj[u], reach, far)
-            if out[u] & far[u]:
-                return False
+        if inward:
+            ancestors = [u for u in range(k) if reach[u] & inward]
+            if len(ancestors) > 1:
+                ancestors.sort(key=lambda u: reach[u].bit_count())
+            for u in ancestors:
+                reach[u], far[u] = _reach_far(u, out[u], nonadj[u], reach, far)
+                if out[u] & far[u]:
+                    return False
         self._accepted[k + 1] = reach, far
         return True
 
@@ -353,7 +368,12 @@ def acyclic_outsets(
             decided |= bit
         for s in choices:
             inward = back & ~s
-            out_k = [o | kbit if inward >> i & 1 else o for i, o in enumerate(out)] + [s]
+            out_k = out + [s]
+            m = inward
+            while m:
+                low = m & -m
+                out_k[low.bit_length() - 1] |= kbit
+                m ^= low
             if prefix_ok is not None and not prefix_ok(out_k):
                 continue
             if k == n - 1:
@@ -615,6 +635,19 @@ def find_uniform_word(g: Graph, k: int) -> Optional[Word]:
     return None
 
 
+def _check_word_search(g: Graph, max_k: int) -> None:
+    """Raise unless ``bounded_representation_number(g, max_k)`` is within its
+    caps: at most WORD_SEARCH_MAX_VERTICES vertices, 1 <= max_k <=
+    DEFAULT_MAX_UNIFORMITY."""
+    _check_cap(g, WORD_SEARCH_MAX_VERTICES)
+    if max_k > DEFAULT_MAX_UNIFORMITY:
+        raise CapExceededError(
+            f"multiplicity bound {max_k} exceeds {DEFAULT_MAX_UNIFORMITY}"
+        )
+    if max_k < 1:
+        raise GraphError(f"multiplicity bound {max_k} must be at least 1")
+
+
 def bounded_representation_number(
     g: Graph, max_k: int = DEFAULT_MAX_UNIFORMITY
 ) -> Optional[int]:
@@ -625,13 +658,7 @@ def bounded_representation_number(
     has no representing word at all, so once k = 1 fails (complete graphs
     never get past it) the decider is asked before the longer searches.
     """
-    _check_cap(g, WORD_SEARCH_MAX_VERTICES)
-    if max_k > DEFAULT_MAX_UNIFORMITY:
-        raise CapExceededError(
-            f"multiplicity bound {max_k} exceeds {DEFAULT_MAX_UNIFORMITY}"
-        )
-    if max_k < 1:
-        raise GraphError(f"multiplicity bound {max_k} must be at least 1")
+    _check_word_search(g, max_k)
     for k in range(1, max_k + 1):
         if find_uniform_word(g, k) is not None:
             return k

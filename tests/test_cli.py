@@ -5,11 +5,14 @@ import re
 
 import pytest
 
+from wordrep import constructions, graphs
+from wordrep import orientations as ori
 from wordrep.cli import main
 from wordrep.graphs import Graph, format_graph_text, named_witness
 from wordrep.constructions import complement_path_graph
 
 from test_acceptance import Budget
+from test_orientations import wheel5
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +75,23 @@ class TestConstruct:
     def test_flag_the_family_ignores_exit_2(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, "construct", *argv)
         assert code == 2 and out == "" and flag in err
+
+    @pytest.mark.parametrize("argv", [
+        ["complement-path", "--n", "1000000"],
+        ["complement-path", "--n", "1000000", "--odd"],
+        ["complement-cycle", "--n", "1000000"],
+        ["crown", "--n", "1000000", "--k", "0"],
+    ])
+    def test_huge_n_exit_2_before_any_list_grows(self, capsys, monkeypatch, argv):
+        # Every list that grows with n (labels, word, edges) makes a primed
+        # label, so with none made the cap was applied before any of them.
+        def unmade(i):
+            raise AssertionError("a primed label was made")
+
+        for module in (graphs, constructions):
+            monkeypatch.setattr(module, "primed", unmade)
+        code, out, err = run_cli(capsys, "construct", *argv)
+        assert code == 2 and out == "" and "too many vertices (2000000 > 64)" in err
 
     def test_missing_n_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "construct", "complement-path")
@@ -163,6 +183,19 @@ class TestRepresentable:
         assert payload["representable"] is True
         assert payload["representationNumber"] == 1
         assert payload["oddWalk"] is None
+
+    def test_max_k_decides_a_negative_once(self, capsys, tmp_path, monkeypatch):
+        # W5 has no semi-transitive orientation, so the verdict's decider
+        # call also settles the representation number.
+        calls = []
+        decide = ori.find_semi_transitive_orientation
+        monkeypatch.setattr(ori, "find_semi_transitive_orientation",
+                            lambda *args: calls.append(args) or decide(*args))
+        gpath = write_graph(tmp_path, "w5.graph", wheel5())
+        code, out, _ = run_cli(capsys, "representable", str(gpath), "--max-k", "3")
+        assert code == 1 and len(calls) == 1
+        payload = json.loads(out)
+        assert payload["representable"] is False and payload["representationNumber"] is None
 
     def test_edgeless_12_vertices_is_quick(self, capsys, tmp_path):
         # One acyclic orientation, whatever the number of linear orders.

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from wordrep.graphs import CoBipartitePartition, Graph, named_witness
+from wordrep.graphs import CoBipartitePartition, Graph, GraphError, named_witness
 from wordrep.constructions import complement_path_graph
 from wordrep.orientations import (
     Orientation,
@@ -316,6 +316,23 @@ def random_two_clique_case(rng):
 
 
 class TestIndexCore:
+    def test_partition_data_is_kept_per_graph(self):
+        import wordrep.cobipartite as cob
+
+        g, part = named_witness("T1bar")
+        first = cob._cliques(g, part)
+        assert cob._cliques(g, CoBipartitePartition(part.clique_a, part.clique_b)) is first
+        sides, cross, cross_lists = first
+        assert all(isinstance(x, tuple) for side in sides for x in side[:2])
+        assert all(isinstance(x, tuple) for x in (sides, cross, cross_lists, *cross_lists))
+        # an equal graph that lists its vertices in another order has other indices
+        other = Graph.from_edges(g.vertices[::-1], g.edges())
+        assert other == g and cob._cliques(other, part) != first
+        bad = CoBipartitePartition(part.clique_a, part.clique_b[1:])
+        for _ in range(2):
+            with pytest.raises(GraphError):
+                cob._cliques(g, bad)
+
     def test_core_stage_matches_the_report(self):
         import random
 

@@ -96,6 +96,15 @@ class TestPathAndCycle:
         with pytest.raises(GraphError):
             cycle_bipartite(1)
 
+    def test_families_stop_at_the_vertex_cap(self):
+        # 2n = 64 vertices is the largest member; n = 33 is refused before
+        # its parts and edges are built.
+        for build in (path_bipartite, cycle_bipartite,
+                      lambda n: generalized_crown(GeneralizedCrownParams(n, 0))):
+            assert len(cobipartite_from_bipartite(build(32))[0].vertices) == 64
+            with pytest.raises(GraphError, match=r"too many vertices \(66 > 64\)"):
+                build(33)
+
 
 class TestGeneralizedCrown:
     def test_crown_is_k33_minus_matching(self):

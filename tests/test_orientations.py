@@ -80,6 +80,28 @@ def labelled_copies(g):
             yield Graph.from_edges(g.vertices, [tuple(sorted(e)) for e in edges])
 
 
+def first_decided_edge(g):
+    """(k, u): k the first vertex with an earlier neighbour, u the lowest one;
+    None for an edgeless graph."""
+    return min(((k, u) for k, mask in enumerate(g.adj) for u in range(k) if mask >> u & 1),
+               default=None)
+
+
+def reject_keeps_state(searcher):
+    """``searcher.prefix_free``, asserting that a rejected prefix leaves the
+    accepted per-depth state as it was."""
+    def state():
+        return [entry and (tuple(entry[0]), tuple(entry[1])) for entry in searcher._accepted]
+
+    def check(out):
+        before = state()
+        accepted = searcher.prefix_free(out)
+        assert accepted or state() == before, out
+        return accepted
+
+    return check
+
+
 def reversed_outs(out):
     """The out-bitsets with every arc reversed."""
     return tuple(sum((mask >> i & 1) << j for j, mask in enumerate(out))
@@ -305,8 +327,7 @@ class TestPrunedSearch:
         # with the first decided edge u->k, together with its reverse, is
         # the whole set, and the half is exactly the set's members with u->k.
         for g in small_and_random_graphs():
-            first = min(((k, u) for k, mask in enumerate(g.adj) for u in range(k)
-                         if mask >> u & 1), default=None)
+            first = first_decided_edge(g)
             searcher = ShortcutSearcher(g)
             semi = [out for out in acyclic_outsets(g) if searcher.find(out) is None]
             transitive = [out for out in acyclic_outsets(g) if outs_transitive(out)]
@@ -345,7 +366,9 @@ class TestPrunedSearch:
 
     def test_pruned_stream_is_the_filtered_stream(self):
         # A hereditary predicate drops only branches with no accepted
-        # completion, and the order of what is left is unchanged.
+        # completion, and the order of what is left is unchanged.  The
+        # incremental check gives find's filter, alone and over one mirror
+        # half, and a prefix it rejects leaves its accepted state untouched.
         for n in range(1, 6):
             for g in labelled_graphs(n):
                 searcher = ShortcutSearcher(g)
@@ -356,6 +379,12 @@ class TestPrunedSearch:
                 for keep in (free, outs_transitive):
                     assert list(acyclic_outsets(g, keep)) == [
                         out for out in acyclic_outsets(g) if keep(out)], g.adj
+                expected = [out for out in acyclic_outsets(g) if free(out)]
+                first = first_decided_edge(g)
+                half = [out for out in expected if first is None or out[first[1]] >> first[0] & 1]
+                incremental = reject_keeps_state(ShortcutSearcher(g))
+                assert list(acyclic_outsets(g, incremental)) == expected, g.adj
+                assert list(acyclic_outsets(g, _one_mirror_half(g, incremental))) == half, g.adj
 
     def test_incremental_check_matches_find(self):
         # find, a full reach/far pass per orientation, stays the oracle of
