@@ -132,9 +132,11 @@ def cmd_representable(args: argparse.Namespace) -> int:
             lines.append(f"acyclic orientations checked: {acyclic}")
     if args.max_k is not None:
         # A graph with no semi-transitive orientation has no representing
-        # word, so the word search runs only after a positive verdict.
+        # word, so the word search runs only after a positive verdict, and
+        # needs no second decider call.
         payload["representationNumber"] = (
-            None if found is None else ori.bounded_representation_number(graph, args.max_k))
+            None if found is None
+            else ori._least_uniformity(graph, args.max_k, ask_decider=False))
     if args.max_walk is not None:
         walk = ori.find_noncomparability_witness(graph, args.max_walk)
         payload["oddWalk"] = list(walk) if walk else None

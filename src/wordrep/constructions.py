@@ -15,10 +15,11 @@ classes and the template); ``cobip_graph`` and ``word_cobip`` serve both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 from typing import ClassVar, Mapping
 
 from .graphs import (
+    BipartiteSpec,
     CoBipartitePartition,
     GeneralizedCrownParams,
     Graph,
@@ -193,11 +194,14 @@ class NeighborhoodProfile3(NeighborhoodProfile):
 
 
 def cobip_graph(profile: NeighborhoodProfile) -> tuple[Graph, CoBipartitePartition]:
-    """The co-bipartite graph of a profile: both cliques plus its cross edges."""
+    """The co-bipartite graph of a profile: both cliques plus its cross edges.
+
+    It is the complement of the bipartite graph joining each member to the
+    fixed-clique vertices outside its class.
+    """
     fixed, members = profile.FIXED, tuple(sorted(profile.adjacency))
-    edges = list(combinations(fixed, 2)) + list(combinations(members, 2))
-    edges += [(m, t) for m in members for t in sorted(profile.adjacency[m])]
-    return Graph.from_edges(fixed + members, edges), CoBipartitePartition(fixed, members)
+    cross = frozenset((t, m) for m in members for t in fixed if t not in profile.adjacency[m])
+    return cobipartite_from_bipartite(BipartiteSpec(fixed, members, cross))
 
 
 def word_cobip(profile: NeighborhoodProfile) -> Word:

@@ -25,6 +25,20 @@ class GraphError(ValueError):
     """Malformed graph data: bad labels, bad edges, or size over the cap."""
 
 
+def _checked_labels(vertices: Iterable[str]) -> tuple[str, ...]:
+    """The vertex labels as a tuple; raise on a bad label, a repeat or too many."""
+    verts = tuple(vertices)
+    for v in verts:
+        # such labels would not survive a round trip through the text format
+        if v.split() != [v] or "#" in v or ":" in v:
+            raise GraphError(f"bad vertex label {v!r}: empty, whitespace, '#' or ':'")
+    if len(set(verts)) != len(verts):
+        raise GraphError("duplicate vertex labels")
+    if len(verts) > MAX_VERTICES:
+        raise GraphError(f"too many vertices ({len(verts)} > {MAX_VERTICES})")
+    return verts
+
+
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -51,15 +65,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "Graph":
-        verts = tuple(vertices)
-        for v in verts:
-            # such labels would not survive a round trip through the text format
-            if v.split() != [v] or "#" in v or ":" in v:
-                raise GraphError(f"bad vertex label {v!r}: empty, whitespace, '#' or ':'")
-        if len(set(verts)) != len(verts):
-            raise GraphError("duplicate vertex labels")
-        if len(verts) > MAX_VERTICES:
-            raise GraphError(f"too many vertices ({len(verts)} > {MAX_VERTICES})")
+        verts = _checked_labels(vertices)
         index = {v: i for i, v in enumerate(verts)}
         adj = [0] * len(verts)
         for u, v in edges:
@@ -120,8 +126,11 @@ class Graph:
         )
 
     def without(self, label: str) -> "Graph":
-        self.index(label)
-        return self.induced(v for v in self.vertices if v != label)
+        """The graph minus one vertex; the others keep their order."""
+        i = self.index(label)
+        low = (1 << i) - 1
+        return Graph(self.vertices[:i] + self.vertices[i + 1:],
+                     tuple(m & low | m >> (i + 1) << i for j, m in enumerate(self.adj) if j != i))
 
     def is_clique(self, labels: Iterable[str]) -> bool:
         idx = [self.index(v) for v in labels]
@@ -267,29 +276,33 @@ def crown_removed_neighbors(params: GeneralizedCrownParams, i: int) -> set[str]:
 
 
 def generalized_crown(params: GeneralizedCrownParams) -> BipartiteSpec:
-    """Complete bipartite K_{n,n} with k+1 structured perfect matchings removed."""
-    n = params.n
+    """Complete bipartite K_{n,n} with k+1 structured perfect matchings removed.
+
+    i is matched away from (i+t)' for t = 0..k (``crown_removed_neighbors``),
+    so i~j' is an edge iff (j - i) mod n > k.
+    """
+    n, k = params.n, params.k
     part_x, part_y = _parts(n)
-    edges = set()
-    for i in range(1, n + 1):
-        removed = crown_removed_neighbors(params, i)
-        for j in range(1, n + 1):
-            if primed(j) not in removed:
-                edges.add((unprimed(i), primed(j)))
-    return BipartiteSpec(part_x, part_y, frozenset(edges))
+    edges = frozenset((x, y) for i, x in enumerate(part_x)
+                      for j, y in enumerate(part_y) if (j - i) % n > k)
+    return BipartiteSpec(part_x, part_y, edges)
 
 
 def cobipartite_from_bipartite(spec: BipartiteSpec) -> tuple[Graph, CoBipartitePartition]:
-    """Complement of a bipartite graph: both parts become cliques, cross edges flip."""
-    verts = spec.part_x + spec.part_y
-    edges: list[tuple[str, str]] = []
-    edges.extend(combinations(spec.part_x, 2))
-    edges.extend(combinations(spec.part_y, 2))
-    for x in spec.part_x:
-        for y in spec.part_y:
-            if (x, y) not in spec.cross_edges:
-                edges.append((x, y))
-    return Graph.from_edges(verts, edges), CoBipartitePartition(spec.part_x, spec.part_y)
+    """Complement of a bipartite graph: both parts become cliques, cross edges flip.
+
+    Every vertex starts adjacent to all others; the bipartite edges are then
+    removed, so no list of the clique edges is built.
+    """
+    verts = _checked_labels(spec.part_x + spec.part_y)
+    index = {v: i for i, v in enumerate(verts)}
+    full = (1 << len(verts)) - 1
+    adj = [full ^ 1 << i for i in range(len(verts))]
+    for x, y in spec.cross_edges:
+        i, j = index[x], index[y]
+        adj[i] &= ~(1 << j)
+        adj[j] &= ~(1 << i)
+    return Graph(verts, tuple(adj)), CoBipartitePartition(spec.part_x, spec.part_y)
 
 
 # The two non-word-representable co-bipartite graphs on 7 vertices (there

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import Graph, GraphError, _bits
-from .words import Word, _advance
+from .words import Word, _advance, _lanes
 
 DEFAULT_MAX_VERTICES = 10
 DEFAULT_MAX_UNIFORMITY = 3
@@ -607,19 +607,21 @@ def find_uniform_word(g: Graph, k: int) -> Optional[Word]:
         raise GraphError("multiplicity must be positive")
     adj = g.adj
     full = (1 << n) - 1
+    lanes = _lanes(n)
     nonadj = [full & ~adj[i] & ~(1 << i) for i in range(n)]
     word: list[int] = []
     remaining = [k] * n
 
-    def search(since: list[int], split: list[int]) -> bool:
+    def search(since: int, split: list[int]) -> bool:
         if len(word) == n * k:
             return True
         for i in range(n) if word else (0,):
-            if not remaining[i] or adj[i] & ~since[i]:
+            # adj[i] has n bits, so the lanes above i's need no mask
+            if not remaining[i] or adj[i] & ~(since >> i * n):
                 continue
             remaining[i] -= 1
             word.append(i)
-            since_i, split_i = _advance(since, split, i)
+            since_i, split_i = _advance(since, split, i, n, lanes)
             # Once i is used up, a pair with i that has not split ends its
             # restriction with i, so it needs two more copies of the other,
             # which split it: a complete word has split every such pair.
@@ -630,7 +632,7 @@ def find_uniform_word(g: Graph, k: int) -> Optional[Word]:
             word.pop()
         return False
 
-    if search([full] * n, [0] * n):
+    if search((1 << n * n) - 1, [0] * n):
         return Word(tuple(g.vertices[i] for i in word))
     return None
 
@@ -659,9 +661,16 @@ def bounded_representation_number(
     never get past it) the decider is asked before the longer searches.
     """
     _check_word_search(g, max_k)
+    return _least_uniformity(g, max_k, ask_decider=True)
+
+
+def _least_uniformity(g: Graph, max_k: int, ask_decider: bool) -> Optional[int]:
+    """``bounded_representation_number`` past its caps.  A caller that has
+    already found a semi-transitive orientation passes ``ask_decider=False``
+    and so skips the decider."""
     for k in range(1, max_k + 1):
         if find_uniform_word(g, k) is not None:
             return k
-        if k == 1 and max_k > 1 and find_semi_transitive_orientation(g) is None:
+        if k == 1 and max_k > 1 and ask_decider and find_semi_transitive_orientation(g) is None:
             return None
     return None

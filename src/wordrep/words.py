@@ -10,7 +10,10 @@ and cyclic rotation of uniform words).
 ``alternates`` is the literal pairwise definition.  Verification, the
 relation, the neighborhoods and the uniform-word search in
 ``orientations`` all use the one bitset step ``_advance`` instead, so one
-left-to-right pass over a word finds every non-alternating pair.
+left-to-right pass over a word finds every non-alternating pair.  Over n
+letters the step's state is one int of n lanes of n bits (lane j holds
+bits j*n .. j*n + n - 1, and bit i of lane j stands for letter i), so
+appending a letter costs a few big-int operations, not a list copy.
 """
 
 from __future__ import annotations
@@ -83,32 +86,41 @@ def alternates(w: Word, x: str, y: str) -> bool:
     return True
 
 
-def _advance(since: list[int], split: list[int], i: int) -> tuple[list[int], list[int]]:
-    """The alternation state after appending letter i; the inputs are not changed.
+def _lanes(n: int) -> int:
+    """Bit 0 of each of the n lanes of n bits: 1 + 2^n + 2^(2n) + ..."""
+    return ((1 << n * n) - 1) // ((1 << n) - 1) if n else 0
 
-    ``since[j]``: letters seen since j's last copy (all letters before its
-    first copy; j itself always).  ``split[j]``: letters that no longer
-    alternate with j.  Letters missing from ``since[i]`` split from i.
+
+def _advance(since: int, split: list[int], i: int, n: int,
+             lanes: int) -> tuple[int, list[int]]:
+    """The alternation state over n letters after appending letter i.
+
+    Lane j of ``since`` (``since >> j * n``, n bits; ``lanes`` is
+    ``_lanes(n)``) holds the letters seen since j's last copy: all letters
+    before its first copy, and j itself always.  ``split[j]`` holds the
+    letters that no longer alternate with j.  Letters missing from lane i
+    split from i.  ``split`` is copied, not changed, when it grows.
     """
-    bit = 1 << i
-    missing = ((1 << len(since)) - 1) & ~since[i] & ~split[i]
+    bit, full = 1 << i, (1 << n) - 1
+    lane = since >> i * n & full
+    missing = full & ~lane & ~split[i]
     if missing:
         split = list(split)
         split[i] |= missing
         for j in _bits(missing):
             split[j] |= bit
-    since = [s | bit for s in since]
-    since[i] = bit
-    return since, split
+    # i joins every lane; lane i then keeps only i
+    return (since | lanes << i) ^ (lane & ~bit) << i * n, split
 
 
 def _alternating(w: Word, letters: list[str]) -> list[int]:
     """For each of ``letters``, the bitset of the letters alternating with it in w."""
     index = {x: i for i, x in enumerate(letters)}
-    full = (1 << len(letters)) - 1
-    since, split = [full] * len(letters), [0] * len(letters)
+    n = len(letters)
+    lanes, full = _lanes(n), (1 << n) - 1
+    since, split = (1 << n * n) - 1, [0] * n
     for x in w.letters:
-        since, split = _advance(since, split, index[x])
+        since, split = _advance(since, split, index[x], n, lanes)
     return [full & ~mask & ~(1 << i) for i, mask in enumerate(split)]
 
 

@@ -197,6 +197,20 @@ class TestRepresentable:
         payload = json.loads(out)
         assert payload["representable"] is False and payload["representationNumber"] is None
 
+    def test_max_k_decides_a_positive_once(self, capsys, tmp_path, monkeypatch):
+        # C4 fails the 1-uniform search; the verdict has already found a
+        # semi-transitive orientation, so the decider is not asked again.
+        calls = []
+        decide = ori.find_semi_transitive_orientation
+        monkeypatch.setattr(ori, "find_semi_transitive_orientation",
+                            lambda *args: calls.append(args) or decide(*args))
+        c4 = Graph.from_edges("abcd", ["ab", "bc", "cd", "da"])
+        gpath = write_graph(tmp_path, "c4.graph", c4)
+        code, out, _ = run_cli(capsys, "representable", str(gpath), "--max-k", "3")
+        assert code == 0 and len(calls) == 1
+        payload = json.loads(out)
+        assert payload["representable"] is True and payload["representationNumber"] == 2
+
     def test_edgeless_12_vertices_is_quick(self, capsys, tmp_path):
         # One acyclic orientation, whatever the number of linear orders.
         gpath = tmp_path / "empty12.graph"

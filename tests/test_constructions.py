@@ -1,10 +1,11 @@
 """Family words: frozen small cases plus oracle verification."""
 
+import random
 from itertools import combinations, product
 
 import pytest
 
-from wordrep.graphs import GeneralizedCrownParams, GraphError
+from wordrep.graphs import CoBipartitePartition, GeneralizedCrownParams, Graph, GraphError
 from wordrep.words import Word, is_uniform, represents, restrict
 from wordrep.orientations import find_semi_transitive_orientation
 from wordrep.constructions import (
@@ -220,6 +221,74 @@ class AnyClass3(NeighborhoodProfile):
     """Fixed clique {1, 2, 3} with every class allowed, ∅ and 123 included."""
 
     FIXED = ("1", "2", "3")
+
+
+def layout(g):
+    """Vertex order and adjacency rows: ``Graph.__eq__`` ignores the order."""
+    return g.vertices, g.adj
+
+
+def literal_family_graph(n, cross, drop=()):
+    """Both cliques of the parts 1..n and 1'..n' plus every cross pair that
+    is not a bipartite edge, as an edge list; ``drop`` leaves vertices out."""
+    xs = [str(i) for i in range(1, n + 1)]
+    ys = [f"{i}'" for i in range(1, n + 1)]
+    edges = list(combinations(xs, 2)) + list(combinations(ys, 2))
+    edges += [(x, y) for x in xs for y in ys if (x, y) not in cross]
+    keep = [v for v in xs + ys if v not in drop]
+    return Graph.from_edges(keep, [e for e in edges if not set(e) & set(drop)])
+
+
+def literal_cobip_graph(profile):
+    """Both cliques plus each member's edges to its class, as an edge list."""
+    fixed, members = profile.FIXED, tuple(sorted(profile.adjacency))
+    edges = list(combinations(fixed, 2)) + list(combinations(members, 2))
+    edges += [(m, t) for m in members for t in sorted(profile.adjacency[m])]
+    return Graph.from_edges(fixed + members, edges)
+
+
+class TestGraphsAgainstEdgeLists:
+    def test_path_cycle_and_crown(self):
+        for n in range(1, 11):
+            path = {("1", "1'")} | {(str(i), f"{j}'") for i in range(2, n + 1)
+                                    for j in (i - 1, i)}
+            g, part = complement_path_graph(n)
+            assert layout(g) == layout(literal_family_graph(n, path)), n
+            g, odd = complement_path_graph(n, even=False)
+            assert layout(g) == layout(literal_family_graph(n, path, drop={f"{n}'"})), n
+            assert odd.clique_b == part.clique_b[:-1]
+            if n >= 2:
+                g, _ = complement_cycle_graph(n)
+                cycle = path | {("1", f"{n}'")}
+                assert layout(g) == layout(literal_family_graph(n, cycle)), n
+            for k in range(n):
+                # i misses i', (i+1)', ..., (i+k)', wrapping
+                crown = {(str(i), f"{j}'") for i in range(1, n + 1) for j in range(1, n + 1)
+                         if j not in {(i - 1 + t) % n + 1 for t in range(k + 1)}}
+                g, _ = complement_crown_graph(GeneralizedCrownParams(n, k))
+                assert layout(g) == layout(literal_family_graph(n, crown)), (n, k)
+
+    def test_fixed_clique_profiles(self):
+        profiles = [NeighborhoodProfile2({f"m{''.join(sorted(c)) or '0'}{t}": c
+                                          for c in chosen for t in "ab"})
+                    for r in range(5) for chosen in combinations(CLASSES2, r)]
+        assert len(profiles) == 16
+        rng = random.Random(83)
+        for _ in range(30):
+            members = [f"v{i}" for i in range(rng.randint(0, 61))]
+            rng.shuffle(members)
+            profiles.append(NeighborhoodProfile3({m: rng.choice(CLASSES3) for m in members}))
+        profiles.append(AnyClass3({"a": frozenset(), "b": frozenset({"1", "2", "3"})}))
+        for profile in profiles:
+            g, part = cobip_graph(profile)
+            assert layout(g) == layout(literal_cobip_graph(profile)), profile
+            assert part == CoBipartitePartition(profile.FIXED, tuple(sorted(profile.adjacency)))
+
+    def test_fixed_clique_label_errors(self):
+        with pytest.raises(GraphError, match="bad vertex label 'a b'"):
+            cobip_graph(NeighborhoodProfile2({"a b": frozenset()}))
+        with pytest.raises(GraphError, match=r"too many vertices \(66 > 64\)"):
+            cobip_graph(NeighborhoodProfile3({f"v{i}": frozenset({"1"}) for i in range(63)}))
 
 
 class TestClassSets:

@@ -186,6 +186,77 @@ class TestCobipartite:
         assert CoBipartitePartition(("b", "a"), ("c",)).validate(g) == ([1, 0], [2])
 
 
+def layout(g):
+    """Vertex order and adjacency rows: ``Graph.__eq__`` ignores the order."""
+    return g.vertices, g.adj
+
+
+def literal_complement(spec):
+    """The co-bipartite complement by its edge list: both cliques, then the
+    cross pairs that are not bipartite edges."""
+    edges = list(combinations(spec.part_x, 2)) + list(combinations(spec.part_y, 2))
+    edges += [(x, y) for x in spec.part_x for y in spec.part_y
+              if (x, y) not in spec.cross_edges]
+    return Graph.from_edges(spec.part_x + spec.part_y, edges)
+
+
+class TestBuildersAgainstEdgeLists:
+    def test_crown_edges_by_index(self):
+        for n in range(1, 11):
+            for k in range(n):
+                params = GeneralizedCrownParams(n, k)
+                literal = {(unprimed(i), primed(j))
+                           for i in range(1, n + 1) for j in range(1, n + 1)
+                           if primed(j) not in crown_removed_neighbors(params, i)}
+                assert generalized_crown(params).cross_edges == literal, (n, k)
+
+    def test_complement_from_masks(self):
+        rng = random.Random(29)
+        specs = [path_bipartite(n) for n in range(1, 11)]
+        specs += [cycle_bipartite(n) for n in range(2, 11)]
+        for _ in range(40):
+            labels = [f"v{i}" for i in range(rng.randint(0, 64))]
+            rng.shuffle(labels)
+            cut = rng.randint(0, len(labels))
+            xs, ys = tuple(labels[:cut]), tuple(labels[cut:])
+            p = rng.random()
+            specs.append(BipartiteSpec(xs, ys, frozenset(
+                (x, y) for x in xs for y in ys if rng.random() < p)))
+        for spec in specs:
+            g, part = cobipartite_from_bipartite(spec)
+            assert layout(g) == layout(literal_complement(spec)), spec
+            assert part == CoBipartitePartition(spec.part_x, spec.part_y)
+
+    def test_without_matches_induced(self):
+        rng = random.Random(61)
+        for n in (1, 2, 3, 5, 9, 17, 33, 50, 64):
+            labels = [f"v{i}" for i in range(n)]
+            rng.shuffle(labels)
+            p = rng.random()
+            g = Graph.from_edges(labels, [e for e in combinations(labels, 2)
+                                          if rng.random() < p])
+            for v in labels:
+                assert layout(g.without(v)) == layout(
+                    g.induced(u for u in labels if u != v)), (n, v)
+        with pytest.raises(GraphError, match="unknown vertex"):
+            g.without("nope")
+
+    def test_label_errors_are_unchanged(self):
+        many = [f"v{i}" for i in range(66)]
+        for bad in (["a b", "a b"] + many, ["#x"]):
+            with pytest.raises(GraphError, match="bad vertex label"):
+                Graph.from_edges(bad, [])
+        with pytest.raises(GraphError, match="bad vertex label 'a b'"):
+            cobipartite_from_bipartite(BipartiteSpec(("a b",), ("x",), frozenset()))
+        with pytest.raises(GraphError, match="duplicate vertex labels"):
+            Graph.from_edges(["a", "a"] + many, [])
+        with pytest.raises(GraphError, match=r"too many vertices \(66 > 64\)"):
+            Graph.from_edges(many, [])
+        with pytest.raises(GraphError, match=r"too many vertices \(66 > 64\)"):
+            cobipartite_from_bipartite(BipartiteSpec(tuple(many[:33]), tuple(many[33:]),
+                                                     frozenset()))
+
+
 class TestNamedWitnesses:
     def test_t1bar_shape(self):
         g, part = named_witness("T1bar")

@@ -171,6 +171,43 @@ class TestAgainstLiteralAlternation:
             failing += not report.ok
         assert 100 < failing < 400
 
+    def test_wide_alphabets(self):
+        # 33-64 letters: the alternation state is then 33-64 lanes of as
+        # many bits, up to 4096 bits.  Each word is one to three random
+        # permutations, some with letters dropped, so about half the pairs
+        # alternate.
+        rng = random.Random(1433)
+        for m in (33, 40, 47, 55, 63, 64):
+            alphabet = [f"x{i}" for i in range(m)]
+            rng.shuffle(alphabet)
+            letters = list(alphabet)
+            for _ in range(rng.randint(0, 2)):
+                perm = [x for x in alphabet if rng.random() < 0.9]
+                rng.shuffle(perm)
+                letters += perm
+            w = Word(tuple(letters))
+            literal = {frozenset((x, y)) for x, y in combinations(alphabet, 2)
+                       if alternates(w, x, y)}
+            assert alternation_relation(w) == literal, m
+            for x in rng.sample(alphabet, 3):
+                assert alternation_neighborhood(w, x) == {
+                    y for y in alphabet if frozenset((x, y)) in literal}, (m, x)
+            edges = [e for e in combinations(alphabet, 2)
+                     if (frozenset(e) in literal) != (rng.random() < 0.02)]
+            g = Graph.from_edges(alphabet, edges)
+            violations = tuple(
+                Violation(x, y, restriction=str(restrict(w, {x, y})),
+                          expected="alternate" if g.has_edge(x, y) else "non-alternate")
+                for x, y in combinations(g.vertices, 2)
+                if (frozenset((x, y)) in literal) != g.has_edge(x, y)
+            )
+            assert violations and len(literal) > m
+            assert represents(w, g) == VerifyReport(ok=False, violations=violations)
+            assert represents(w, Graph.from_edges(alphabet, literal)).ok
+
+    def test_empty_word_has_no_alternating_pairs(self):
+        assert alternation_relation(Word(())) == frozenset()
+
 
 class TestUniform:
     def test_examples(self):
