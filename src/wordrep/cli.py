@@ -4,15 +4,18 @@ Subcommands:
 
 * ``construct <family>`` builds a family word, re-verifies it against the
   family graph, and prints a JSON envelope (or the bare word with
-  ``--format text``).  Each family is a subcommand that declares exactly
-  the flags it reads, so argparse alone rejects any other.
+  ``--format text``).
 * ``verify`` checks a word file against a graph file.
 * ``representable`` decides word-representability by exhaustive
   orientation search.
 * ``characterize`` sweeps the acyclic orientations of a co-bipartite
   graph with both semi-transitivity oracles and reports disagreements.
-* ``catalog`` writes the named witnesses and parametric families as graph
-  files with a checksum manifest.
+* ``catalog [family]`` writes the named witnesses and parametric families
+  as graph files with a checksum manifest; with no family, all of them.
+
+Every command but ``construct --format text`` prints one JSON payload.
+The families of ``construct`` and ``catalog`` are subcommands that declare
+exactly the flags they read, so argparse alone rejects any other.
 
 Exit codes: 0 success or positive verdict, 1 legitimate negative verdict,
 2 usage, parse, or cap errors.  ``main`` returns every one of them, usage
@@ -40,12 +43,8 @@ EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
 
-def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+def _emit(payload: dict) -> None:
+    print(json.dumps(payload, indent=2))
 
 
 # --- construct -------------------------------------------------------------
@@ -82,13 +81,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
     verified = wd.represents(word, graph).ok
     if args.out is not None:
         args.out.write_text(wd.format_word_text(word))
-    payload = {
-        "family": args.family,
-        "params": params,
-        "word": str(word),
-        "verified": verified,
-    }
-    _emit(args, payload, [str(word), f"verified: {str(verified).lower()}"])
+    if args.format == "text":
+        print(word)
+        print(f"verified: {str(verified).lower()}")
+    else:
+        _emit({"family": args.family, "params": params,
+               "word": str(word), "verified": verified})
     return EXIT_OK if verified else EXIT_NEGATIVE
 
 
@@ -99,12 +97,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     graph, _ = gr.parse_graph_text(Path(args.graph).read_text())
     word = wd.parse_word_text(Path(args.word).read_text())
     report = wd.represents(word, graph)
-    lines = ["ok" if report.ok else "violations:"]
-    lines += [
-        f"  {v.x} {v.y}: restriction {v.restriction!r} expected to {v.expected}"
-        for v in report.violations
-    ]
-    _emit(args, report.to_json(), lines)
+    _emit(report.to_json())
     return EXIT_OK if report.ok else EXIT_NEGATIVE
 
 
@@ -119,17 +112,13 @@ def cmd_representable(args: argparse.Namespace) -> int:
         ori._check_word_search(graph, args.max_k)
     found = ori.find_semi_transitive_orientation(graph, args.max_vertices)
     payload: dict = {"representable": found is not None}
-    lines = [f"representable: {str(found is not None).lower()}"]
     if found is not None:
         payload["orientation"] = [f"{u} -> {v}" for u, v in found.arcs()]
-        lines += payload["orientation"]
     else:
-        acyclic = ori.count_acyclic_orientations(graph)
-        payload["witnessSummary"] = {"acyclicOrientations": acyclic, "semiTransitive": 0}
-        if acyclic is None:
-            lines.append(f"acyclic orientations: not counted above {ori.COUNT_MAX_VERTICES} vertices")
-        else:
-            lines.append(f"acyclic orientations checked: {acyclic}")
+        payload["witnessSummary"] = {
+            "acyclicOrientations": ori.count_acyclic_orientations(graph),
+            "semiTransitive": 0,
+        }
     if args.max_k is not None:
         # A graph with no semi-transitive orientation has no representing
         # word, so the word search runs only after a positive verdict, and
@@ -140,7 +129,7 @@ def cmd_representable(args: argparse.Namespace) -> int:
     if args.max_walk is not None:
         walk = ori.find_noncomparability_witness(graph, args.max_walk)
         payload["oddWalk"] = list(walk) if walk else None
-    _emit(args, payload, lines)
+    _emit(payload)
     return EXIT_OK if found is not None else EXIT_NEGATIVE
 
 
@@ -161,14 +150,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     )
     payload = result.to_json()
     payload["workers"] = args.workers
-    lines = [
-        f"orientations: {result.orientations}",
-        f"semi-transitive: {result.semi_transitive}",
-        f"disagreements: {len(result.disagreements)}",
-    ]
-    if result.sampled:
-        lines.append(f"sampled with seed {result.seed}")
-    _emit(args, payload, lines)
+    _emit(payload)
     return EXIT_OK if not result.disagreements else EXIT_NEGATIVE
 
 
@@ -191,10 +173,6 @@ def _parse_range(text: Optional[str], default: tuple[int, int]) -> range:
 
 def _catalog_entries(args: argparse.Namespace):
     family = args.family
-    if args.n is not None and family in (None, "t1bar", "t2bar"):
-        raise gr.GraphError("--n needs a --family other than t1bar or t2bar")
-    if args.k is not None and family not in (None, "crown"):
-        raise gr.GraphError("--k applies to the crown family only")
     if family in (None, "t1bar"):
         yield "t1bar", gr.named_witness("T1bar")
     if family in (None, "t2bar"):
@@ -237,11 +215,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     manifest.sort(key=lambda item: item["name"])
     manifest_text = json.dumps({"files": manifest}, indent=2) + "\n"
     (out_dir / "manifest.json").write_text(manifest_text)
-    _emit(
-        args,
-        {"outDir": str(out_dir), "files": manifest},
-        [f"wrote {len(manifest)} graphs to {out_dir}"],
-    )
+    _emit({"outDir": str(out_dir), "files": manifest})
     return EXIT_OK
 
 
@@ -268,17 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, handler) -> None:
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.set_defaults(handler=handler)
-
     p = sub.add_parser("construct", help="build and verify a family word")
+    p.set_defaults(handler=cmd_construct)
     families = p.add_subparsers(dest="family", required=True, metavar="family")
 
     def family(name: str, help: str) -> argparse.ArgumentParser:
         f = families.add_parser(name, help=help)
         f.add_argument("--out", type=Path, help="also write the word file here")
-        common(f, cmd_construct)
+        f.add_argument("--format", choices=("json", "text"), default="json")
         return f
 
     f = family("complement-path", "co-bipartite complement of a path")
@@ -296,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a word file against a graph file")
     p.add_argument("graph")
     p.add_argument("word")
-    common(p, cmd_verify)
+    p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("representable", help="exhaustive orientation search")
     p.add_argument("graph")
@@ -305,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also report the bounded representation number")
     p.add_argument("--max-walk", type=int,
                    help="also search for a chordless odd closed walk")
-    common(p, cmd_representable)
+    p.set_defaults(handler=cmd_representable)
 
     p = sub.add_parser("characterize",
                        help="dual-oracle sweep over acyclic orientations")
@@ -314,15 +285,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sample-threshold", type=_positive_int, default=200_000)
-    common(p, cmd_characterize)
+    p.set_defaults(handler=cmd_characterize)
 
     p = sub.add_parser("catalog", help="write family graph files plus manifest")
-    p.add_argument("--out", type=Path)
-    p.add_argument("--family", choices=(
-        "t1bar", "t2bar", "g1bar", "complement-path", "complement-cycle", "crown"))
-    p.add_argument("--n", help="range like 3 or 2..5")
-    p.add_argument("--k", help="range like 0 or 0..2 (crown only)")
-    common(p, cmd_catalog)
+    p.add_argument("--out", type=Path, metavar="DIR")
+    p.set_defaults(handler=cmd_catalog, n=None, k=None)
+    families = p.add_subparsers(dest="family", metavar="family",
+                                help="write this family only (default: every family)")
+    families.add_parser("t1bar", help="the 7-vertex witness T1bar")
+    families.add_parser("t2bar", help="the 7-vertex witness T2bar")
+    for name, help in (("g1bar", "crown complements plus a dominant vertex"),
+                       ("complement-path", "co-bipartite complements of paths"),
+                       ("complement-cycle", "co-bipartite complements of even cycles"),
+                       ("crown", "co-bipartite complements of generalized crowns")):
+        f = families.add_parser(name, help=help)
+        f.add_argument("--n", help="range like 3 or 2..5")
+    f.add_argument("--k", help="range like 0 or 0..2")  # crown, the last family
     return parser
 
 

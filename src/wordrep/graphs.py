@@ -25,20 +25,6 @@ class GraphError(ValueError):
     """Malformed graph data: bad labels, bad edges, or size over the cap."""
 
 
-def _checked_labels(vertices: Iterable[str]) -> tuple[str, ...]:
-    """The vertex labels as a tuple; raise on a bad label, a repeat or too many."""
-    verts = tuple(vertices)
-    for v in verts:
-        # such labels would not survive a round trip through the text format
-        if v.split() != [v] or "#" in v or ":" in v:
-            raise GraphError(f"bad vertex label {v!r}: empty, whitespace, '#' or ':'")
-    if len(set(verts)) != len(verts):
-        raise GraphError("duplicate vertex labels")
-    if len(verts) > MAX_VERTICES:
-        raise GraphError(f"too many vertices ({len(verts)} > {MAX_VERTICES})")
-    return verts
-
-
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -65,7 +51,15 @@ class Graph:
 
     @classmethod
     def from_edges(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "Graph":
-        verts = _checked_labels(vertices)
+        verts = tuple(vertices)
+        for v in verts:
+            # such labels would not survive a round trip through the text format
+            if v.split() != [v] or "#" in v or ":" in v:
+                raise GraphError(f"bad vertex label {v!r}: empty, whitespace, '#' or ':'")
+        if len(set(verts)) != len(verts):
+            raise GraphError("duplicate vertex labels")
+        if len(verts) > MAX_VERTICES:
+            raise GraphError(f"too many vertices ({len(verts)} > {MAX_VERTICES})")
         index = {v: i for i, v in enumerate(verts)}
         adj = [0] * len(verts)
         for u, v in edges:
@@ -175,7 +169,7 @@ class BipartiteSpec:
                 raise GraphError(f"cross edge ({x}, {y}) does not join X to Y")
 
     def graph(self) -> Graph:
-        return Graph.from_edges(self.part_x + self.part_y, sorted(self.cross_edges))
+        return Graph.from_edges(self.part_x + self.part_y, self.cross_edges)
 
 
 @dataclass(frozen=True)
@@ -289,20 +283,9 @@ def generalized_crown(params: GeneralizedCrownParams) -> BipartiteSpec:
 
 
 def cobipartite_from_bipartite(spec: BipartiteSpec) -> tuple[Graph, CoBipartitePartition]:
-    """Complement of a bipartite graph: both parts become cliques, cross edges flip.
-
-    Every vertex starts adjacent to all others; the bipartite edges are then
-    removed, so no list of the clique edges is built.
-    """
-    verts = _checked_labels(spec.part_x + spec.part_y)
-    index = {v: i for i, v in enumerate(verts)}
-    full = (1 << len(verts)) - 1
-    adj = [full ^ 1 << i for i in range(len(verts))]
-    for x, y in spec.cross_edges:
-        i, j = index[x], index[y]
-        adj[i] &= ~(1 << j)
-        adj[j] &= ~(1 << i)
-    return Graph(verts, tuple(adj)), CoBipartitePartition(spec.part_x, spec.part_y)
+    """Complement of a bipartite graph: both parts become cliques, cross edges
+    flip, and the parts are the partition."""
+    return spec.graph().complement(), CoBipartitePartition(spec.part_x, spec.part_y)
 
 
 # The two non-word-representable co-bipartite graphs on 7 vertices (there
@@ -337,13 +320,11 @@ def named_witness(name: str, n: Optional[int] = None) -> tuple[Graph, CoBipartit
     if name == "G1bar":
         if n is None or n < 3:
             raise GraphError("G1bar needs n >= 3")
-        crown = generalized_crown(GeneralizedCrownParams(n, 0)).graph()
-        with_isolated = Graph.from_edges(crown.vertices + ("v",), crown.edges())
-        part = CoBipartitePartition(
-            tuple(unprimed(i) for i in range(1, n + 1)) + ("v",),
-            tuple(primed(i) for i in range(1, n + 1)),
-        )
-        return with_isolated.complement(), part
+        crown = generalized_crown(GeneralizedCrownParams(n, 0))
+        with_isolated = Graph.from_edges(
+            crown.part_x + crown.part_y + ("v",), crown.cross_edges)
+        return with_isolated.complement(), CoBipartitePartition(
+            crown.part_x + ("v",), crown.part_y)
     raise GraphError(f"unknown witness {name!r}")
 
 

@@ -640,7 +640,8 @@ def find_uniform_word(g: Graph, k: int) -> Optional[Word]:
 def _check_word_search(g: Graph, max_k: int) -> None:
     """Raise unless ``bounded_representation_number(g, max_k)`` is within its
     caps: at most WORD_SEARCH_MAX_VERTICES vertices, 1 <= max_k <=
-    DEFAULT_MAX_UNIFORMITY."""
+    DEFAULT_MAX_UNIFORMITY, and at least one vertex, as ``find_uniform_word``
+    needs."""
     _check_cap(g, WORD_SEARCH_MAX_VERTICES)
     if max_k > DEFAULT_MAX_UNIFORMITY:
         raise CapExceededError(
@@ -648,6 +649,8 @@ def _check_word_search(g: Graph, max_k: int) -> None:
         )
     if max_k < 1:
         raise GraphError(f"multiplicity bound {max_k} must be at least 1")
+    if not g.vertices:
+        raise GraphError("need at least one vertex")
 
 
 def bounded_representation_number(

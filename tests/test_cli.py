@@ -2,12 +2,14 @@
 
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from wordrep import constructions, graphs
 from wordrep import orientations as ori
-from wordrep.cli import main
+from wordrep.cli import build_parser, main
 from wordrep.graphs import Graph, format_graph_text, named_witness
 from wordrep.constructions import complement_path_graph
 
@@ -211,6 +213,17 @@ class TestRepresentable:
         payload = json.loads(out)
         assert payload["representable"] is True and payload["representationNumber"] == 2
 
+    def test_max_k_on_an_empty_graph_exit_2_before_any_search(
+            self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ori, "find_semi_transitive_orientation",
+                            lambda *args: calls.append(args))
+        gpath = tmp_path / "empty.graph"
+        gpath.write_text("vertices:\n")
+        code, out, err = run_cli(capsys, "representable", str(gpath), "--max-k", "2")
+        assert code == 2 and out == "" and calls == []
+        assert err == "error: need at least one vertex\n"
+
     def test_edgeless_12_vertices_is_quick(self, capsys, tmp_path):
         # One acyclic orientation, whatever the number of linear orders.
         gpath = tmp_path / "empty12.graph"
@@ -335,51 +348,67 @@ class TestCatalog:
     def test_family_filter_with_range(self, capsys, tmp_path):
         out_dir = tmp_path / "crowns"
         code, _, _ = run_cli(
-            capsys, "catalog", "--out", str(out_dir), "--family", "crown",
-            "--n", "2..5")
+            capsys, "catalog", "--out", str(out_dir), "crown", "--n", "2..5")
         assert code == 0
         names = sorted(p.name for p in out_dir.iterdir() if p.suffix == ".graph")
         expected = sorted(
             f"crown-n{n}-k{k}.graph" for n in range(2, 6) for k in range(n))
         assert names == expected
 
-    @pytest.mark.parametrize("family", [[], ["--family", "t1bar"], ["--family", "t2bar"]])
+    @pytest.mark.parametrize("family", [[], ["t1bar"], ["t2bar"]])
     def test_n_without_a_sized_family_exit_2(self, capsys, tmp_path, family):
         out_dir = tmp_path / "cat"
         code, out, err = run_cli(
-            capsys, "catalog", "--out", str(out_dir), "--n", "3", *family)
-        assert code == 2 and out == "" and "--n" in err
+            capsys, "catalog", "--out", str(out_dir), *family, "--n", "3")
+        # With no family named, argparse takes the "3" for the family.
+        message = "unrecognized arguments: --n 3" if family else "invalid choice: '3'"
+        assert code == 2 and out == "" and message in err
         assert not out_dir.exists()
 
     def test_k_with_a_non_crown_family_exit_2(self, capsys, tmp_path):
         out_dir = tmp_path / "cat"
-        code, out, err = run_cli(
-            capsys, "catalog", "--out", str(out_dir), "--family", "g1bar", "--k", "1")
-        assert code == 2 and out == "" and "--k" in err
-        assert not out_dir.exists()
+        for family in ("t1bar", "t2bar", "g1bar", "complement-path", "complement-cycle"):
+            code, out, err = run_cli(
+                capsys, "catalog", "--out", str(out_dir), family, "--k", "1")
+            assert code == 2 and out == "" and "unrecognized arguments: --k 1" in err
+            assert not out_dir.exists()
+
+    @pytest.mark.parametrize("family, flags", [
+        ([], {"--out"}),
+        (["t1bar"], set()),
+        (["t2bar"], set()),
+        (["g1bar"], {"--n"}),
+        (["complement-path"], {"--n"}),
+        (["complement-cycle"], {"--n"}),
+        (["crown"], {"--n", "--k"}),
+    ])
+    def test_family_help_lists_its_flags(self, capsys, family, flags):
+        code, out, _ = run_cli(capsys, "catalog", *family, "-h")
+        assert code == 0
+        assert set(re.findall(r"--[a-z-]+", out)) == flags | {"--help"}
 
     @pytest.mark.parametrize("flag", [["--n", "x"], ["--k", "1..y"], ["--k", ""]])
     def test_non_integer_range_exit_2(self, capsys, tmp_path, flag):
         out_dir = tmp_path / "cat"
         code, out, err = run_cli(
-            capsys, "catalog", "--out", str(out_dir), "--family", "crown", *flag)
+            capsys, "catalog", "--out", str(out_dir), "crown", *flag)
         assert code == 2 and out == "" and "is not N or N..M" in err
         assert not out_dir.exists()
 
     def test_empty_selection_exit_2(self, capsys, tmp_path):
         out_dir = tmp_path / "cat"
         code, out, err = run_cli(
-            capsys, "catalog", "--out", str(out_dir), "--family", "crown", "--k", "7")
+            capsys, "catalog", "--out", str(out_dir), "crown", "--k", "7")
         assert code == 2 and out == "" and "no catalog graph" in err
         assert not out_dir.exists()
 
     def test_huge_k_range_is_clamped(self, capsys, tmp_path):
         with Budget("crown --k 0..10**12", 1):
             code, _, _ = run_cli(capsys, "catalog", "--out", str(tmp_path / "huge"),
-                                 "--family", "crown", "--n", "2", "--k", f"0..{10**12}")
+                                 "crown", "--n", "2", "--k", f"0..{10**12}")
         assert code == 0
         run_cli(capsys, "catalog", "--out", str(tmp_path / "small"),
-                "--family", "crown", "--n", "2", "--k", "0..1")
+                "crown", "--n", "2", "--k", "0..1")
         files = sorted(p.name for p in (tmp_path / "small").iterdir())
         assert sorted(p.name for p in (tmp_path / "huge").iterdir()) == files
         for name in files:
@@ -390,7 +419,7 @@ class TestCatalog:
         out_dir = tmp_path / "cat"
         with Budget("complement-path --n 1..10**12", 1):
             code, out, err = run_cli(capsys, "catalog", "--out", str(out_dir),
-                                     "--family", "complement-path", "--n", f"1..{10**12}")
+                                     "complement-path", "--n", f"1..{10**12}")
         assert code == 2 and out == "" and "too many vertices" in err
         assert not out_dir.exists()
 
@@ -407,9 +436,34 @@ class TestCatalog:
 
 class TestParser:
     def test_parser_is_built_once(self):
-        from wordrep.cli import build_parser
-
         assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "g.graph", "w.txt"], "unrecognized arguments: --format text"),
+        (["representable", "g.graph"], "unrecognized arguments: --format text"),
+        (["characterize", "g.graph"], "unrecognized arguments: --format text"),
+        (["catalog", "--out", "cat"], "invalid choice: 'text'"),
+        (["catalog", "--out", "cat", "crown"], "unrecognized arguments: --format text"),
+    ], ids=["verify", "representable", "characterize", "catalog", "catalog-crown"])
+    def test_format_is_only_a_construct_option(
+            self, capsys, tmp_path, monkeypatch, argv, message):
+        # Every other command prints its JSON payload and nothing else.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv, "--format", "text")
+        assert code == 2 and out == "" and message in err
+        assert not (tmp_path / "cat").exists()
+
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+        commands = [argv for argv in commands if argv]
+        assert len(commands) >= 8 and all(argv[0] == "wordrep" for argv in commands)
+        for argv in commands:
+            try:
+                build_parser().parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {shlex.join(argv)}")
 
     def test_usage_errors_leave_the_parser_reusable(self, capsys, tmp_path):
         g, part = named_witness("T1bar")
