@@ -36,7 +36,7 @@ from . import constructions as cons
 from . import graphs as gr
 from . import orientations as ori
 from . import words as wd
-from .cobipartite import sweep_orientations
+from .cobipartite import DEFAULT_SAMPLE_THRESHOLD, sweep_orientations
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -284,13 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vertices", type=int, default=ori.DEFAULT_MAX_VERTICES)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample-threshold", type=_positive_int, default=200_000)
+    p.add_argument("--sample-threshold", type=_positive_int, default=DEFAULT_SAMPLE_THRESHOLD)
     p.set_defaults(handler=cmd_characterize)
 
-    p = sub.add_parser("catalog", help="write family graph files plus manifest")
+    p = sub.add_parser("catalog", help="write family graph files plus manifest",
+                       usage="%(prog)s [-h] [--out DIR] [family ...]")
     p.add_argument("--out", type=Path, metavar="DIR")
     p.set_defaults(handler=cmd_catalog, n=None, k=None)
-    families = p.add_subparsers(dest="family", metavar="family",
+    families = p.add_subparsers(dest="family", metavar="family", prog=p.prog,
                                 help="write this family only (default: every family)")
     families.add_parser("t1bar", help="the 7-vertex witness T1bar")
     families.add_parser("t2bar", help="the 7-vertex witness T2bar")

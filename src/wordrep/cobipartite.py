@@ -62,6 +62,8 @@ from .orientations import (
     outsets_shortcut_free,
 )
 
+DEFAULT_SAMPLE_THRESHOLD = 200_000
+
 
 class NonTransitiveCliqueError(ValueError):
     """The orientation induces a cyclic tournament on a clique."""
@@ -558,7 +560,7 @@ def sweep_orientations(
     g: Graph,
     partition: CoBipartitePartition,
     workers: int = 1,
-    sample_threshold: int = 200_000,
+    sample_threshold: int = DEFAULT_SAMPLE_THRESHOLD,
     seed: int = 0,
 ) -> SweepResult:
     """Compare both oracles over the acyclic orientations of one graph.

@@ -38,8 +38,9 @@ tree.  A graph the decider rejects has no representing word, so the
 bounded multiplicity search asks the decider before multiplicity 2.
 
 Also here: transitive-orientation search (comparability), its odd-walk
-refutation witness, the dominant-vertex reduction, and a backtracking
-search for uniform representing words of bounded multiplicity.
+refutation witness (a shortest odd closed walk of the arc digraph), the
+dominant-vertex reduction, and a backtracking search for uniform
+representing words of bounded multiplicity.
 """
 
 from __future__ import annotations
@@ -292,7 +293,7 @@ def find_shortcut(o: Orientation) -> Optional[ShortcutWitness]:
 
 
 def is_semi_transitive(o: Orientation) -> bool:
-    return is_acyclic(o) and find_shortcut(o) is None
+    return is_acyclic(o) and ShortcutSearcher(o.graph).find(o.out) is None
 
 
 def outs_transitive(out: Sequence[int]) -> bool:
@@ -520,59 +521,56 @@ def is_comparability(g: Graph) -> Optional[Orientation]:
 # A graph is a comparability graph iff every odd closed walk (in the
 # generalized sense: consecutive pairs are edges and no ordered consecutive
 # pair repeats, wrap included) has a triangular chord.  A chordless odd
-# walk therefore certifies that no transitive orientation exists.
+# walk therefore certifies that no transitive orientation exists.  It is a
+# closed walk of the arc digraph: one node per ordered edge, and a step
+# (x, y) -> (y, z) when y ~ z and xz is not an edge.  One of least odd
+# length repeats no arc, or it would split into a shorter odd closed walk.
 
 
 def find_noncomparability_witness(g: Graph, max_len: int) -> Optional[tuple[str, ...]]:
-    """Shortest-first search for an odd closed walk with no triangular chord."""
+    """The label-least shortest chordless odd closed walk of at most
+    ``max_len`` steps, or None, in about (2|E|)^2 max_len bit steps.
+
+    Rotated to its least vertex s, a walk starts with an arc (s, t), s < t,
+    and one through the first such arc to close at the least odd k never
+    dips below s, or a lesser start would close.
+    """
     if max_len < 5 or max_len % 2 == 0:
         raise GraphError("walk length bound must be odd and at least 5")
-    n = len(g.vertices)
-    adj = g.adj
-    by_label = sorted(range(n), key=g.vertices.__getitem__)
-    rank = {i: r for r, i in enumerate(by_label)}
+    h = Graph.from_edges(sorted(g.vertices), g.edges())  # indices in label order
+    n, adj = len(h.vertices), h.adj
+    # Arc (x, y) is bit y * n + x, so pred[a], the arcs (w, x) with a step
+    # to a = (x, y), the reversal (y, x) included, is one shifted mask.
+    pred = [(adj[x] & ~adj[y]) << x * n for y in range(n) for x in range(n)]
 
-    def close_ok(walk: list[int], used: set[tuple[int, int]]) -> bool:
-        last, first = walk[-1], walk[0]
-        if not adj[last] >> first & 1:
-            return False
-        if (last, first) in used:
-            return False
-        # wrap chords (a_{k-1}, a_1) and (a_k, a_2)
-        if adj[walk[-2]] >> first & 1 or adj[last] >> walk[1] & 1:
-            return False
-        return True
+    def back_step(layer: int) -> int:
+        prev = 0
+        while layer:
+            low = layer & -layer
+            prev |= pred[low.bit_length() - 1]
+            layer ^= low
+        return prev
 
-    def extend(walk: list[int], used: set[tuple[int, int]], k: int,
-               min_rank: int) -> Optional[list[int]]:
-        if len(walk) == k:
-            return list(walk) if close_ok(walk, used) else None
-        cur = walk[-1]
-        for nxt in by_label:
-            if rank[nxt] < min_rank or not adj[cur] >> nxt & 1:
-                continue
-            pair = (cur, nxt)
-            if pair in used:
-                continue
-            if len(walk) >= 2 and adj[walk[-2]] >> nxt & 1:
-                continue  # triangular chord (a_{i-1}, a_{i+1})
-            used.add(pair)
-            walk.append(nxt)
-            found = extend(walk, used, k, min_rank)
-            walk.pop()
-            used.remove(pair)
-            if found:
-                return found
-        return None
+    def read_off(a: int, k: int) -> tuple[str, ...]:
+        layers = [1 << a]
+        for _ in range(k - 1):
+            layers.append(back_step(layers[-1]))
+        walk = [a]
+        for layer in reversed(layers[1:]):
+            walk.append(next(b for b in _bits(layer) if pred[b] >> walk[-1] & 1))
+        return tuple(h.vertices[b % n] for b in walk)
 
-    # A closed walk repeats no ordered pair, so it has at most 2|E| steps.
-    for k in range(5, min(max_len, 2 * g.edge_count) + 1, 2):
-        for start in by_label:
-            # Rotating a valid walk keeps it valid, so the start may be
-            # pinned to the walk's label-minimal vertex.
-            found = extend([start], set(), k, rank[start])
-            if found:
-                return tuple(g.vertices[i] for i in found)
+    # back[a]: the arcs exactly ``steps`` steps before start arc a, grown lazily.
+    back = {t * n + s: 1 << t * n + s for s in range(n) for t in _bits(adj[s]) if s < t}
+    steps = 0
+    for k in range(5, min(max_len, 2 * h.edge_count) + 1, 2):
+        for a, layer in back.items():
+            for _ in range(k - steps):
+                layer = back_step(layer)
+            back[a] = layer
+            if layer >> a & 1:
+                return read_off(a, k)
+        steps = k
     return None
 
 

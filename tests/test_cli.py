@@ -251,6 +251,17 @@ class TestRepresentable:
         assert code == 0
         assert json.loads(out)["oddWalk"] is None
 
+    def test_k55_walk_search_is_quick(self, capsys, tmp_path):
+        # Bipartite, so no odd closed walk: every length up to 2|E| = 50 is
+        # tried, in polynomial work.
+        left, right = [f"a{i}" for i in range(5)], [f"b{i}" for i in range(5)]
+        g = Graph.from_edges(left + right, [(a, b) for a in left for b in right])
+        gpath = write_graph(tmp_path, "k55.graph", g)
+        with Budget("K5,5 odd-walk search with bound 51", 1):
+            code, out, _ = run_cli(capsys, "representable", str(gpath), "--max-walk", "51")
+        assert code == 0
+        assert json.loads(out)["oddWalk"] is None
+
     def test_max_k_above_the_word_search_cap_exit_2(self, capsys, tmp_path):
         g, part = named_witness("T1bar")
         gpath = write_graph(tmp_path, "t1bar.graph", g, part)
@@ -386,6 +397,12 @@ class TestCatalog:
         code, out, _ = run_cli(capsys, "catalog", *family, "-h")
         assert code == 0
         assert set(re.findall(r"--[a-z-]+", out)) == flags | {"--help"}
+
+    def test_usage_marks_the_family_optional(self, capsys):
+        # A bare catalog writes every family.
+        code, out, _ = run_cli(capsys, "catalog", "-h")
+        assert code == 0
+        assert out.splitlines()[0] == "usage: wordrep catalog [-h] [--out DIR] [family ...]"
 
     @pytest.mark.parametrize("flag", [["--n", "x"], ["--k", "1..y"], ["--k", ""]])
     def test_non_integer_range_exit_2(self, capsys, tmp_path, flag):

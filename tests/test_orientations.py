@@ -475,6 +475,51 @@ class TestComparability:
                 assert is_semi_transitive(o)
 
 
+def literal_odd_walk(g, max_len):
+    """The backtracking definition: for k = 5, 7, ... up to min(max_len,
+    2|E|), each start vertex in label order, the first walk of k vertices
+    in label order, all of them at or after the start, with no repeated
+    ordered pair and no triangular chord, wrap included."""
+    adj = g.adj
+    by_label = sorted(range(len(g.vertices)), key=g.vertices.__getitem__)
+    rank = {i: r for r, i in enumerate(by_label)}
+
+    def close_ok(walk, used):
+        last, first = walk[-1], walk[0]
+        return (adj[last] >> first & 1 and (last, first) not in used
+                and not adj[walk[-2]] >> first & 1 and not adj[last] >> walk[1] & 1)
+
+    def extend(walk, used, k, min_rank):
+        if len(walk) == k:
+            return list(walk) if close_ok(walk, used) else None
+        cur = walk[-1]
+        for nxt in by_label:
+            if rank[nxt] < min_rank or not adj[cur] >> nxt & 1 or (cur, nxt) in used:
+                continue
+            if len(walk) >= 2 and adj[walk[-2]] >> nxt & 1:
+                continue
+            used.add((cur, nxt))
+            walk.append(nxt)
+            found = extend(walk, used, k, min_rank)
+            walk.pop()
+            used.remove((cur, nxt))
+            if found:
+                return found
+        return None
+
+    for k in range(5, min(max_len, 2 * g.edge_count) + 1, 2):
+        for start in by_label:
+            found = extend([start], set(), k, rank[start])
+            if found:
+                return tuple(g.vertices[i] for i in found)
+    return None
+
+
+def walk_bounds(g):
+    """The bounds 5, 7 and 2|E| + 1, the last one at least 5."""
+    return 5, 7, max(5, 2 * g.edge_count + 1)
+
+
 def validate_odd_walk(g, walk):
     """Independent validity check for a chordless odd closed walk."""
     k = len(walk)
@@ -523,6 +568,37 @@ class TestOddWalkWitness:
             if walk is not None:
                 validate_odd_walk(g, walk)
                 assert not comparability
+
+    def test_matches_the_backtracking_search_on_all_small_graphs(self):
+        # Every labelled graph on at most 5 vertices: 1,099 graphs.
+        for n in range(1, 6):
+            for g in labelled_graphs(n):
+                for bound in walk_bounds(g):
+                    walk = find_noncomparability_witness(g, bound)
+                    assert walk == literal_odd_walk(g, bound), (g.edges(), bound)
+                    if walk is not None:
+                        validate_odd_walk(g, walk)
+
+    def test_matches_the_backtracking_search_on_seeded_larger_graphs(self):
+        # Most small random graphs are comparability graphs, which the
+        # exhaustive test covers; these are the seeded ones that are not.
+        rng = random.Random(16)
+        for n, count in ((6, 30), (7, 15)):
+            while count:
+                g = random_graph(rng, [f"v{i}" for i in range(n)], rng.uniform(0.3, 0.7))
+                if is_comparability(g) is not None:
+                    continue
+                count -= 1
+                for bound in walk_bounds(g):
+                    walk = find_noncomparability_witness(g, bound)
+                    assert walk == literal_odd_walk(g, bound), (g.edges(), bound)
+
+    def test_labels_not_indices_order_the_walk(self):
+        # The vertex order is the reverse of the label order, so the walk
+        # must start from the last index.
+        g = Graph.from_edges(list("edcba"), [("a", "b"), ("b", "c"), ("c", "d"),
+                                             ("d", "e"), ("a", "e")])
+        assert find_noncomparability_witness(g, 5) == ("a", "b", "c", "d", "e")
 
     def test_rejects_bad_bounds(self):
         g = complete_graph(["a", "b"])
