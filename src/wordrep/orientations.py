@@ -28,7 +28,8 @@ prefix leaves the accepted state untouched.  The same preorder lets one
 unpruned walk flag every orientation as shortcut-free or not, which is how
 the co-bipartite sweep gets its path verdicts.  A pruned
 search cannot count, so the orientation count of a negative verdict comes
-from a subset recurrence instead.
+from Stanley's chromatic-polynomial identity over independent-set
+partitions instead.
 
 Reversing every arc keeps an orientation semi-transitive, or transitive,
 so both deciders keep only the half in which the first edge the
@@ -36,6 +37,14 @@ enumerator decides points forward; the first hit lies in that half, since
 its reverse would otherwise precede it, and a negative walks half the
 tree.  A graph the decider rejects has no representing word, so the
 bounded multiplicity search asks the decider before multiplicity 2.
+
+Most negatives never reach the search.  Every neighbourhood of a
+word-representable graph is a comparability graph (Kitaev-Pyatkin 2008),
+and comparability is decided in polynomial time by Golumbic's implication
+classes: a class holding an arc and its reverse refutes it.  So the
+semi-transitive decider first tests the neighbourhoods that could fail,
+and the comparability decider the whole graph; a positive still comes
+from the search, as its first hit.
 
 Also here: transitive-orientation search (comparability), its odd-walk
 refutation witness (a shortest odd closed walk of the arc digraph), the
@@ -46,6 +55,7 @@ representing words of bounded multiplicity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import Graph, GraphError, _bits
@@ -54,8 +64,10 @@ from .words import Word, _advance, _lanes
 DEFAULT_MAX_VERTICES = 10
 DEFAULT_MAX_UNIFORMITY = 3
 WORD_SEARCH_MAX_VERTICES = 6
-# count_acyclic_orientations takes 3^n steps and two lists of 2^n ints:
-# about 0.7 s at 14 vertices and 5 s at 16 (2-core machine, Python 3.11).
+# count_acyclic_orientations takes at most 3^n / 2 terms and a memo of up
+# to 2^n polynomials of 32-bit lanes, which hold Bell(n) only up to n = 15:
+# about 0.3 s for 14 edgeless vertices, far less on denser graphs (2-core
+# machine, Python 3.11).
 COUNT_MAX_VERTICES = 14
 
 
@@ -103,9 +115,15 @@ class Orientation:
 
     def arcs(self) -> list[tuple[str, str]]:
         """Directed edges in the canonical edge order of the graph."""
+        labels = self.graph.vertices
         result = []
-        for u, v in self.graph.edges():
-            result.append((u, v) if self.has_arc(u, v) else (v, u))
+        for i, mask in enumerate(self.graph.adj):
+            later, out_i = mask >> i + 1 << i + 1, self.out[i]
+            while later:
+                low = later & -later
+                j = low.bit_length() - 1
+                result.append((labels[i], labels[j]) if out_i & low else (labels[j], labels[i]))
+                later ^= low
         return result
 
     def serialize(self) -> str:
@@ -246,10 +264,10 @@ class ShortcutSearcher:
         reach, far = reach + [r], far + [f]
         inward = self.graph.adj[k] & ((1 << k) - 1) & ~out[k]
         if inward:
-            ancestors = [u for u in range(k) if reach[u] & inward]
+            ancestors = [(reach[u].bit_count(), u) for u in range(k) if reach[u] & inward]
             if len(ancestors) > 1:
-                ancestors.sort(key=lambda u: reach[u].bit_count())
-            for u in ancestors:
+                ancestors.sort()  # popcount ties fall in index order
+            for _, u in ancestors:
                 reach[u], far[u] = _reach_far(u, out[u], nonadj[u], reach, far)
                 if out[u] & far[u]:
                     return False
@@ -357,7 +375,7 @@ def acyclic_outsets(
         back = adj[k] & (kbit - 1)
         choices = [0]
         decided = 0
-        for b in sorted(_bits(back), key=lambda b: reach[b].bit_count()):
+        for _, b in sorted([(reach[b].bit_count(), b) for b in _bits(back)]):
             bit = 1 << b
             below = reach[b] & decided
             nxt = []
@@ -418,31 +436,86 @@ def count_acyclic_orientations(g: Graph) -> Optional[int]:
     """The number of acyclic orientations, counted without enumerating them,
     or None when ``g`` has more than COUNT_MAX_VERTICES vertices.
 
-    An acyclic orientation of a non-empty vertex set S has a non-empty
-    independent set of sources, so inclusion-exclusion over that set gives
-    a(S) = sum of (-1)^(|I|+1) a(S - I) over non-empty independent I within
-    S (Stanley 1973).  Vertex sets are bitsets, evaluated in increasing
-    order: at most 3^n steps.
+    Stanley (1973): a(G) = (-1)^n chi(-1), so with p_j the number of
+    partitions of the vertices into j independent sets, a(G) = sum of
+    (-1)^(n-j) j! p_j.  The partition polynomial of a vertex set S sums,
+    over the independent sets I holding the lowest vertex of S, x times
+    that of S - I; it is memoised on the vertex sets reached and kept as
+    one int of 32-bit lanes, lane j holding p_j (at most Bell(14) < 2^28).
+    At most 3^n / 2 terms, the edgeless graph's count.
     """
     adj = g.adj
-    if len(adj) > COUNT_MAX_VERTICES:
+    n = len(adj)
+    if n > COUNT_MAX_VERTICES:
         return None
-    size = 1 << len(adj)
-    # sign[I] = (-1)^(|I|+1) for an independent set I, 0 otherwise.
-    sign = [-1] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        rest = mask ^ low
-        sign[mask] = 0 if adj[low.bit_length() - 1] & rest else -sign[rest]
-    count = [1] * size
-    for s in range(1, size):
-        total = 0
-        sub = s
-        while sub:
-            total += sign[sub] * count[s ^ sub]
-            sub = (sub - 1) & s
-        count[s] = total
-    return count[-1]
+    memo = {0: 1}
+
+    def partitions(s: int) -> int:
+        poly = memo.get(s)
+        if poly is not None:
+            return poly
+        low = s & -s
+        rest = s ^ low
+        poly = 0
+        # (left, free): the set left once the independent set chosen so far
+        # is removed, and the vertices above its last member it may still take
+        stack = [(rest, rest & ~adj[low.bit_length() - 1])]
+        while stack:
+            left, free = stack.pop()
+            while free:
+                b = free & -free
+                free ^= b
+                stack.append((left ^ b, free & ~adj[b.bit_length() - 1]))
+            poly += partitions(left)
+        memo[s] = poly = poly << 32
+        return poly
+
+    poly = partitions((1 << n) - 1)
+    return sum((-1) ** (n - j) * factorial(j) * (poly >> 32 * j & 0xFFFFFFFF)
+               for j in range(n + 1))
+
+
+def _forces_a_reversal(adj: Sequence[int], within: int) -> bool:
+    """Whether G[within] is not a comparability graph (Golumbic, Algorithmic
+    Graph Theory and Perfect Graphs, ch. 5): some implication class holds an
+    arc and its reverse.
+
+    A path b-a-c with bc missing (ab Gamma ac) forces a->b exactly when
+    a->c.  A union-find over the edges, each a two-bit mask, keeps for every
+    non-root edge its parent and whether exactly one of the two points from
+    its lower to its higher end; each such path ties two edges, and the
+    first tie that contradicts the others is a conflict.  About sum of
+    deg^2 steps.
+    """
+    up: dict[int, tuple[int, bool]] = {}
+    todo = within
+    while todo:
+        a = todo & -todo
+        todo ^= a
+        bs = adj[a.bit_length() - 1] & within
+        while bs:
+            b = bs & -bs
+            bs ^= b
+            cs = bs & ~adj[b.bit_length() - 1]
+            if not cs:
+                continue
+            # a->b is parity pb at the root of edge ab; a->c must match it.
+            rb, pb = a | b, a < b
+            while rb in up:
+                rb, flip = up[rb]
+                pb ^= flip
+            while cs:
+                c = cs & -cs
+                cs ^= c
+                rc, pc = a | c, a < c
+                while rc in up:
+                    rc, flip = up[rc]
+                    pc ^= flip
+                if rc != rb:
+                    up[rc] = rb, pc ^ pb
+                elif pc != pb:
+                    return True
+    return False
 
 
 def _check_cap(g: Graph, max_vertices: int) -> None:
@@ -486,18 +559,69 @@ def _one_mirror_half(g: Graph, prefix_ok: Callable[[list[int]], bool]
     return kept
 
 
+def _first_pruned_hit(g: Graph, prefix_ok: Callable[[list[int]], bool]
+                      ) -> Optional[Orientation]:
+    """The unpruned scan's first orientation with the hereditary,
+    reversal-closed property ``prefix_ok`` checks, found over one mirror
+    half (``_one_mirror_half``), or None."""
+    out = next(acyclic_outsets(g, _one_mirror_half(g, prefix_ok)), None)
+    return None if out is None else Orientation(g, out)
+
+
+def _non_comparability_neighbourhood(adj: Sequence[int]) -> bool:
+    """Whether some vertex's neighbourhood is not a comparability graph, which
+    rules out a semi-transitive orientation (Kitaev-Pyatkin 2008: G[N[v]] is
+    then representable with v dominant).
+
+    Only a vertex with at least 5 neighbours can fail (every graph on at most
+    4 vertices is a comparability graph), and only one whose closed
+    neighbourhood lies inside no other's, the lowest of closed twins kept:
+    with N[v] inside N[u], G[N(v)] is induced in the cone G[N[u]], which is
+    a comparability graph when G[N(u)] is.
+    """
+    big = 0
+    for v, mask in enumerate(adj):
+        if mask.bit_count() >= 5:
+            big |= 1 << v
+    # A closed neighbourhood holding that of a big vertex is big itself.
+    covered = 0
+    todo = big
+    while todo:
+        v = todo & -todo
+        todo ^= v
+        closed_v = adj[v.bit_length() - 1] | v
+        later = closed_v & todo
+        while later:
+            u = later & -later
+            later ^= u
+            closed_u = adj[u.bit_length() - 1] | u
+            if not closed_u & ~closed_v:
+                covered |= u
+            elif not closed_v & ~closed_u:
+                covered |= v
+    todo = big & ~covered
+    while todo:
+        v = todo & -todo
+        todo ^= v
+        if _forces_a_reversal(adj, adj[v.bit_length() - 1]):
+            return True
+    return False
+
+
 def find_semi_transitive_orientation(
     g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> Optional[Orientation]:
     """Exhaustive search; None means no semi-transitive orientation exists.
 
-    Pruned by the incremental shortcut check over one mirror half
-    (``_one_mirror_half``); it returns the unpruned scan's first hit.
+    A neighbourhood that is not a comparability graph refutes at once
+    (``_non_comparability_neighbourhood``); otherwise the search is pruned
+    by the incremental shortcut check over one mirror half and returns the
+    unpruned scan's first hit.
     """
     _check_cap(g, max_vertices)
-    keep = _one_mirror_half(g, ShortcutSearcher(g).prefix_free)
-    out = next(acyclic_outsets(g, keep), None)
-    return None if out is None else Orientation(g, out)
+    if _non_comparability_neighbourhood(g.adj):
+        return None
+    return _first_pruned_hit(g, ShortcutSearcher(g).prefix_free)
 
 
 def is_word_representable(g: Graph) -> bool:
@@ -508,12 +632,15 @@ def is_word_representable(g: Graph) -> bool:
 def is_comparability(g: Graph) -> Optional[Orientation]:
     """A transitive orientation if one exists (comparability graph), else None.
 
-    Pruned by transitivity over one mirror half (``_one_mirror_half``); it
-    returns the unpruned scan's first hit.
+    Implication classes refute a non-comparability graph at once
+    (``_forces_a_reversal``); otherwise the search is pruned by
+    transitivity over one mirror half and returns the unpruned scan's first
+    hit.
     """
     _check_cap(g, DEFAULT_MAX_VERTICES)
-    out = next(acyclic_outsets(g, _one_mirror_half(g, outs_transitive)), None)
-    return None if out is None else Orientation(g, out)
+    if _forces_a_reversal(g.adj, (1 << len(g.adj)) - 1):
+        return None
+    return _first_pruned_hit(g, outs_transitive)
 
 
 # --- odd closed walks without triangular chords ----------------------------

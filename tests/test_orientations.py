@@ -14,6 +14,8 @@ from wordrep.orientations import (
     Orientation,
     OrientationError,
     ShortcutSearcher,
+    _first_pruned_hit,
+    _forces_a_reversal,
     _one_mirror_half,
     acyclic_outsets,
     bounded_representation_number,
@@ -106,6 +108,38 @@ def reversed_outs(out):
     """The out-bitsets with every arc reversed."""
     return tuple(sum((mask >> i & 1) << j for j, mask in enumerate(out))
                  for i in range(len(out)))
+
+
+def subset_recurrence_count(g):
+    """The literal acyclic-orientation count: an acyclic orientation of a
+    non-empty vertex set S has a non-empty independent set of sources, so
+    inclusion-exclusion gives a(S) = sum of (-1)^(|I|+1) a(S - I) over the
+    non-empty independent I within S (Stanley 1973), 3^n steps."""
+    adj = g.adj
+    size = 1 << len(adj)
+    # sign[I] = (-1)^(|I|+1) for an independent set I, 0 otherwise.
+    sign = [-1] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        rest = mask ^ low
+        sign[mask] = 0 if adj[low.bit_length() - 1] & rest else -sign[rest]
+    count = [1] * size
+    for s in range(1, size):
+        total = 0
+        sub = s
+        while sub:
+            total += sign[sub] * count[s ^ sub]
+            sub = (sub - 1) & s
+        count[s] = total
+    return count[-1]
+
+
+def with_one_more_vertex(g):
+    """g plus a vertex "x" joined to each set of g's vertices in turn."""
+    n = len(g.vertices)
+    for bits in range(1 << n):
+        extra = [("x", v) for i, v in enumerate(g.vertices) if bits >> i & 1]
+        yield Graph.from_edges(g.vertices + ("x",), g.edges() + extra)
 
 
 class TestAcyclicity:
@@ -289,6 +323,15 @@ class TestEnumeration:
             assert count_acyclic_orientations(g) == sum(1 for _ in acyclic_outsets(g)), g.adj
         assert count_acyclic_orientations(Graph.from_edges([], [])) == 1
 
+    def test_partition_count_matches_the_subset_recurrence(self):
+        # The count sums signed independent-set partitions; the subset
+        # recurrence it replaced stays its oracle.
+        rng = random.Random(18)
+        seeded = (random_graph(rng, [f"v{i}" for i in range(n)], p)
+                  for n in range(6, 11) for p in (0.0, 0.2, 0.5, 0.8, 1.0) for _ in range(4))
+        for g in chain((g for n in range(6) for g in labelled_graphs(n)), seeded):
+            assert count_acyclic_orientations(g) == subset_recurrence_count(g), g.adj
+
     def test_empty_and_single_vertex_graphs_have_one_orientation(self):
         for g in (Graph.from_edges([], []), Graph.from_edges(["a"], [])):
             n = len(g.vertices)
@@ -344,7 +387,8 @@ class TestPrunedSearch:
     def test_decider_work_counts(self, monkeypatch):
         # The searches are deterministic, so their work counts are exact
         # regression values.  Each is about half the count of a walk over
-        # both mirror halves.
+        # both mirror halves.  The public deciders run the pruned core only
+        # when no implication-class conflict refutes first.
         calls = []
         prefix_free = ShortcutSearcher.prefix_free
         transitive = orientations.outs_transitive
@@ -352,17 +396,59 @@ class TestPrunedSearch:
                             lambda self, out: calls.append(1) or prefix_free(self, out))
         monkeypatch.setattr(orientations, "outs_transitive",
                             lambda out: calls.append(1) or transitive(out))
-        negatives = [(named_witness(name, n)[0], count) for name, n, count in (
-            ("T1bar", None, 206), ("T2bar", None, 181), ("G1bar", 3, 210))]
-        for g, count in negatives + [(wheel5(), 65)]:
+
+        def checks(decide, g):
             calls.clear()
-            assert find_semi_transitive_orientation(g) is None
-            assert len(calls) == count, g.vertices
-        for params, count in ((GeneralizedCrownParams(3, 0), 25),
-                              (GeneralizedCrownParams(4, 0), 77)):
-            calls.clear()
-            assert is_comparability(complement_crown_graph(params)[0]) is None
-            assert len(calls) == count, params
+            assert decide(g) is None
+            return len(calls)
+
+        def semi_core(g):
+            return _first_pruned_hit(g, ShortcutSearcher(g).prefix_free)
+
+        def transitive_core(g):
+            return _first_pruned_hit(g, orientations.outs_transitive)
+
+        t1bar, t2bar, g1bar3 = (named_witness(name, n)[0]
+                                for name, n in (("T1bar", None), ("T2bar", None), ("G1bar", 3)))
+        for g, core, public in ((t1bar, 206, 0), (t2bar, 181, 181), (g1bar3, 210, 0),
+                                (wheel5(), 65, 0)):
+            assert checks(semi_core, g) == core, g.vertices
+            assert checks(find_semi_transitive_orientation, g) == public, g.vertices
+        for params, core in ((GeneralizedCrownParams(3, 0), 25),
+                             (GeneralizedCrownParams(4, 0), 77)):
+            g = complement_crown_graph(params)[0]
+            assert checks(transitive_core, g) == core, params
+            assert checks(is_comparability, g) == 0, params
+
+    def test_public_deciders_match_the_pruned_core(self):
+        # A neighbourhood refutation (the semi-transitive decider) or an
+        # implication-class conflict (comparability) only ever answers None
+        # where the pruned core does, and a positive is the core's first hit.
+        rng = random.Random(18)
+        seeded = (random_graph(rng, [f"v{i}" for i in range(n)])
+                  for n in (6, 7) for _ in range(150))
+        extended = (h for name in ("T1bar", "T2bar")
+                    for h in with_one_more_vertex(named_witness(name)[0]))
+        for g in chain((g for n in range(1, 6) for g in labelled_graphs(n)), seeded,
+                       extended, with_one_more_vertex(wheel5())):
+            core = _first_pruned_hit(g, ShortcutSearcher(g).prefix_free)
+            found = find_semi_transitive_orientation(g)
+            assert (found and found.out) == (core and core.out), g.adj
+            core = _first_pruned_hit(g, outs_transitive)
+            found = is_comparability(g)
+            assert (found and found.out) == (core and core.out), g.adj
+
+    def test_implication_classes_decide_comparability(self):
+        # A conflict in the implication classes exactly when the pruned
+        # transitivity scan finds nothing, on the whole graph and inside a
+        # vertex mask.
+        for n in range(1, 6):
+            for g in labelled_graphs(n):
+                full = (1 << n) - 1
+                scan = next(acyclic_outsets(g, outs_transitive), None)
+                assert _forces_a_reversal(g.adj, full) == (scan is None), g.adj
+                inner = g.without(g.vertices[0]).adj
+                assert _forces_a_reversal(g.adj, full - 1) == _forces_a_reversal(inner, full >> 1)
 
     def test_pruned_stream_is_the_filtered_stream(self):
         # A hereditary predicate drops only branches with no accepted
