@@ -107,9 +107,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_representable(args: argparse.Namespace) -> int:
     graph, _ = gr.parse_graph_text(Path(args.graph).read_text())
     ori._check_cap(graph, args.max_vertices)
-    # The word search has the smaller caps; check them before searching.
-    if args.max_k is not None:
-        ori._check_word_search(graph, args.max_k)
+    # The word search has the smaller caps, so its errors come before the
+    # decider runs; it refutes a negative without asking the decider.
+    number = (None if args.max_k is None
+              else ori.bounded_representation_number(graph, args.max_k))
     found = ori.find_semi_transitive_orientation(graph, args.max_vertices)
     payload: dict = {"representable": found is not None}
     if found is not None:
@@ -120,12 +121,7 @@ def cmd_representable(args: argparse.Namespace) -> int:
             "semiTransitive": 0,
         }
     if args.max_k is not None:
-        # A graph with no semi-transitive orientation has no representing
-        # word, so the word search runs only after a positive verdict, and
-        # needs no second decider call.
-        payload["representationNumber"] = (
-            None if found is None
-            else ori._least_uniformity(graph, args.max_k, ask_decider=False))
+        payload["representationNumber"] = number
     if args.max_walk is not None:
         walk = ori.find_noncomparability_witness(graph, args.max_walk)
         payload["oddWalk"] = list(walk) if walk else None

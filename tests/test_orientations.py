@@ -708,16 +708,31 @@ class TestDominantVertexRoute:
         with pytest.raises(OrientationError):
             representable_via_dominant(g, "1")
 
+    def test_past_the_search_cap(self):
+        # 13 vertices: the implication classes decide with no search.
+        g, _ = named_witness("G1bar", 6)
+        assert not representable_via_dominant(g, "v")
+        co_path, _ = complement_path_graph(6)
+        cone = Graph.from_edges(co_path.vertices + ("z",),
+                                co_path.edges() + [("z", v) for v in co_path.vertices])
+        assert len(cone.vertices) == 13
+        assert representable_via_dominant(cone, "z")
+
     def test_agrees_with_exhaustive_search(self):
-        # random graphs with a forced dominant vertex, both deciders
+        # every labelled graph on at most 5 vertices, then random graphs,
+        # each with a dominant vertex x added; both deciders
+        def cone(g):
+            return Graph.from_edges(g.vertices + ("x",),
+                                    g.edges() + [("x", v) for v in g.vertices])
+
         rng = random.Random(13)
+        randoms = []
         for _ in range(200):
-            n = rng.randint(4, 7)
-            labels = [f"v{i}" for i in range(n - 1)]
-            edges = [e for e in combinations(labels, 2) if rng.random() < 0.5]
-            edges += [("x", v) for v in labels]
-            g = Graph.from_edges(labels + ["x"], edges)
-            assert representable_via_dominant(g, "x") == is_word_representable(g)
+            labels = [f"v{i}" for i in range(rng.randint(3, 6))]
+            randoms.append(random_graph(rng, labels))
+        for g in chain(*map(labelled_graphs, range(6)), randoms):
+            g = cone(g)
+            assert representable_via_dominant(g, "x") == is_word_representable(g), g.adj
 
 
 def first_uniform_word(g, k):
@@ -778,11 +793,16 @@ class TestUniformWordSearch:
                     cases += 1
         assert cases == 161
 
-    def test_decider_precheck_keeps_the_literal_answer(self):
-        # After k = 1 fails, bounded_representation_number asks the decider
-        # and skips the longer searches on a negative; the literal loop over
-        # find_uniform_word stays its oracle.  Up to isomorphism, W5 is the
-        # one graph on at most 6 vertices with no representing word.
+    def test_decider_precheck_keeps_the_literal_answer(self, monkeypatch):
+        # After k = 1 fails, bounded_representation_number scans the
+        # neighbourhoods, never asking the decider, and skips the longer
+        # searches on a negative; the literal loop over find_uniform_word
+        # stays its oracle.  Up to isomorphism, W5 is the one graph on at
+        # most 6 vertices with no representing word.
+        calls = []
+        monkeypatch.setattr(orientations, "find_semi_transitive_orientation",
+                            lambda *args: calls.append(args))
+
         def literal(g):
             return next((k for k in (1, 2, 3) if find_uniform_word(g, k) is not None), None)
 
@@ -794,6 +814,7 @@ class TestUniformWordSearch:
         sixes = [random_graph(rng, [f"v{i}" for i in range(6)]) for _ in range(300)]
         for g in chain(copies, sixes):
             assert bounded_representation_number(g, 3) == literal(g), g.adj
+        assert calls == []
 
     def test_rejects_a_non_positive_multiplicity_bound(self):
         for max_k in (0, -1):
