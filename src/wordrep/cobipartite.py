@@ -37,6 +37,18 @@ result on the graph per partition, so the public functions validate a
 (graph, partition) pair on its first call only; the dual-oracle sweep
 fetches that result once and calls the core directly.
 
+Three of the stages fail hereditarily: once they fail on the orientation
+of a vertex subset, they fail on every orientation that induces it.  A
+cyclic clique stays cyclic.  A valid typing restricts to a valid typing of
+any vertex subset: a run stays a run, the prefix from the source stays a
+prefix and the suffix to the sink stays a suffix, and a type C vertex
+whose in- or out-side empties becomes type A or B; so an Invalid vertex
+stays Invalid.  A lemma 4.2 violation reads only the arcs among its four
+vertices, which every completion keeps.  Lemmas 4.1 and 4.3 read the
+types, which can change from C to A or B as vertices join, so they are
+not hereditary in this sense.  The sweep below prunes on the three
+hereditary stages (``_prefix_may_pass``).
+
 An empirical note from those sweeps: of the 145,152 acyclic orientations
 of the 512 graphs made of two 3-cliques, 22,536 pass, 97,056 first fail
 typing and 25,560 first fail lemma 4.2.  Lemma 4.1 cannot fail first on
@@ -56,8 +68,11 @@ from typing import Iterator, Optional
 
 from .graphs import CoBipartitePartition, Graph, GraphError, _bits
 from .orientations import (
+    COUNT_MAX_VERTICES,
+    CapExceededError,
     Orientation,
     ShortcutSearcher,
+    count_acyclic_orientations,
     outs_from_order,
     outsets_shortcut_free,
 )
@@ -477,22 +492,33 @@ def is_semi_transitive_cobip(
 # orientations of seeded random orders when sampling.
 #
 # Path verdicts: a full sweep reads them off one walk of the enumerator,
-# outsets_shortcut_free, whose never-pruning prefix check runs the
-# incremental shortcut test (ShortcutSearcher.prefix_free) only under a
-# shortcut-free parent; that relies on the enumerator's DFS preorder, and
-# no orientation is searched on its own.  A sampled stream calls
-# ShortcutSearcher.find on each orientation.
+# outsets_shortcut_free, whose prefix check runs the incremental shortcut
+# test (ShortcutSearcher.prefix_free) only under a shortcut-free parent;
+# that relies on the enumerator's DFS preorder, and no orientation is
+# searched on its own.  A sampled stream calls ShortcutSearcher.find on
+# each orientation.
+#
+# Pruning: the walk drops a prefix only when both oracles reject it, so no
+# completion can pass either one or make them disagree.  The path oracle's
+# rejection is hereditary because every completion keeps a shortcut; the
+# structural one's because _prefix_may_pass checks only the hereditary
+# stages (see the module docstring), on _cliques restricted to the prefix's
+# vertices, built once per shard by _prefix_cliques.  So a full sweep
+# yields every shortcut-free orientation and every one that passes those
+# stages, in enumerator order, and takes its orientation count from
+# count_acyclic_orientations rather than from the walk.
 #
 # Structural verdicts: _cliques validates the partition once per graph,
 # which also fixes the cross-neighbor masks and lists (a worker gets them
-# with the graph), and each shard asks the index-level core
-# about every orientation's raw out-neighbor tuple.  Every one of them
-# directs each edge exactly once, as the core requires.  Only a
-# disagreement builds an Orientation and the full labelled report through
-# is_semi_transitive_cobip.
+# with the graph), and each shard asks the index-level core, the full
+# _failed_stage, about every streamed orientation's raw out-neighbor
+# tuple.  Every one of them directs each edge exactly once, as the core
+# requires.  Only a disagreement builds an Orientation and the full
+# labelled report through is_semi_transitive_cobip.
 #
 # Shards: with N shards, shard w evaluates stream items w, w + N, ...  In a
-# full sweep every shard walks the enumerator and skips the others' items.
+# full sweep every shard walks the pruned enumerator and skips the others'
+# items.
 # A sampled sweep draws and dedups its orders once, up front, and sends
 # each shard only its stride of the distinct orientations.  The shards
 # share at most one process per core and receive the graph as it is.
@@ -520,16 +546,55 @@ class SweepResult:
         }
 
 
-def _orientation_stream(g: Graph, stride: Optional[list], start: int,
+def _prefix_cliques(cliques: tuple) -> list[tuple]:
+    """``_cliques``'s result restricted to vertices 0..k, for every k.
+
+    Entry k has the shape of ``_cliques``'s result for the subgraph induced
+    on vertices 0..k under the partition restricted to them, so the stage
+    functions run on a prefix's out-bitsets as they stand.
+    """
+    sides, cross, _ = cliques
+    restricted = []
+    for k in range(len(cross)):
+        keep = (1 << k + 1) - 1
+        kept = [(tuple(v for v in clique if v <= k), tuple(w for w in other if w <= k),
+                 mask & keep, other_mask & keep) for clique, other, mask, other_mask in sides]
+        cross_k = tuple(c & keep for c in cross[:k + 1])
+        restricted.append((tuple(kept), cross_k, tuple(tuple(_bits(c)) for c in cross_k)))
+    return restricted
+
+
+def _prefix_may_pass(out: list[int], prefix_cliques: list[tuple]) -> bool:
+    """Whether the orientation of vertices 0..k (``out``, k + 1 out-bitsets)
+    passes the hereditary stages: transitive cliques, typing and lemma 4.2.
+
+    ``prefix_cliques`` comes from ``_prefix_cliques``.  A rejected prefix
+    fails the structural test in every completion, by the proof sketch in
+    the module docstring.
+    """
+    cliques = prefix_cliques[len(out) - 1]
+    rank = _ranks(out, cliques[0])
+    if rank is None:
+        return False
+    n = len(out)
+    typed = rank, [None] * n, [0] * n, [0] * n
+    return (next(_typing(out, cliques, typed), None) is None
+            and next(_lemma42(out, cliques, typed), None) is None)
+
+
+def _orientation_stream(g: Graph, cliques: tuple, stride: Optional[list], start: int,
                         step: int) -> Iterator[tuple[tuple[int, ...], bool]]:
     """One shard's items of the sweep's stream, each as ``(out, shortcut_free)``.
 
-    In a full sweep (``stride`` None), every step-th acyclic orientation
-    from start; in a sampled one, the items of ``stride``, which already is
-    the shard's stride of the distinct sampled orientations.
+    In a full sweep (``stride`` None), every step-th orientation from start
+    of the walk that drops what both oracles reject on a prefix; in a
+    sampled one, the items of ``stride``, which already is the shard's
+    stride of the distinct sampled orientations.
     """
     if stride is None:
-        return islice(outsets_shortcut_free(g), start, None, step)
+        prefix_cliques = _prefix_cliques(cliques)
+        return islice(outsets_shortcut_free(g, lambda out: _prefix_may_pass(out, prefix_cliques)),
+                      start, None, step)
     find = ShortcutSearcher(g).find
     return ((out, find(out) is None) for out in stride)
 
@@ -541,7 +606,7 @@ def _sweep_slice(g: Graph, partition: CoBipartitePartition, stride: Optional[lis
     count = semi = 0
     disagreements = []
     for position, (out, path_verdict) in enumerate(
-            _orientation_stream(g, stride, start, step)):
+            _orientation_stream(g, cliques, stride, start, step)):
         count += 1
         semi += path_verdict
         if path_verdict != (_failed_stage(out, cliques)[0] is None):
@@ -567,16 +632,25 @@ def sweep_orientations(
 
     When the number of linear orders exceeds ``sample_threshold``, that
     many orders are drawn with the seeded generator instead (the result
-    records the seed and that sampling happened).  Disagreeing
-    orientations are returned in stream order with both verdicts and the
-    structural report.  ``workers`` shards the stream; the shards run in
-    at most one process per core.
+    records the seed and that sampling happened).  A full sweep counts its
+    orientations with ``count_acyclic_orientations``, since its walk skips
+    those both oracles reject, so it raises CapExceededError above
+    COUNT_MAX_VERTICES vertices before it walks.  Disagreeing orientations
+    are returned in stream order with both verdicts and the structural
+    report.  ``workers`` shards the stream; the shards run in at most one
+    process per core.
     """
     if sample_threshold < 1:
         raise ValueError(f"sample_threshold must be >= 1, got {sample_threshold}")
     _cliques(g, partition)
     total_orders = factorial(len(g.vertices))
     sampled = total_orders > sample_threshold
+    if not sampled:
+        total = count_acyclic_orientations(g)
+        if total is None:
+            raise CapExceededError(
+                f"a full sweep counts the orientations of at most {COUNT_MAX_VERTICES} "
+                f"vertices, not {len(g.vertices)}")
     step = max(workers, 1)
     strides = repeat(None)
     if sampled:
@@ -597,7 +671,7 @@ def sweep_orientations(
 
     positioned = sorted(item for _, _, found in shards for item in found)
     return SweepResult(
-        orientations=sum(count for count, _, _ in shards),
+        orientations=sum(count for count, _, _ in shards) if sampled else total,
         semi_transitive=sum(semi for _, semi, _ in shards),
         disagreements=tuple(record for _, record in positioned),
         sampled=sampled,

@@ -25,11 +25,12 @@ kept from the parent prefix, which the enumerator's DFS preorder
 guarantees was the last one accepted at its length.  k is checked first,
 against the parent's state, which is copied only once k passes; a rejected
 prefix leaves the accepted state untouched.  The same preorder lets one
-unpruned walk flag every orientation as shortcut-free or not, which is how
-the co-bipartite sweep gets its path verdicts.  A pruned
-search cannot count, so the orientation count of a negative verdict comes
-from Stanley's chromatic-polynomial identity over independent-set
-partitions instead.
+walk flag every orientation it yields as shortcut-free or not, which is how
+the co-bipartite sweep gets its path verdicts; that walk drops a prefix only
+when it has a shortcut and a second hereditary check, the sweep's, rejects
+it too.  A pruned search cannot count, so the orientation count of a
+negative verdict, and of that sweep, comes from Stanley's
+chromatic-polynomial identity over independent-set partitions instead.
 
 Reversing every arc keeps an orientation semi-transitive, or transitive,
 so both deciders keep only the half in which the first edge the
@@ -361,8 +362,9 @@ def acyclic_outsets(
     other prefix of the parent's length is checked.  So a predicate may keep
     state per prefix length and extend its parent's state, as
     ``ShortcutSearcher.prefix_free`` does, directly in the pruned deciders
-    and under the never-pruning predicate of ``outsets_shortcut_free``.  An
-    accepted prefix of all n vertices is yielded as it stands.
+    and under the predicate of ``outsets_shortcut_free``, which asks it only
+    below a shortcut-free parent.  An accepted prefix of all n vertices is
+    yielded as it stands.
     """
     n = len(g.vertices)
     adj = g.adj
@@ -409,15 +411,22 @@ def acyclic_outsets(
     return extend(0, [], [])
 
 
-def outsets_shortcut_free(g: Graph) -> Iterator[tuple[tuple[int, ...], bool]]:
-    """Every acyclic orientation as ``(out, shortcut_free)`` from one walk of
-    ``acyclic_outsets``, in its order.
+def outsets_shortcut_free(
+    g: Graph, may_pass: Callable[[list[int]], bool]
+) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """The acyclic orientations as ``(out, shortcut_free)`` from one walk of
+    ``acyclic_outsets``, in its order, less those dropped under a prefix that
+    has a shortcut and that ``may_pass`` rejects.
 
-    The prefix predicate never prunes: it runs ``prefix_free`` only under a
-    shortcut-free parent prefix (every completion of a prefix keeps its
-    shortcut) and records the verdict per depth.  By the DFS preorder,
-    ``prefix_free`` then sees a prefix only after accepting its parent and
-    before any other prefix of the parent's length, as its contract needs.
+    The prefix predicate runs ``prefix_free`` only under a shortcut-free
+    parent prefix (every completion of a prefix keeps its shortcut) and
+    records the verdict per depth; a prefix with a shortcut is kept exactly
+    when ``may_pass`` accepts it.  So every shortcut-free orientation is
+    yielded, and for a ``may_pass`` that every completion of a rejected
+    prefix also fails, a dropped orientation is one that fails both tests.
+    By the DFS preorder, ``prefix_free`` sees a prefix only after accepting
+    its parent and before any other prefix of the parent's length, as its
+    contract needs.
     """
     searcher = ShortcutSearcher(g)
     free = [True] * (len(g.vertices) + 1)
@@ -425,7 +434,7 @@ def outsets_shortcut_free(g: Graph) -> Iterator[tuple[tuple[int, ...], bool]]:
     def record(out: list[int]) -> bool:
         k = len(out)
         free[k] = free[k - 1] and searcher.prefix_free(out)
-        return True
+        return free[k] or may_pass(out)
 
     for out in acyclic_outsets(g, record):
         yield out, free[-1]

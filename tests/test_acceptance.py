@@ -50,7 +50,7 @@ from wordrep.orientations import (
     is_word_representable,
     representable_via_dominant,
 )
-from wordrep.cobipartite import is_semi_transitive_cobip
+from wordrep.cobipartite import is_semi_transitive_cobip, sweep_orientations
 
 ARTIFACT_DIR = Path(__file__).parent / "artifacts"
 
@@ -211,10 +211,12 @@ def test_criterion_8_characterization_equivalence():
             cross = [crosspairs[t] for t in range(9) if bits >> t & 1]
             g = Graph.from_edges(labels_a + labels_b, base + cross)
             searcher = ShortcutSearcher(g)
+            count = semi = 0
             for out in acyclic_outsets(g):
-                orientations += 1
+                count += 1
                 o = Orientation(g, out)
                 path_verdict = searcher.find(out) is None
+                semi += path_verdict
                 structural_verdict, report = is_semi_transitive_cobip(o, partition)
                 stages[report.failed_stage] += 1
                 if path_verdict != structural_verdict:
@@ -225,6 +227,12 @@ def test_criterion_8_characterization_equivalence():
                         "structuralOracle": structural_verdict,
                         "report": report.to_json(),
                     })
+            orientations += count
+            # the sweep walks no orientation that both oracles reject, and
+            # still reports every count
+            sweep = sweep_orientations(g, partition)
+            assert (sweep.orientations, sweep.semi_transitive) == (count, semi), bits
+            assert sweep.disagreements == (), bits
         if disagreements:
             ARTIFACT_DIR.mkdir(exist_ok=True)
             artifact = ARTIFACT_DIR / "criterion8_disagreements.json"

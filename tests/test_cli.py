@@ -329,6 +329,19 @@ class TestCharacterize:
         a.pop("workers"), b.pop("workers")
         assert a == b
 
+    def test_full_sweep_past_the_count_cap_exit_2(self, capsys, tmp_path):
+        # 15 vertices: 15! orders lie under the threshold, so the sweep would
+        # be full, and its orientation count has no answer above 14 vertices.
+        a, b = [f"a{i}" for i in range(7)], [f"b{i}" for i in range(8)]
+        edges = [(x, y) for side in (a, b) for i, x in enumerate(side) for y in side[i + 1:]]
+        g = Graph.from_edges(a + b, edges + [("a0", "b0")])
+        part = graphs.CoBipartitePartition(tuple(a), tuple(b))
+        gpath = write_graph(tmp_path, "big.graph", g, part)
+        with Budget("full sweep past the count cap", 5):
+            code, out, err = run_cli(capsys, "characterize", str(gpath), "--max-vertices", "15",
+                                     "--sample-threshold", str(10 ** 13))
+        assert code == 2 and out == "" and "at most 14 vertices" in err
+
     @pytest.mark.parametrize("threshold", ["0", "-3"])
     def test_non_positive_sample_threshold_exit_2(self, capsys, tmp_path, threshold):
         g, part = named_witness("T1bar")

@@ -36,6 +36,12 @@ def join_graph(part_a, part_b, cross=None):
     return g, CoBipartitePartition(tuple(part_a), tuple(part_b))
 
 
+def cross_pattern(part_a, part_b, bits):
+    """Two cliques plus the cross edges that ``bits`` selects, row by row."""
+    pairs = [(a, b) for a in part_a for b in part_b]
+    return join_graph(part_a, part_b, cross=[e for t, e in enumerate(pairs) if bits >> t & 1])
+
+
 class TestCliqueOrder:
     def test_k3_order(self):
         g, _ = join_graph(["a", "b", "c"], [])
@@ -402,28 +408,67 @@ class TestAgreementSweep:
                 assert path_verdict == structural_verdict, (bits, o.arcs())
 
     def test_stream_path_verdicts_match_find(self):
-        # The full sweep reads its path verdicts off the pruned stream; find
-        # on each orientation stays the oracle, and shards slice one stream.
+        # The full sweep's stream is the enumerator less the orientations
+        # that both oracles reject: find sees a shortcut, and a vertex fails
+        # to type or lemma 4.2 fails.  find on each orientation stays the
+        # oracle of its path verdicts, and shards slice one stream.
         import random
 
-        from wordrep.cobipartite import _orientation_stream
+        import wordrep.cobipartite as cob
 
-        def two_three(bits):
-            a, b = ["a1", "a2"], ["b1", "b2", "b3"]
-            pairs = [(x, y) for x in a for y in b]
-            return join_graph(a, b, cross=[e for t, e in enumerate(pairs) if bits >> t & 1])
+        def may_pass(o, part):
+            return (all(classify_vertex(o, part, v).tag != "Invalid" for v in o.graph.vertices)
+                    and not check_condition_quad(o, part))
 
         rng = random.Random(88)
         a, b = ["a1", "a2", "a3"], ["b1", "b2", "b3", "b4"]
-        graphs = [two_three(bits)[0] for bits in range(64)] + [
-            join_graph(a, b, cross=[(x, y) for x in a for y in b if rng.random() < 0.5])[0]
+        cases = [cross_pattern(["a1", "a2"], ["b1", "b2", "b3"], bits) for bits in range(64)] + [
+            join_graph(a, b, cross=[(x, y) for x in a for y in b if rng.random() < 0.5])
             for _ in range(3)]
-        for g in graphs:
+        dropped = 0
+        for g, part in cases:
             searcher = ShortcutSearcher(g)
-            expected = [(out, searcher.find(out) is None) for out in acyclic_outsets(g)]
-            assert list(_orientation_stream(g, None, 0, 1)) == expected, g.adj
+            flagged = [(out, searcher.find(out) is None) for out in acyclic_outsets(g)]
+            expected = [(out, free) for out, free in flagged
+                        if free or may_pass(Orientation(g, out), part)]
+            dropped += len(flagged) - len(expected)
+            cliques = cob._cliques(g, part)
+            assert list(cob._orientation_stream(g, cliques, None, 0, 1)) == expected, g.adj
             for start in range(3):
-                assert list(_orientation_stream(g, None, start, 3)) == expected[start::3]
+                assert list(cob._orientation_stream(g, cliques, None, start, 3)) \
+                    == expected[start::3]
+        assert dropped > 0
+
+    def test_prefix_rejections_are_hereditary(self):
+        # A prefix that _prefix_may_pass rejects lies under no orientation
+        # the structural core accepts; shuffled labels interleave the cliques.
+        import random
+
+        import wordrep.cobipartite as cob
+
+        rng = random.Random(2024)
+        cases = [cross_pattern(["a1", "a2"], ["b1", "b2", "b3"], bits) for bits in range(64)]
+        cases += [cross_pattern(["a1", "a2"], ["b1", "b2", "b3", "b4"], bits)
+                  for bits in range(256)]
+        for _ in range(20):
+            g, part = cross_pattern(["a1", "a2", "a3"], ["b1", "b2", "b3"], rng.getrandbits(9))
+            cases.append((Graph.from_edges(rng.sample(g.vertices, 6), g.edges()), part))
+        rejected = 0
+        for g, part in cases:
+            cliques = cob._cliques(g, part)
+            prefix_cliques = cob._prefix_cliques(cliques)
+            under = [False] * (len(g.vertices) + 1)
+
+            def record(out):
+                k = len(out)
+                under[k] = under[k - 1] or not cob._prefix_may_pass(out, prefix_cliques)
+                return True
+
+            for out in acyclic_outsets(g, record):
+                if under[-1]:
+                    rejected += 1
+                    assert cob._failed_stage(out, cliques)[0] is not None, (g.adj, out)
+        assert rejected > 10_000
 
     def test_sweep_helper_counts(self):
         g, part = join_graph(["a1", "a2"], ["b1", "b2"], cross=[])

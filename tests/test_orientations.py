@@ -487,7 +487,16 @@ class TestPrunedSearch:
         for g in small_and_random_graphs():
             searcher = ShortcutSearcher(g)
             expected = [(out, searcher.find(out) is None) for out in acyclic_outsets(g)]
-            assert list(outsets_shortcut_free(g)) == expected, g.adj
+            assert list(outsets_shortcut_free(g, lambda out: True)) == expected, g.adj
+
+    def test_flagged_stream_drops_what_both_checks_reject(self):
+        # Transitivity is hereditary, so the walk keeps exactly the
+        # shortcut-free orientations and the transitive ones, in order.
+        for g in small_and_random_graphs():
+            searcher = ShortcutSearcher(g)
+            flagged = [(out, searcher.find(out) is None) for out in acyclic_outsets(g)]
+            expected = [(out, free) for out, free in flagged if free or outs_transitive(out)]
+            assert list(outsets_shortcut_free(g, outs_transitive)) == expected, g.adj
 
     def test_incremental_check_survives_an_abandoned_search(self):
         # A search stopped at its first hit leaves per-depth state behind;
