@@ -14,11 +14,12 @@ An orientation of a two-clique graph is semi-transitive exactly when
   force their diagonals (lemma 4.2, ``check_condition_quad``), and type C
   boundaries are not straddled (lemma 4.3, ``check_condition_typec``).
 
-``is_semi_transitive_cobip`` runs the stages in that order and reports the
-first failure as ``clique-transitivity``, ``typing``, ``lemma41``,
-``lemma42`` or ``lemma43``; on acyclic orientations its verdict matches the
-generic shortcut test (``ShortcutSearcher``), which the test suite sweeps
-exhaustively.
+``is_semi_transitive_cobip`` runs the stages in that order, checking
+acyclicity right after clique transitivity, and reports the first failure
+as ``clique-transitivity``, ``acyclicity``, ``typing``, ``lemma41``,
+``lemma42`` or ``lemma43``; its verdict matches the generic test
+(``is_semi_transitive``), which the test suite sweeps exhaustively.  The
+other stages presume acyclic input: a directed 4-cycle passes them all.
 
 Every stage runs in index space.  ``_cliques`` validates a partition and
 records, once, each clique's indices and mask and each vertex's cross
@@ -73,6 +74,7 @@ from .orientations import (
     Orientation,
     ShortcutSearcher,
     count_acyclic_orientations,
+    is_acyclic,
     outs_from_order,
     outsets_shortcut_free,
 )
@@ -315,9 +317,10 @@ def _failed_stage(out: tuple[int, ...], cliques: tuple) -> tuple[Optional[str], 
     The index-level core of ``is_semi_transitive_cobip``.  ``cliques`` comes
     from ``_cliques`` (a validated partition), and ``out`` must direct every
     edge exactly once, as the out-bitsets of ``Orientation.from_arcs``,
-    ``Orientation.from_order``, the enumerator and a sampled order all do.
-    Typing stops at the first Invalid vertex and each lemma check at its
-    first violation.
+    ``Orientation.from_order``, the enumerator and a sampled order all do,
+    and be acyclic, as the sweep's are: the core checks no cycle.  Typing
+    stops at the first Invalid vertex and each lemma check at its first
+    violation.
     """
     rank = _ranks(out, cliques[0])
     if rank is None:
@@ -442,7 +445,7 @@ def check_condition_typec(o: Orientation, partition: CoBipartitePartition) -> li
 @dataclass(frozen=True)
 class CharacterizationReport:
     semi_transitive: bool
-    failed_stage: Optional[str]  # clique-transitivity, typing, lemma41, lemma42, lemma43
+    failed_stage: Optional[str]  # clique-transitivity, acyclicity, typing, lemma41..43
     details: tuple = field(default_factory=tuple)
 
     def to_json(self) -> dict:
@@ -458,17 +461,21 @@ def is_semi_transitive_cobip(
 ) -> tuple[bool, CharacterizationReport]:
     """Staged structural verdict on a co-bipartite orientation.
 
-    True exactly when both cliques are transitive, every vertex types as
-    A/B/C, and the three cross-pattern conditions are all clean.  The
-    report names the first failing stage and lists all of its violations;
-    later stages are skipped because their conditions presume a fully
-    typed orientation.  ``o`` must direct every edge exactly once, as every
-    orientation built by ``from_arcs`` or ``from_order`` or yielded by the
-    enumerator does.  Raises GraphError on a bad partition.
+    True exactly when both cliques are transitive, the orientation is
+    acyclic, every vertex types as A/B/C, and the three cross-pattern
+    conditions are all clean.  The report names the first failing stage and
+    lists all of its violations; later stages are skipped because their
+    conditions presume an acyclic, fully typed orientation.  ``o`` must
+    direct every edge exactly once, as every orientation built by
+    ``from_arcs`` or ``from_order`` or yielded by the enumerator does.
+    Raises GraphError on a bad partition.
     """
     g, out = o.graph, o.out
     cliques = _cliques(g, partition)
     stage, typed = _failed_stage(out, cliques)
+    if stage != "clique-transitivity" and not is_acyclic(o):
+        return False, CharacterizationReport(False, "acyclicity",
+                                             ("the orientation has a directed cycle",))
     if stage is None:
         return True, CharacterizationReport(True, None)
     if stage == "clique-transitivity":

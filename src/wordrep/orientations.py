@@ -32,11 +32,18 @@ it too.  A pruned search cannot count, so the orientation count of a
 negative verdict, and of that sweep, comes from Stanley's
 chromatic-polynomial identity over independent-set partitions instead.
 
-Reversing every arc keeps an orientation semi-transitive, or transitive,
-so both deciders keep only the half in which the first edge the
-enumerator decides points forward; the first hit lies in that half, since
-its reverse would otherwise precede it, and a negative walks half the
-tree.
+Reversing every arc keeps an orientation transitive, so the comparability
+decider keeps the half in which the first edge the enumerator decides
+points forward: the first hit lies there, since its reverse would
+otherwise precede it.  The semi-transitive decider pins more.  A
+representable graph has a uniform representant (Kitaev-Pyatkin 2008); a
+cyclic shift starting with vertex 0 still represents, and its first copies
+order a semi-transitive orientation (Halldorsson-Kitaev-Pyatkin 2016)
+with 0 a source.  Reversing the word and moving its last 0 to the front
+reverses every edge away from 0 (alternating letters keep the order of
+their first copies in their last ones).  So the decider keeps 0 a source
+and the first edge decided away from 0 forward, and a hard negative walks
+about a sixth of the tree; transitive orientations need no source at 0.
 
 Most negatives never reach the search.  Every neighbourhood of a
 word-representable graph is a comparability graph (Kitaev-Pyatkin 2008),
@@ -567,12 +574,28 @@ def _one_mirror_half(g: Graph, prefix_ok: Callable[[list[int]], bool]
     return kept
 
 
-def _first_pruned_hit(g: Graph, prefix_ok: Callable[[list[int]], bool]
-                      ) -> Optional[Orientation]:
-    """The unpruned scan's first orientation with the hereditary,
-    reversal-closed property ``prefix_ok`` checks, found over one mirror
-    half (``_one_mirror_half``), or None."""
-    out = next(acyclic_outsets(g, _one_mirror_half(g, prefix_ok)), None)
+def _zero_source_pin(g: Graph, prefix_ok: Callable[[list[int]], bool]
+                     ) -> Callable[[list[int]], bool]:
+    """``prefix_ok`` restricted to the orientations with no arc into vertex 0
+    and u->k, k the first vertex with an earlier neighbour other than 0 and
+    u the lowest such one; the module docstring shows that this keeps every
+    verdict.  Rejected prefixes never reach ``prefix_ok``."""
+    k = next((k for k in range(2, len(g.adj)) if g.adj[k] & ((1 << k) - 2)), None)
+    u = k and next(_bits(g.adj[k] & ((1 << k) - 2)))
+
+    def kept(out: list[int]) -> bool:
+        if out[-1] & 1 or len(out) - 1 == k and not out[u] >> k & 1:
+            return False
+        return prefix_ok(out)
+
+    return kept
+
+
+def _first_pruned_hit(g: Graph, prefix_ok: Callable[[list[int]], bool],
+                      restrict: Callable) -> Optional[Orientation]:
+    """The unpruned scan's first orientation that the hereditary property
+    ``prefix_ok`` checks accepts among those ``restrict`` keeps, or None."""
+    out = next(acyclic_outsets(g, restrict(g, prefix_ok)), None)
     return None if out is None else Orientation(g, out)
 
 
@@ -626,13 +649,17 @@ def find_semi_transitive_orientation(
 
     A neighbourhood that is not a comparability graph refutes at once
     (``_non_comparability_neighbourhood``); otherwise the search is pruned
-    by the incremental shortcut check over one mirror half and returns the
-    unpruned scan's first hit.
+    by the incremental shortcut check and returns the unpruned scan's first
+    hit with vertex 0 a source and the first edge decided away from 0
+    forward (``_zero_source_pin``).  Some semi-transitive orientation has
+    both: a uniform representant (Kitaev-Pyatkin 2008) still represents
+    when shifted to start with 0 and when reversed, and its first copies
+    order one (Halldorsson-Kitaev-Pyatkin 2016).
     """
     _check_cap(g, max_vertices)
     if _non_comparability_neighbourhood(g.adj):
         return None
-    return _first_pruned_hit(g, ShortcutSearcher(g).prefix_free)
+    return _first_pruned_hit(g, ShortcutSearcher(g).prefix_free, _zero_source_pin)
 
 
 def is_word_representable(g: Graph) -> bool:
@@ -651,7 +678,7 @@ def is_comparability(g: Graph) -> Optional[Orientation]:
     _check_cap(g, DEFAULT_MAX_VERTICES)
     if _forces_a_reversal(g.adj, (1 << len(g.adj)) - 1):
         return None
-    return _first_pruned_hit(g, outs_transitive)
+    return _first_pruned_hit(g, outs_transitive, _one_mirror_half)
 
 
 # --- odd closed walks without triangular chords ----------------------------

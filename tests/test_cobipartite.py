@@ -13,6 +13,7 @@ from wordrep.orientations import (
     ShortcutSearcher,
     acyclic_outsets,
     find_semi_transitive_orientation,
+    is_acyclic,
 )
 from wordrep.cobipartite import (
     NonTransitiveCliqueError,
@@ -209,6 +210,36 @@ class TestStagedVerdict:
         o = Orientation.from_arcs(g, [("x", "y"), ("s", "t"), ("s", "x"), ("y", "t")])
         ok, report = is_semi_transitive_cobip(o, part)
         assert not ok and report.failed_stage == "lemma42"
+        g, part = join_graph(["a0", "a1"], ["b0", "b1"], cross=[("a0", "b1"), ("a1", "b0")])
+        o = Orientation.from_arcs(g, [("a1", "a0"), ("a0", "b1"), ("b1", "b0"), ("b0", "a1")])
+        ok, report = is_semi_transitive_cobip(o, part)
+        assert not ok and report.failed_stage == "acyclicity"
+
+    def test_every_cyclic_orientation_fails(self):
+        # The index core presumes acyclic input and passes 64 of the 8,132
+        # cyclic orientations of the 2+2 and 2+3 graphs, the directed
+        # 4-cycle above among them; the labelled verdict rejects every one,
+        # at clique transitivity or at the acyclicity stage after it.
+        import wordrep.cobipartite as cob
+
+        cases = [cross_pattern(["a1", "a2"], ["b1", "b2"], bits) for bits in range(16)]
+        cases += [cross_pattern(["a1", "a2"], ["b1", "b2", "b3"], bits) for bits in range(64)]
+        cyclic = core_passed = 0
+        for g, part in cases:
+            cliques = cob._cliques(g, part)
+            edges = g.edges()
+            for bits in range(1 << len(edges)):
+                o = Orientation.from_arcs(g, [(u, v) if bits >> t & 1 else (v, u)
+                                              for t, (u, v) in enumerate(edges)])
+                if is_acyclic(o):
+                    continue
+                cyclic += 1
+                core_passed += cob._failed_stage(o.out, cliques)[0] is None
+                ok, report = is_semi_transitive_cobip(o, part)
+                expected = ("acyclicity" if cob._ranks(o.out, cliques[0]) is not None else
+                            "clique-transitivity")
+                assert not ok and report.failed_stage == expected, (g.adj, o)
+        assert (cyclic, core_passed) == (8_132, 64)
 
     def test_passing_type_c_groups_touch_source_and_sink(self):
         g, part = complement_path_graph(3)
@@ -351,7 +382,10 @@ class TestIndexCore:
             _, report = is_semi_transitive_cobip(o, part)
             cliques = cob._cliques(g, part)
             stage, typed = cob._failed_stage(o.out, cliques)
-            assert stage == report.failed_stage == helper_stage(o, part), (part, o)
+            assert stage == helper_stage(o, part), (part, o)
+            # the labelled verdict checks acyclicity right after the cliques
+            cyclic = stage != "clique-transitivity" and not is_acyclic(o)
+            assert report.failed_stage == ("acyclicity" if cyclic else stage), (part, o)
             # the slot walk agrees on the cliques, on every vertex's type and
             # so on whether typing fails
             literal = literal_types(o, part)
@@ -469,6 +503,37 @@ class TestAgreementSweep:
                     rejected += 1
                     assert cob._failed_stage(out, cliques)[0] is not None, (g.adj, out)
         assert rejected > 10_000
+
+    def test_prefix_check_runs_only_the_hereditary_stages(self, monkeypatch):
+        # Lemmas 4.1 and 4.3 read types that change as vertices join, so no
+        # heredity proof covers them and the prefix check must not run them.
+        # On acyclic prefixes neither can fail, so only patching them to
+        # raise shows that they are not called.
+        import random
+
+        import wordrep.cobipartite as cob
+
+        def unproven(*args):
+            raise AssertionError("a lemma with no heredity proof ran on a prefix")
+
+        for stage in ("lemma41", "lemma43"):
+            monkeypatch.setattr(cob, f"_{stage}", unproven)
+            monkeypatch.setitem(cob._LEMMAS, stage, (unproven, cob._LEMMAS[stage][1]))
+        rng = random.Random(2121)
+        passed = 0
+        for _ in range(30):
+            g, part = cross_pattern(["a1", "a2", "a3"], ["b1", "b2", "b3"], rng.getrandbits(9))
+            g = Graph.from_edges(rng.sample(g.vertices, 6), g.edges())
+            prefix_cliques = cob._prefix_cliques(cob._cliques(g, part))
+
+            def every_prefix(out):
+                nonlocal passed
+                passed += cob._prefix_may_pass(out, prefix_cliques)
+                return True
+
+            for _ in acyclic_outsets(g, every_prefix):
+                pass
+        assert passed > 1_000
 
     def test_sweep_helper_counts(self):
         g, part = join_graph(["a1", "a2"], ["b1", "b2"], cross=[])

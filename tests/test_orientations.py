@@ -17,6 +17,7 @@ from wordrep.orientations import (
     _first_pruned_hit,
     _forces_a_reversal,
     _one_mirror_half,
+    _zero_source_pin,
     acyclic_outsets,
     bounded_representation_number,
     count_acyclic_orientations,
@@ -87,6 +88,21 @@ def first_decided_edge(g):
     None for an edgeless graph."""
     return min(((k, u) for k, mask in enumerate(g.adj) for u in range(k) if mask >> u & 1),
                default=None)
+
+
+def zero_source_pin(g):
+    """Whether an orientation, or a prefix of one on vertices 0..j, has no
+    arc into vertex 0 and u->k, where k is the first vertex with an earlier
+    neighbour other than 0 and u the lowest such one."""
+    first = min(((k, u) for k, mask in enumerate(g.adj) for u in range(1, k) if mask >> u & 1),
+                default=None)
+
+    def pinned(out):
+        if any(mask & 1 for mask in out):
+            return False
+        return first is None or len(out) <= first[0] or out[first[1]] >> first[0] & 1
+
+    return pinned
 
 
 def reject_keeps_state(searcher):
@@ -356,9 +372,13 @@ class TestPrunedSearch:
     """The pruned deciders against the first hit of the unpruned scan."""
 
     def test_deciders_return_the_first_hit_of_the_plain_scan(self):
+        # The semi-transitive decider's first hit among the orientations
+        # with vertex 0 a source and the first edge away from 0 forward.
         for g in small_and_random_graphs():
             searcher = ShortcutSearcher(g)
-            semi = next((out for out in acyclic_outsets(g) if searcher.find(out) is None), None)
+            pinned = zero_source_pin(g)
+            semi = next((out for out in acyclic_outsets(g)
+                         if pinned(out) and searcher.find(out) is None), None)
             found = find_semi_transitive_orientation(g)
             assert (found and found.out) == semi, g.adj
             transitive = next((out for out in acyclic_outsets(g) if outs_transitive(out)), None)
@@ -384,11 +404,34 @@ class TestPrunedSearch:
                 assert kept == [out for out in full if out[u] >> k & 1], g.adj
                 assert sorted(full) == sorted(kept + [reversed_outs(o) for o in kept]), g.adj
 
+    def test_zero_source_pin_keeps_every_verdict(self):
+        # Some semi-transitive orientation has vertex 0 a source and the
+        # first edge away from 0 forward whenever any has.
+        for g in small_and_random_graphs():
+            searcher = ShortcutSearcher(g)
+            semi = next((out for out in acyclic_outsets(g) if searcher.find(out) is None), None)
+            assert (find_semi_transitive_orientation(g) is None) == (semi is None), g.adj
+
+    def test_comparability_needs_no_source_at_vertex_0(self):
+        # Why is_comparability keeps the mirror half: this graph has a
+        # transitive orientation, but none with v0 a source: v0->v1 and
+        # v0->v2 force v4->v1 and v3->v2, and then v1->v2 leaves
+        # v4->v1->v2 unclosed and v2->v1 leaves v3->v2->v1 unclosed.
+        labels = [f"v{i}" for i in range(5)]
+        g = Graph.from_edges(labels, [("v0", "v1"), ("v0", "v2"), ("v1", "v2"),
+                                      ("v1", "v4"), ("v2", "v3")])
+        found = is_comparability(g)
+        assert found is not None and is_transitive(found)
+        transitive = [out for out in acyclic_outsets(g) if outs_transitive(out)]
+        assert transitive and all(any(mask & 1 for mask in out) for out in transitive)
+
     def test_decider_work_counts(self, monkeypatch):
         # The searches are deterministic, so their work counts are exact
-        # regression values.  Each is about half the count of a walk over
-        # both mirror halves.  The public deciders run the pruned core only
-        # when no implication-class conflict refutes first.
+        # regression values.  The comparability core walks one mirror half,
+        # about half the count of a walk over both; the semi-transitive core
+        # keeps vertex 0 a source and pins one more edge, about a sixth of
+        # it on these negatives.  The public deciders run the pruned core
+        # only when no implication-class conflict refutes first.
         calls = []
         prefix_free = ShortcutSearcher.prefix_free
         transitive = orientations.outs_transitive
@@ -403,15 +446,15 @@ class TestPrunedSearch:
             return len(calls)
 
         def semi_core(g):
-            return _first_pruned_hit(g, ShortcutSearcher(g).prefix_free)
+            return _first_pruned_hit(g, ShortcutSearcher(g).prefix_free, _zero_source_pin)
 
         def transitive_core(g):
-            return _first_pruned_hit(g, orientations.outs_transitive)
+            return _first_pruned_hit(g, orientations.outs_transitive, _one_mirror_half)
 
         t1bar, t2bar, g1bar3 = (named_witness(name, n)[0]
                                 for name, n in (("T1bar", None), ("T2bar", None), ("G1bar", 3)))
-        for g, core, public in ((t1bar, 206, 0), (t2bar, 181, 181), (g1bar3, 210, 0),
-                                (wheel5(), 65, 0)):
+        for g, core, public in ((t1bar, 47, 0), (t2bar, 37, 37), (g1bar3, 47, 0),
+                                (wheel5(), 11, 0)):
             assert checks(semi_core, g) == core, g.vertices
             assert checks(find_semi_transitive_orientation, g) == public, g.vertices
         for params, core in ((GeneralizedCrownParams(3, 0), 25),
@@ -424,6 +467,9 @@ class TestPrunedSearch:
         # A neighbourhood refutation (the semi-transitive decider) or an
         # implication-class conflict (comparability) only ever answers None
         # where the pruned core does, and a positive is the core's first hit.
+        # The semi-transitive core is the plain scan's first hit among the
+        # orientations with vertex 0 a source and the first edge away from 0
+        # forward, found here by pruning on find and the test's own pin.
         rng = random.Random(18)
         seeded = (random_graph(rng, [f"v{i}" for i in range(n)])
                   for n in (6, 7) for _ in range(150))
@@ -431,10 +477,12 @@ class TestPrunedSearch:
                     for h in with_one_more_vertex(named_witness(name)[0]))
         for g in chain((g for n in range(1, 6) for g in labelled_graphs(n)), seeded,
                        extended, with_one_more_vertex(wheel5())):
-            core = _first_pruned_hit(g, ShortcutSearcher(g).prefix_free)
+            searcher, pinned = ShortcutSearcher(g), zero_source_pin(g)
+            semi = next(acyclic_outsets(g, lambda out: pinned(out) and searcher.find(out) is None),
+                        None)
             found = find_semi_transitive_orientation(g)
-            assert (found and found.out) == (core and core.out), g.adj
-            core = _first_pruned_hit(g, outs_transitive)
+            assert (found and found.out) == semi, g.adj
+            core = _first_pruned_hit(g, outs_transitive, _one_mirror_half)
             found = is_comparability(g)
             assert (found and found.out) == (core and core.out), g.adj
 
@@ -453,8 +501,9 @@ class TestPrunedSearch:
     def test_pruned_stream_is_the_filtered_stream(self):
         # A hereditary predicate drops only branches with no accepted
         # completion, and the order of what is left is unchanged.  The
-        # incremental check gives find's filter, alone and over one mirror
-        # half, and a prefix it rejects leaves its accepted state untouched.
+        # incremental check gives find's filter, alone, over one mirror half
+        # and under the zero-source pin, and a prefix it rejects leaves its
+        # accepted state untouched.
         for n in range(1, 6):
             for g in labelled_graphs(n):
                 searcher = ShortcutSearcher(g)
@@ -471,6 +520,9 @@ class TestPrunedSearch:
                 incremental = reject_keeps_state(ShortcutSearcher(g))
                 assert list(acyclic_outsets(g, incremental)) == expected, g.adj
                 assert list(acyclic_outsets(g, _one_mirror_half(g, incremental))) == half, g.adj
+                pinned = zero_source_pin(g)
+                assert list(acyclic_outsets(g, _zero_source_pin(g, incremental))) == [
+                    out for out in expected if pinned(out)], g.adj
 
     def test_incremental_check_matches_find(self):
         # find, a full reach/far pass per orientation, stays the oracle of
