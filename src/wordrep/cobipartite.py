@@ -14,12 +14,14 @@ An orientation of a two-clique graph is semi-transitive exactly when
   force their diagonals (lemma 4.2, ``check_condition_quad``), and type C
   boundaries are not straddled (lemma 4.3, ``check_condition_typec``).
 
-``is_semi_transitive_cobip`` runs the stages in that order, checking
-acyclicity right after clique transitivity, and reports the first failure
-as ``clique-transitivity``, ``acyclicity``, ``typing``, ``lemma41``,
-``lemma42`` or ``lemma43``; its verdict matches the generic test
-(``is_semi_transitive``), which the test suite sweeps exhaustively.  The
-other stages presume acyclic input: a directed 4-cycle passes them all.
+``is_semi_transitive_cobip`` checks clique transitivity, acyclicity,
+typing and lemma 4.2, in that order, and reports the first failure as
+``clique-transitivity``, ``acyclicity``, ``typing`` or ``lemma42``; its
+verdict matches the generic test (``is_semi_transitive``), which the test
+suite sweeps exhaustively.  The later stages presume acyclic input: a
+directed 4-cycle passes them all.  Lemmas 4.1 and 4.3 cannot fail once
+typing passes (the proof is in ``_failed_stage``), so no verdict runs
+them; their helpers stay as the paper's conditions.
 
 Every stage runs in index space.  ``_cliques`` validates a partition and
 records, once, each clique's indices and mask and each vertex's cross
@@ -38,24 +40,17 @@ result on the graph per partition, so the public functions validate a
 (graph, partition) pair on its first call only; the dual-oracle sweep
 fetches that result once and calls the core directly.
 
-Three of the stages fail hereditarily: once they fail on the orientation
-of a vertex subset, they fail on every orientation that induces it.  A
-cyclic clique stays cyclic.  A valid typing restricts to a valid typing of
-any vertex subset: a run stays a run, the prefix from the source stays a
-prefix and the suffix to the sink stays a suffix, and a type C vertex
-whose in- or out-side empties becomes type A or B; so an Invalid vertex
-stays Invalid.  A lemma 4.2 violation reads only the arcs among its four
-vertices, which every completion keeps.  Lemmas 4.1 and 4.3 read the
-types, which can change from C to A or B as vertices join, so they are
-not hereditary in this sense.  The sweep below prunes on the three
-hereditary stages (``_prefix_may_pass``).
-
-An empirical note from those sweeps: of the 145,152 acyclic orientations
-of the 512 graphs made of two 3-cliques, 22,536 pass, 97,056 first fail
-typing and 25,560 first fail lemma 4.2.  Lemma 4.1 cannot fail first on
-any input: its common neighbor receives from the later and sends to the
-earlier vertex of the pair, which no type allows.  Lemma 4.3 never failed
-first at the sizes swept.  All stages stay active: each is sound alone.
+The core's three stages fail hereditarily: once one fails on the
+orientation of a vertex subset, it fails on every orientation that
+induces it.  A cyclic clique stays cyclic.  A valid typing restricts to a
+valid typing of any vertex subset: a run stays a run, the prefix from the
+source stays a prefix and the suffix to the sink stays a suffix, and a
+type C vertex whose in- or out-side empties becomes type A or B; so an
+Invalid vertex stays Invalid.  A lemma 4.2 violation reads only the arcs
+among its four vertices, which every completion keeps.  So the sweep
+below prunes on the core itself (``_prefix_may_pass``).  Of the 145,152
+acyclic orientations of the 512 graphs made of two 3-cliques, 22,536
+pass, 97,056 first fail typing and 25,560 first fail lemma 4.2.
 """
 
 from __future__ import annotations
@@ -319,8 +314,15 @@ def _failed_stage(out: tuple[int, ...], cliques: tuple) -> tuple[Optional[str], 
     edge exactly once, as the out-bitsets of ``Orientation.from_arcs``,
     ``Orientation.from_order``, the enumerator and a sampled order all do,
     and be acyclic, as the sweep's are: the core checks no cycle.  Typing
-    stops at the first Invalid vertex and each lemma check at its first
-    violation.
+    stops at the first Invalid vertex and lemma 4.2 at its first violation.
+
+    Lemmas 4.1 and 4.3 cannot fail once typing passes, so the core skips
+    them.  Each of their violations closes a directed triangle: x->z->y->x
+    for lemma 4.1; x->y->s->x for typec-successor-a and -c, and x->t->y->x
+    for typec-predecessor-b and -c, where (s, t) is x's boundary.  So none
+    occurs on acyclic input.  Nor on cyclic input with every vertex typed:
+    the triangle's vertex in the opposite clique receives from the later
+    and sends to the earlier vertex of a clique pair, which no type allows.
     """
     rank = _ranks(out, cliques[0])
     if rank is None:
@@ -329,9 +331,8 @@ def _failed_stage(out: tuple[int, ...], cliques: tuple) -> tuple[Optional[str], 
     typed = rank, [None] * n, [0] * n, [0] * n
     if next(_typing(out, cliques, typed), None) is not None:
         return "typing", None
-    for stage, (lemma, _) in _LEMMAS.items():
-        if next(lemma(out, cliques, typed), None) is not None:
-            return stage, typed
+    if next(_lemma42(out, cliques, typed), None) is not None:
+        return "lemma42", typed
     return None, typed
 
 
@@ -445,7 +446,7 @@ def check_condition_typec(o: Orientation, partition: CoBipartitePartition) -> li
 @dataclass(frozen=True)
 class CharacterizationReport:
     semi_transitive: bool
-    failed_stage: Optional[str]  # clique-transitivity, acyclicity, typing, lemma41..43
+    failed_stage: Optional[str]  # clique-transitivity, acyclicity, typing or lemma42
     details: tuple = field(default_factory=tuple)
 
     def to_json(self) -> dict:
@@ -502,35 +503,41 @@ def is_semi_transitive_cobip(
 # outsets_shortcut_free, whose prefix check runs the incremental shortcut
 # test (ShortcutSearcher.prefix_free) only under a shortcut-free parent;
 # that relies on the enumerator's DFS preorder, and no orientation is
-# searched on its own.  A sampled stream calls ShortcutSearcher.find on
-# each orientation.
+# searched on its own.  A sampled sweep reads them off the same walk when
+# the graph has at most as many acyclic orientations as draws, keeping
+# the walk's drawn items; otherwise it calls ShortcutSearcher.find on each
+# drawn orientation, since every branch of the walk completes and the
+# walk could cost far more than the draws (K10 has 10! orientations).
 #
 # Pruning: the walk drops a prefix only when both oracles reject it, so no
 # completion can pass either one or make them disagree.  The path oracle's
 # rejection is hereditary because every completion keeps a shortcut; the
-# structural one's because _prefix_may_pass checks only the hereditary
-# stages (see the module docstring), on _cliques restricted to the prefix's
-# vertices, built once per shard by _prefix_cliques.  So a full sweep
-# yields every shortcut-free orientation and every one that passes those
-# stages, in enumerator order, and takes its orientation count from
-# count_acyclic_orientations rather than from the walk.
+# structural one's because _prefix_may_pass runs the core, whose stages
+# are all hereditary (see the module docstring), on _cliques restricted to
+# the prefix's vertices, built once per shard by _prefix_cliques.  So a
+# full sweep yields every shortcut-free orientation and every one that
+# passes the core, in enumerator order, and takes its orientation count
+# from count_acyclic_orientations rather than from the walk.  A drawn
+# orientation that the walk never yields fails both oracles the same way:
+# it counts, but adds no semi-transitive orientation or disagreement.
 #
 # Structural verdicts: _cliques validates the partition once per graph,
 # which also fixes the cross-neighbor masks and lists (a worker gets them
-# with the graph), and each shard asks the index-level core, the full
-# _failed_stage, about every streamed orientation's raw out-neighbor
-# tuple.  Every one of them directs each edge exactly once, as the core
-# requires.  Only a disagreement builds an Orientation and the full
-# labelled report through is_semi_transitive_cobip.
+# with the graph), and each shard asks the index-level core, _failed_stage,
+# about every streamed orientation's raw out-neighbor tuple.  Every one of
+# them directs each edge exactly once, as the core requires.  Only a
+# disagreement builds an Orientation and the full labelled report through
+# is_semi_transitive_cobip.
 #
 # Shards: with N shards, shard w evaluates stream items w, w + N, ...  In a
 # full sweep every shard walks the pruned enumerator and skips the others'
 # items.
 # A sampled sweep draws and dedups its orders once, up front, and sends
-# each shard only its stride of the distinct orientations.  The shards
-# share at most one process per core and receive the graph as it is.
-# Counts add up and disagreements are merged by stream position, so the
-# result equals a one-shard run.
+# each shard only its stride of the distinct orientations, by draw
+# position; when it walks, every shard walks and keeps its stride's items.
+# The shards share at most one process per core and receive the graph as
+# it is.  Counts add up and disagreements are merged by stream position
+# (draw position when sampling), so the result equals a one-shard run.
 
 
 @dataclass(frozen=True)
@@ -573,59 +580,56 @@ def _prefix_cliques(cliques: tuple) -> list[tuple]:
 
 def _prefix_may_pass(out: list[int], prefix_cliques: list[tuple]) -> bool:
     """Whether the orientation of vertices 0..k (``out``, k + 1 out-bitsets)
-    passes the hereditary stages: transitive cliques, typing and lemma 4.2.
+    passes the structural core on the subgraph it orients.
 
     ``prefix_cliques`` comes from ``_prefix_cliques``.  A rejected prefix
     fails the structural test in every completion, by the proof sketch in
     the module docstring.
     """
-    cliques = prefix_cliques[len(out) - 1]
-    rank = _ranks(out, cliques[0])
-    if rank is None:
-        return False
-    n = len(out)
-    typed = rank, [None] * n, [0] * n, [0] * n
-    return (next(_typing(out, cliques, typed), None) is None
-            and next(_lemma42(out, cliques, typed), None) is None)
+    return _failed_stage(out, prefix_cliques[len(out) - 1])[0] is None
 
 
-def _orientation_stream(g: Graph, cliques: tuple, stride: Optional[list], start: int,
-                        step: int) -> Iterator[tuple[tuple[int, ...], bool]]:
+def _orientation_stream(g: Graph, cliques: tuple, drawn: Optional[dict], start: int,
+                        step: int, walk: bool) -> Iterator[tuple[tuple[int, ...], bool]]:
     """One shard's items of the sweep's stream, each as ``(out, shortcut_free)``.
 
-    In a full sweep (``stride`` None), every step-th orientation from start
-    of the walk that drops what both oracles reject on a prefix; in a
-    sampled one, the items of ``stride``, which already is the shard's
-    stride of the distinct sampled orientations.
+    In a full sweep (``drawn`` None), every step-th orientation from start
+    of the walk that drops what both oracles reject on a prefix.  In a
+    sampled one, ``drawn`` maps the shard's stride of the distinct sampled
+    orientations to their draw positions; with ``walk``, the items of that
+    walk that were drawn, and otherwise every drawn one, in draw order,
+    with ``ShortcutSearcher.find``'s verdict.
     """
-    if stride is None:
-        prefix_cliques = _prefix_cliques(cliques)
-        return islice(outsets_shortcut_free(g, lambda out: _prefix_may_pass(out, prefix_cliques)),
-                      start, None, step)
-    find = ShortcutSearcher(g).find
-    return ((out, find(out) is None) for out in stride)
+    if not walk:
+        find = ShortcutSearcher(g).find
+        return ((out, find(out) is None) for out in drawn)
+    prefix_cliques = _prefix_cliques(cliques)
+    stream = outsets_shortcut_free(g, lambda out: _prefix_may_pass(out, prefix_cliques))
+    if drawn is None:
+        return islice(stream, start, None, step)
+    return ((out, free) for out, free in stream if out in drawn)
 
 
-def _sweep_slice(g: Graph, partition: CoBipartitePartition, stride: Optional[list],
-                 start: int, step: int) -> tuple[int, int, list]:
-    """Counts and positioned disagreements over every step-th stream item from start."""
+def _sweep_slice(g: Graph, partition: CoBipartitePartition, drawn: Optional[dict],
+                 start: int, step: int, walk: bool) -> tuple[int, list]:
+    """The semi-transitive count and positioned disagreements over one shard's
+    stream items."""
     cliques = _cliques(g, partition)
-    count = semi = 0
+    semi = 0
     disagreements = []
-    for position, (out, path_verdict) in enumerate(
-            _orientation_stream(g, cliques, stride, start, step)):
-        count += 1
+    for i, (out, path_verdict) in enumerate(
+            _orientation_stream(g, cliques, drawn, start, step, walk)):
         semi += path_verdict
         if path_verdict != (_failed_stage(out, cliques)[0] is None):
             o = Orientation(g, out)
             structural_verdict, report = is_semi_transitive_cobip(o, partition)
-            disagreements.append((start + position * step, {
+            disagreements.append((start + i * step if drawn is None else drawn[out], {
                 "arcs": [f"{u} -> {v}" for u, v in o.arcs()],
                 "pathOracle": path_verdict,
                 "structuralOracle": structural_verdict,
                 "report": report.to_json(),
             }))
-    return count, semi, disagreements
+    return semi, disagreements
 
 
 def sweep_orientations(
@@ -642,44 +646,48 @@ def sweep_orientations(
     records the seed and that sampling happened).  A full sweep counts its
     orientations with ``count_acyclic_orientations``, since its walk skips
     those both oracles reject, so it raises CapExceededError above
-    COUNT_MAX_VERTICES vertices before it walks.  Disagreeing orientations
-    are returned in stream order with both verdicts and the structural
-    report.  ``workers`` shards the stream; the shards run in at most one
-    process per core.
+    COUNT_MAX_VERTICES vertices before it walks.  A sampled sweep reads the
+    verdicts of its distinct draws off that walk when the count is known
+    and at most ``sample_threshold``, so the walk costs about what the
+    draws do, and asks ``ShortcutSearcher.find`` about each draw otherwise.
+    Disagreeing orientations are returned in stream order with both
+    verdicts and the structural report.  ``workers`` shards the stream; the
+    shards run in at most one process per core.
     """
     if sample_threshold < 1:
         raise ValueError(f"sample_threshold must be >= 1, got {sample_threshold}")
     _cliques(g, partition)
     total_orders = factorial(len(g.vertices))
     sampled = total_orders > sample_threshold
-    if not sampled:
-        total = count_acyclic_orientations(g)
-        if total is None:
-            raise CapExceededError(
-                f"a full sweep counts the orientations of at most {COUNT_MAX_VERTICES} "
-                f"vertices, not {len(g.vertices)}")
+    total = count_acyclic_orientations(g)
+    if not sampled and total is None:
+        raise CapExceededError(
+            f"a full sweep counts the orientations of at most {COUNT_MAX_VERTICES} "
+            f"vertices, not {len(g.vertices)}")
+    walk = total is not None and total <= sample_threshold  # always in a full sweep: total <= n!
     step = max(workers, 1)
-    strides = repeat(None)
+    drawn = repeat(None)
     if sampled:
         rng = Random(seed)
         base = list(range(len(g.vertices)))
         distinct = list(dict.fromkeys(outs_from_order(g.adj, rng.sample(base, len(base)))
                                       for _ in range(sample_threshold)))
-        strides = (distinct[start::step] for start in range(step))
+        drawn = ({out: p for p, out in islice(enumerate(distinct), start, None, step)}
+                 for start in range(step))
 
     if step == 1:
-        shards = [_sweep_slice(g, partition, next(strides), 0, 1)]
+        shards = [_sweep_slice(g, partition, next(drawn), 0, 1, walk)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(step, os.cpu_count() or 1)) as pool:
-            shards = list(pool.map(_sweep_slice, repeat(g), repeat(partition), strides,
-                                   range(step), repeat(step)))
+            shards = list(pool.map(_sweep_slice, repeat(g), repeat(partition), drawn,
+                                   range(step), repeat(step), repeat(walk)))
 
-    positioned = sorted(item for _, _, found in shards for item in found)
+    positioned = sorted(item for _, found in shards for item in found)
     return SweepResult(
-        orientations=sum(count for count, _, _ in shards) if sampled else total,
-        semi_transitive=sum(semi for _, semi, _ in shards),
+        orientations=len(distinct) if sampled else total,
+        semi_transitive=sum(semi for semi, _ in shards),
         disagreements=tuple(record for _, record in positioned),
         sampled=sampled,
         seed=seed if sampled else None,

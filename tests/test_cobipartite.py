@@ -1,5 +1,6 @@
 """A/B/C typing, the cross-pattern conditions, and the staged verdict."""
 
+import math
 import multiprocessing
 import os
 from itertools import combinations
@@ -12,8 +13,10 @@ from wordrep.orientations import (
     Orientation,
     ShortcutSearcher,
     acyclic_outsets,
+    count_acyclic_orientations,
     find_semi_transitive_orientation,
     is_acyclic,
+    outs_from_order,
 )
 from wordrep.cobipartite import (
     NonTransitiveCliqueError,
@@ -241,6 +244,25 @@ class TestStagedVerdict:
                 assert not ok and report.failed_stage == expected, (g.adj, o)
         assert (cyclic, core_passed) == (8_132, 64)
 
+    def test_lemmas_41_and_43_never_fire_on_acyclic_orientations(self):
+        # Each of their violations closes a directed triangle, which is why
+        # the core leaves them out (the proof is in _failed_stage).
+        import random
+
+        rng = random.Random(4143)
+        cases = [cross_pattern(["a1", "a2"], ["b1", "b2"], bits) for bits in range(16)]
+        cases += [cross_pattern(["a1", "a2"], ["b1", "b2", "b3"], bits) for bits in range(64)]
+        for _ in range(30):
+            g, part = cross_pattern(["a1", "a2", "a3"], ["b1", "b2", "b3"], rng.getrandbits(9))
+            cases.append((Graph.from_edges(rng.sample(g.vertices, 6), g.edges()), part))
+        checked = 0
+        for g, part in cases:
+            for out in acyclic_outsets(g):
+                o = Orientation(g, out)
+                assert check_condition_ab(o, part) == check_condition_typec(o, part) == [], o
+                checked += 1
+        assert checked > 10_000
+
     def test_passing_type_c_groups_touch_source_and_sink(self):
         g, part = complement_path_graph(3)
         found = 0
@@ -397,8 +419,8 @@ class TestIndexCore:
                 invalid = any(tag == "Invalid" for tag, _, _ in literal.values())
                 assert (stage == "typing") == invalid == (typed is None), (part, o)
             seen.add(stage)
-        # Lemma 4.1 cannot fail first (see the module docstring), and
-        # lemma 4.3 has not failed first on any graph this small.
+        # Lemmas 4.1 and 4.3 cannot fail once typing passes, on cyclic
+        # input too (the proof is in _failed_stage).
         assert seen == {None, "clique-transitivity", "typing", "lemma42"}
 
 
@@ -425,6 +447,38 @@ def serial_pool(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return started
+
+
+def drawn_orientations(g, threshold, seed):
+    """The distinct orientations of a sampled sweep's seeded orders, in draw order."""
+    import random
+
+    rng = random.Random(seed)
+    base = list(range(len(g.vertices)))
+    return list(dict.fromkeys(outs_from_order(g.adj, rng.sample(base, len(base)))
+                              for _ in range(threshold)))
+
+
+def literal_sampled_sweep(g, part, threshold, seed):
+    """A sampled sweep's JSON from the literal loop: find and the structural
+    core on every distinct drawn orientation, in draw order."""
+    import wordrep.cobipartite as cob
+
+    searcher, cliques = ShortcutSearcher(g), cob._cliques(g, part)
+    distinct = drawn_orientations(g, threshold, seed)
+    semi, disagreements = 0, []
+    for out in distinct:
+        free = searcher.find(out) is None
+        semi += free
+        if free != (cob._failed_stage(out, cliques)[0] is None):
+            o = Orientation(g, out)
+            structural, report = is_semi_transitive_cobip(o, part)
+            disagreements.append({"arcs": [f"{u} -> {v}" for u, v in o.arcs()],
+                                  "pathOracle": free, "structuralOracle": structural,
+                                  "report": report.to_json()})
+    return {"orientations": len(distinct), "semiTransitive": semi,
+            "disagreements": disagreements, "sampled": True, "seed": seed,
+            "ordersExamined": threshold}
 
 
 class TestAgreementSweep:
@@ -467,9 +521,9 @@ class TestAgreementSweep:
                         if free or may_pass(Orientation(g, out), part)]
             dropped += len(flagged) - len(expected)
             cliques = cob._cliques(g, part)
-            assert list(cob._orientation_stream(g, cliques, None, 0, 1)) == expected, g.adj
+            assert list(cob._orientation_stream(g, cliques, None, 0, 1, True)) == expected, g.adj
             for start in range(3):
-                assert list(cob._orientation_stream(g, cliques, None, start, 3)) \
+                assert list(cob._orientation_stream(g, cliques, None, start, 3, True)) \
                     == expected[start::3]
         assert dropped > 0
 
@@ -584,6 +638,81 @@ class TestAgreementSweep:
         for workers in (2, 3):
             parallel = sweep_orientations(g, part, workers=workers)
             assert parallel.to_json() == serial.to_json()
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers must inherit the patched oracle")
+    def test_sampled_disagreements_merge_in_draw_order(self, monkeypatch):
+        # The same with a sampled sweep that reads its verdicts off the walk
+        # (co-P(3) has 258 acyclic orientations and 720 orders): the
+        # disagreements are the shortcut-free draws, in draw order.
+        import wordrep.cobipartite as cob
+
+        core = cob._failed_stage
+        monkeypatch.setattr(cob, "_failed_stage", lambda out, cliques: (
+            "typing", *core(out, cliques)[1:]))
+        g, part = complement_path_graph(3)
+        serial = sweep_orientations(g, part, workers=1, sample_threshold=400, seed=6)
+        assert serial.sampled and len(serial.disagreements) == serial.semi_transitive > 1
+        searcher = ShortcutSearcher(g)
+        expected = [Orientation(g, out).arcs() for out in drawn_orientations(g, 400, 6)
+                    if searcher.find(out) is None]
+        assert [d["arcs"] for d in serial.disagreements] == [
+            [f"{u} -> {v}" for u, v in arcs] for arcs in expected]
+        for workers in (2, 3):
+            parallel = sweep_orientations(g, part, workers=workers, sample_threshold=400, seed=6)
+            assert parallel.to_json() == serial.to_json()
+
+    def test_sampled_sweep_matches_the_literal_loop(self, serial_pool):
+        # A threshold at the orientation count reads the draws' verdicts off
+        # the walk; one below it runs find on each draw.  Both must give
+        # the literal loop's result, with one shard or two.
+        import random
+
+        rng = random.Random(5150)
+        cases = [cross_pattern(["a1", "a2"], ["b1", "b2", "b3"], bits) for bits in range(64)]
+        for shape in [(3, 3)] * 10 + [(3, 4)] * 10:
+            g, part = cross_pattern([f"a{i}" for i in range(shape[0])],
+                                    [f"b{i}" for i in range(shape[1])],
+                                    rng.getrandbits(shape[0] * shape[1]))
+            cases.append((Graph.from_edges(rng.sample(g.vertices, len(g.vertices)),
+                                           g.edges()), part))
+        walked = 0
+        for seed, (g, part) in enumerate(cases):
+            count = count_acyclic_orientations(g)
+            for threshold in {max(count - 1, 1), count}:
+                if math.factorial(len(g.vertices)) <= threshold:
+                    continue
+                walked += threshold >= count
+                expected = literal_sampled_sweep(g, part, threshold, seed)
+                for workers in (1, 2):
+                    assert sweep_orientations(g, part, workers=workers, sample_threshold=threshold,
+                                              seed=seed).to_json() == expected, (g.adj, threshold)
+        assert walked == 83, walked
+
+    def test_sampled_sweep_walks_only_under_the_orientation_count(self, monkeypatch):
+        # T1bar has 1,752 acyclic orientations and 5,040 orders.
+        import wordrep.orientations as ori
+
+        walks, finds = [], []
+        enumerate_outsets, find = ori.acyclic_outsets, ShortcutSearcher.find
+
+        def counted_walk(*args):
+            walks.append(args)
+            return enumerate_outsets(*args)
+
+        def counted_find(self, out):
+            finds.append(out)
+            return find(self, out)
+
+        monkeypatch.setattr(ori, "acyclic_outsets", counted_walk)
+        monkeypatch.setattr(ShortcutSearcher, "find", counted_find)
+        g, part = named_witness("T1bar")
+        for threshold in (2500, 1752):
+            walked = sweep_orientations(g, part, sample_threshold=threshold, seed=3)
+            assert walked.sampled and (len(walks), len(finds)) == (1, 0)
+            del walks[:]
+        drawn = sweep_orientations(g, part, sample_threshold=500, seed=3)
+        assert drawn.sampled and (len(walks), len(finds)) == (0, drawn.orientations)
 
     def test_full_sweep_walks_the_enumerator_once(self, monkeypatch):
         import wordrep.orientations as ori
