@@ -70,7 +70,7 @@ print("co-cycle sweep:", result.to_json())
 # deciders agree on every single orientation.
 
 g, partition = named_witness("T2bar")
-result = sweep_orientations(g, partition, workers=2)
+result = sweep_orientations(g, partition)
 print("T2bar sweep: orientations =", result.orientations,
       "semi-transitive =", result.semi_transitive,
       "disagreements =", len(result.disagreements))

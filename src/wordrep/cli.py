@@ -140,13 +140,10 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     result = sweep_orientations(
         graph,
         partition,
-        workers=args.workers,
         sample_threshold=args.sample_threshold,
         seed=args.seed,
     )
-    payload = result.to_json()
-    payload["workers"] = args.workers
-    _emit(payload)
+    _emit(result.to_json())
     return EXIT_OK if not result.disagreements else EXIT_NEGATIVE
 
 
@@ -278,7 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dual-oracle sweep over acyclic orientations")
     p.add_argument("graph")
     p.add_argument("--max-vertices", type=int, default=ori.DEFAULT_MAX_VERTICES)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=int, choices=(1,), default=1,
+                   help="must be 1: the sweep runs in one process; the flag stays only "
+                        "for command lines that pass --workers 1, such as perfbench's")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sample-threshold", type=_positive_int, default=DEFAULT_SAMPLE_THRESHOLD)
     p.set_defaults(handler=cmd_characterize)

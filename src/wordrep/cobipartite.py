@@ -55,9 +55,7 @@ pass, 97,056 first fail typing and 25,560 first fail lemma 4.2.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from itertools import islice, repeat
 from math import factorial
 from random import Random
 from typing import Iterator, Optional
@@ -514,7 +512,7 @@ def is_semi_transitive_cobip(
 # rejection is hereditary because every completion keeps a shortcut; the
 # structural one's because _prefix_may_pass runs the core, whose stages
 # are all hereditary (see the module docstring), on _cliques restricted to
-# the prefix's vertices, built once per shard by _prefix_cliques.  So a
+# the prefix's vertices, built once per sweep by _prefix_cliques.  So a
 # full sweep yields every shortcut-free orientation and every one that
 # passes the core, in enumerator order, and takes its orientation count
 # from count_acyclic_orientations rather than from the walk.  A drawn
@@ -522,22 +520,13 @@ def is_semi_transitive_cobip(
 # it counts, but adds no semi-transitive orientation or disagreement.
 #
 # Structural verdicts: _cliques validates the partition once per graph,
-# which also fixes the cross-neighbor masks and lists (a worker gets them
-# with the graph), and each shard asks the index-level core, _failed_stage,
-# about every streamed orientation's raw out-neighbor tuple.  Every one of
-# them directs each edge exactly once, as the core requires.  Only a
-# disagreement builds an Orientation and the full labelled report through
-# is_semi_transitive_cobip.
-#
-# Shards: with N shards, shard w evaluates stream items w, w + N, ...  In a
-# full sweep every shard walks the pruned enumerator and skips the others'
-# items.
-# A sampled sweep draws and dedups its orders once, up front, and sends
-# each shard only its stride of the distinct orientations, by draw
-# position; when it walks, every shard walks and keeps its stride's items.
-# The shards share at most one process per core and receive the graph as
-# it is.  Counts add up and disagreements are merged by stream position
-# (draw position when sampling), so the result equals a one-shard run.
+# which also fixes the cross-neighbor masks and lists, and the sweep asks
+# the index-level core, _failed_stage, about every streamed orientation's
+# raw out-neighbor tuple.  Every one of them directs each edge exactly
+# once, as the core requires.  Only a disagreement builds an Orientation
+# and the full labelled report through is_semi_transitive_cobip.
+# Disagreements come in stream order, except that a sampled sweep reports
+# them in draw order even when it walks.
 
 
 @dataclass(frozen=True)
@@ -589,16 +578,15 @@ def _prefix_may_pass(out: list[int], prefix_cliques: list[tuple]) -> bool:
     return _failed_stage(out, prefix_cliques[len(out) - 1])[0] is None
 
 
-def _orientation_stream(g: Graph, cliques: tuple, drawn: Optional[dict], start: int,
-                        step: int, walk: bool) -> Iterator[tuple[tuple[int, ...], bool]]:
-    """One shard's items of the sweep's stream, each as ``(out, shortcut_free)``.
+def _orientation_stream(g: Graph, cliques: tuple, drawn: Optional[dict],
+                        walk: bool) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """The sweep's stream, each item as ``(out, shortcut_free)``.
 
-    In a full sweep (``drawn`` None), every step-th orientation from start
-    of the walk that drops what both oracles reject on a prefix.  In a
-    sampled one, ``drawn`` maps the shard's stride of the distinct sampled
-    orientations to their draw positions; with ``walk``, the items of that
-    walk that were drawn, and otherwise every drawn one, in draw order,
-    with ``ShortcutSearcher.find``'s verdict.
+    In a full sweep (``drawn`` None), the walk that drops what both oracles
+    reject on a prefix.  In a sampled one, ``drawn`` maps the distinct
+    sampled orientations to their draw positions; with ``walk``, the items
+    of that walk that were drawn, in enumerator order, and otherwise every
+    drawn one, in draw order, with ``ShortcutSearcher.find``'s verdict.
     """
     if not walk:
         find = ShortcutSearcher(g).find
@@ -606,36 +594,13 @@ def _orientation_stream(g: Graph, cliques: tuple, drawn: Optional[dict], start: 
     prefix_cliques = _prefix_cliques(cliques)
     stream = outsets_shortcut_free(g, lambda out: _prefix_may_pass(out, prefix_cliques))
     if drawn is None:
-        return islice(stream, start, None, step)
+        return stream
     return ((out, free) for out, free in stream if out in drawn)
-
-
-def _sweep_slice(g: Graph, partition: CoBipartitePartition, drawn: Optional[dict],
-                 start: int, step: int, walk: bool) -> tuple[int, list]:
-    """The semi-transitive count and positioned disagreements over one shard's
-    stream items."""
-    cliques = _cliques(g, partition)
-    semi = 0
-    disagreements = []
-    for i, (out, path_verdict) in enumerate(
-            _orientation_stream(g, cliques, drawn, start, step, walk)):
-        semi += path_verdict
-        if path_verdict != (_failed_stage(out, cliques)[0] is None):
-            o = Orientation(g, out)
-            structural_verdict, report = is_semi_transitive_cobip(o, partition)
-            disagreements.append((start + i * step if drawn is None else drawn[out], {
-                "arcs": [f"{u} -> {v}" for u, v in o.arcs()],
-                "pathOracle": path_verdict,
-                "structuralOracle": structural_verdict,
-                "report": report.to_json(),
-            }))
-    return semi, disagreements
 
 
 def sweep_orientations(
     g: Graph,
     partition: CoBipartitePartition,
-    workers: int = 1,
     sample_threshold: int = DEFAULT_SAMPLE_THRESHOLD,
     seed: int = 0,
 ) -> SweepResult:
@@ -650,13 +615,12 @@ def sweep_orientations(
     verdicts of its distinct draws off that walk when the count is known
     and at most ``sample_threshold``, so the walk costs about what the
     draws do, and asks ``ShortcutSearcher.find`` about each draw otherwise.
-    Disagreeing orientations are returned in stream order with both
-    verdicts and the structural report.  ``workers`` shards the stream; the
-    shards run in at most one process per core.
+    Disagreeing orientations are returned in stream order (draw order when
+    sampling) with both verdicts and the structural report.
     """
     if sample_threshold < 1:
         raise ValueError(f"sample_threshold must be >= 1, got {sample_threshold}")
-    _cliques(g, partition)
+    cliques = _cliques(g, partition)
     total_orders = factorial(len(g.vertices))
     sampled = total_orders > sample_threshold
     total = count_acyclic_orientations(g)
@@ -665,30 +629,33 @@ def sweep_orientations(
             f"a full sweep counts the orientations of at most {COUNT_MAX_VERTICES} "
             f"vertices, not {len(g.vertices)}")
     walk = total is not None and total <= sample_threshold  # always in a full sweep: total <= n!
-    step = max(workers, 1)
-    drawn = repeat(None)
+    drawn = None
     if sampled:
         rng = Random(seed)
         base = list(range(len(g.vertices)))
-        distinct = list(dict.fromkeys(outs_from_order(g.adj, rng.sample(base, len(base)))
-                                      for _ in range(sample_threshold)))
-        drawn = ({out: p for p, out in islice(enumerate(distinct), start, None, step)}
-                 for start in range(step))
+        distinct = dict.fromkeys(outs_from_order(g.adj, rng.sample(base, len(base)))
+                                 for _ in range(sample_threshold))
+        drawn = {out: p for p, out in enumerate(distinct)}
 
-    if step == 1:
-        shards = [_sweep_slice(g, partition, next(drawn), 0, 1, walk)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(step, os.cpu_count() or 1)) as pool:
-            shards = list(pool.map(_sweep_slice, repeat(g), repeat(partition), drawn,
-                                   range(step), repeat(step), repeat(walk)))
-
-    positioned = sorted(item for _, found in shards for item in found)
+    semi = 0
+    found = []
+    for out, path_verdict in _orientation_stream(g, cliques, drawn, walk):
+        semi += path_verdict
+        if path_verdict != (_failed_stage(out, cliques)[0] is None):
+            o = Orientation(g, out)
+            structural_verdict, report = is_semi_transitive_cobip(o, partition)
+            found.append((out, {
+                "arcs": [f"{u} -> {v}" for u, v in o.arcs()],
+                "pathOracle": path_verdict,
+                "structuralOracle": structural_verdict,
+                "report": report.to_json(),
+            }))
+    if drawn is not None:  # a walk yields the draws in enumerator order
+        found.sort(key=lambda item: drawn[item[0]])
     return SweepResult(
-        orientations=len(distinct) if sampled else total,
-        semi_transitive=sum(semi for semi, _ in shards),
-        disagreements=tuple(record for _, record in positioned),
+        orientations=len(drawn) if sampled else total,
+        semi_transitive=semi,
+        disagreements=tuple(record for _, record in found),
         sampled=sampled,
         seed=seed if sampled else None,
         orders_examined=sample_threshold if sampled else total_orders,

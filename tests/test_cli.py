@@ -319,15 +319,17 @@ class TestCharacterize:
         code, _, _ = run_cli(capsys, "characterize", str(gpath))
         assert code == 2
 
-    def test_worker_determinism(self, capsys, tmp_path):
+    def test_workers_accepts_only_one(self, capsys, tmp_path):
+        # The sweep runs in one process; --workers 1 still parses, for
+        # command lines that pass it, and the payload has no workers key.
         g, part = complement_path_graph(2)
         gpath = write_graph(tmp_path, "cop4.graph", g, part)
-        code1, out1, _ = run_cli(capsys, "characterize", str(gpath), "--workers", "1")
-        code2, out2, _ = run_cli(capsys, "characterize", str(gpath), "--workers", "2")
-        assert code1 == code2 == 0
-        a, b = json.loads(out1), json.loads(out2)
-        a.pop("workers"), b.pop("workers")
-        assert a == b
+        code, out, err = run_cli(capsys, "characterize", str(gpath), "--workers", "2")
+        assert code == 2 and out == "" and "--workers" in err
+        code, out, _ = run_cli(capsys, "characterize", str(gpath), "--workers", "1")
+        assert code == 0
+        payload = json.loads(out)
+        assert "workers" not in payload and payload["semiTransitive"] > 0
 
     def test_full_sweep_past_the_count_cap_exit_2(self, capsys, tmp_path):
         # 15 vertices: 15! orders lie under the threshold, so the sweep would
@@ -510,4 +512,4 @@ class TestParser:
         code, out, _ = run_cli(capsys, "characterize", str(gpath))
         assert code == 0
         payload = json.loads(out)
-        assert payload["workers"] == 1 and payload["semiTransitive"] == 0
+        assert "workers" not in payload and payload["semiTransitive"] == 0

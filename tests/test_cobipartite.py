@@ -1,8 +1,6 @@
 """A/B/C typing, the cross-pattern conditions, and the staged verdict."""
 
 import math
-import multiprocessing
-import os
 from itertools import combinations
 
 import pytest
@@ -424,31 +422,6 @@ class TestIndexCore:
         assert seen == {None, "clique-transitivity", "typing", "lemma42"}
 
 
-@pytest.fixture
-def serial_pool(monkeypatch):
-    """Run sweep shards in this process instead of a process pool; the
-    returned list records each pool's process count."""
-    import concurrent.futures
-
-    started = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    return started
-
-
 def drawn_orientations(g, threshold, seed):
     """The distinct orientations of a sampled sweep's seeded orders, in draw order."""
     import random
@@ -499,7 +472,7 @@ class TestAgreementSweep:
         # The full sweep's stream is the enumerator less the orientations
         # that both oracles reject: find sees a shortcut, and a vertex fails
         # to type or lemma 4.2 fails.  find on each orientation stays the
-        # oracle of its path verdicts, and shards slice one stream.
+        # oracle of its path verdicts.
         import random
 
         import wordrep.cobipartite as cob
@@ -521,10 +494,7 @@ class TestAgreementSweep:
                         if free or may_pass(Orientation(g, out), part)]
             dropped += len(flagged) - len(expected)
             cliques = cob._cliques(g, part)
-            assert list(cob._orientation_stream(g, cliques, None, 0, 1, True)) == expected, g.adj
-            for start in range(3):
-                assert list(cob._orientation_stream(g, cliques, None, start, 3, True)) \
-                    == expected[start::3]
+            assert list(cob._orientation_stream(g, cliques, None, True)) == expected, g.adj
         assert dropped > 0
 
     def test_prefix_rejections_are_hereditary(self):
@@ -604,21 +574,6 @@ class TestAgreementSweep:
         assert result.semi_transitive == 720
         assert result.disagreements == ()
 
-    def test_sweep_workers_match_serial(self):
-        g, part = named_witness("T2bar")
-        serial = sweep_orientations(g, part, workers=1)
-        parallel = sweep_orientations(g, part, workers=2)
-        assert serial.to_json() == parallel.to_json()
-        assert serial.semi_transitive == 0
-        g, part = complement_path_graph(3)
-        for threshold in (200_000, 300):
-            serial = sweep_orientations(g, part, workers=1, sample_threshold=threshold, seed=4)
-            parallel = sweep_orientations(g, part, workers=2, sample_threshold=threshold, seed=4)
-            assert serial.to_json() == parallel.to_json()
-            assert serial.semi_transitive > 0
-
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="workers must inherit the patched oracle")
     def test_disagreements_merge_in_stream_order(self, monkeypatch):
         # A structural core that rejects everything disagrees with the
         # path oracle on exactly the semi-transitive orientations.
@@ -628,19 +583,14 @@ class TestAgreementSweep:
         monkeypatch.setattr(cob, "_failed_stage", lambda out, cliques: (
             "typing", *core(out, cliques)[1:]))
         g, part = complement_path_graph(2)
-        serial = sweep_orientations(g, part, workers=1)
-        assert len(serial.disagreements) == serial.semi_transitive > 1
+        result = sweep_orientations(g, part)
+        assert len(result.disagreements) == result.semi_transitive > 1
         searcher = ShortcutSearcher(g)
         expected = [Orientation(g, out).arcs() for out in acyclic_outsets(g)
                     if searcher.find(out) is None]
-        assert [d["arcs"] for d in serial.disagreements] == [
+        assert [d["arcs"] for d in result.disagreements] == [
             [f"{u} -> {v}" for u, v in arcs] for arcs in expected]
-        for workers in (2, 3):
-            parallel = sweep_orientations(g, part, workers=workers)
-            assert parallel.to_json() == serial.to_json()
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="workers must inherit the patched oracle")
     def test_sampled_disagreements_merge_in_draw_order(self, monkeypatch):
         # The same with a sampled sweep that reads its verdicts off the walk
         # (co-P(3) has 258 acyclic orientations and 720 orders): the
@@ -651,21 +601,18 @@ class TestAgreementSweep:
         monkeypatch.setattr(cob, "_failed_stage", lambda out, cliques: (
             "typing", *core(out, cliques)[1:]))
         g, part = complement_path_graph(3)
-        serial = sweep_orientations(g, part, workers=1, sample_threshold=400, seed=6)
-        assert serial.sampled and len(serial.disagreements) == serial.semi_transitive > 1
+        result = sweep_orientations(g, part, sample_threshold=400, seed=6)
+        assert result.sampled and len(result.disagreements) == result.semi_transitive > 1
         searcher = ShortcutSearcher(g)
         expected = [Orientation(g, out).arcs() for out in drawn_orientations(g, 400, 6)
                     if searcher.find(out) is None]
-        assert [d["arcs"] for d in serial.disagreements] == [
+        assert [d["arcs"] for d in result.disagreements] == [
             [f"{u} -> {v}" for u, v in arcs] for arcs in expected]
-        for workers in (2, 3):
-            parallel = sweep_orientations(g, part, workers=workers, sample_threshold=400, seed=6)
-            assert parallel.to_json() == serial.to_json()
 
-    def test_sampled_sweep_matches_the_literal_loop(self, serial_pool):
+    def test_sampled_sweep_matches_the_literal_loop(self):
         # A threshold at the orientation count reads the draws' verdicts off
         # the walk; one below it runs find on each draw.  Both must give
-        # the literal loop's result, with one shard or two.
+        # the literal loop's result.
         import random
 
         rng = random.Random(5150)
@@ -684,9 +631,8 @@ class TestAgreementSweep:
                     continue
                 walked += threshold >= count
                 expected = literal_sampled_sweep(g, part, threshold, seed)
-                for workers in (1, 2):
-                    assert sweep_orientations(g, part, workers=workers, sample_threshold=threshold,
-                                              seed=seed).to_json() == expected, (g.adj, threshold)
+                assert sweep_orientations(g, part, sample_threshold=threshold,
+                                          seed=seed).to_json() == expected, (g.adj, threshold)
         assert walked == 83, walked
 
     def test_sampled_sweep_walks_only_under_the_orientation_count(self, monkeypatch):
@@ -726,23 +672,12 @@ class TestAgreementSweep:
 
         monkeypatch.setattr(ori, "acyclic_outsets", counted)
         g, part = named_witness("T2bar")
-        result = sweep_orientations(g, part, workers=1)
+        result = sweep_orientations(g, part)
         assert result.orientations > 0 and result.disagreements == ()
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("workers, cores, processes",
-                             [(5, 2, 2), (2, 8, 2), (3, None, 1)])
-    def test_sweep_processes_bounded_by_cores(self, monkeypatch, serial_pool, workers, cores,
-                                              processes):
-        # The shard count stays at workers; only the process count is capped.
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        g, part = complement_path_graph(2)
-        result = sweep_orientations(g, part, workers=workers)
-        assert serial_pool == [processes]
-        assert result.to_json() == sweep_orientations(g, part, workers=1).to_json()
-
-    def test_sampled_sweep_draws_once(self, monkeypatch, serial_pool):
-        # The sweep draws and dedups the sampled orders; each shard gets its stride.
+    def test_sampled_sweep_draws_once(self, monkeypatch):
+        # The sweep draws and dedups the sampled orders once.
         import wordrep.cobipartite as cob
 
         draws = []
@@ -754,13 +689,12 @@ class TestAgreementSweep:
 
         monkeypatch.setattr(cob, "outs_from_order", counted)
         g, part = complement_path_graph(3)
-        parallel = sweep_orientations(g, part, workers=3, sample_threshold=300, seed=4)
-        assert serial_pool == [min(3, os.cpu_count() or 1)]
+        first = sweep_orientations(g, part, sample_threshold=300, seed=4)
         assert len(draws) == 300
-        assert parallel.sampled and parallel.orientations > 3
-        serial = sweep_orientations(g, part, workers=1, sample_threshold=300, seed=4)
+        assert first.sampled and first.orientations > 3
+        second = sweep_orientations(g, part, sample_threshold=300, seed=4)
         assert len(draws) == 600
-        assert parallel.to_json() == serial.to_json()
+        assert first.to_json() == second.to_json()
 
     def test_partition_validated_once_per_sweep(self, monkeypatch):
         calls = []
@@ -772,9 +706,9 @@ class TestAgreementSweep:
 
         monkeypatch.setattr(CoBipartitePartition, "validate", counted)
         g, part = complement_path_graph(3)
-        result = sweep_orientations(g, part, workers=1)
+        result = sweep_orientations(g, part)
         assert result.orientations > 100 and result.disagreements == ()
-        assert len(calls) <= 2  # once up front, once in the one shard
+        assert len(calls) == 1
 
     def test_sweep_sampling_is_seeded(self):
         g, part = named_witness("T1bar")
