@@ -57,6 +57,16 @@ w = find_uniform_word(prism, k)
 print(f"prism representation number: {k}, word: {w}")
 print("word verifies:", represents(w, prism).ok)
 
+# The number comes from word searches guided by semi-transitive
+# orientations with vertex 0 a source: a letter's first copy goes only
+# after the first copies of its in-neighbours.  The decider's orientation
+# is one of them, and a 3-uniform word follows it.
+
+o = find_semi_transitive_orientation(prism)
+guided = find_uniform_word(prism, k, o)
+print("prism pinned orientation:", o)
+print(f"prism guided word: {guided}  (verifies: {represents(guided, prism).ok})")
+
 # --- comparability and the odd-walk certificate ----------------------------------
 # A transitive orientation is stronger than a semi-transitive one.  The
 # prism has none, and a closed odd walk with no triangular chord is a

@@ -56,10 +56,20 @@ classes answer it alone: the dominant-vertex route tests the rest of the
 graph, and the bounded multiplicity search scans the neighbourhoods before
 multiplicity 2.
 
+The same pin guides the search for uniform words of bounded multiplicity.
+Given an orientation, the search places a letter's first copy only after
+the first copies of its in-neighbours, so it keeps only the words whose
+first copies order that orientation.  By the argument above, a graph with a
+k-uniform representant has one that starts with 0 and whose first copies
+order an orientation of the pinned tree, so the bounded representation
+number walks that tree and runs the guided search on each orientation.  On
+the triangular prism that walks 3 orientations in place of one unguided
+refutation of multiplicity 2.  The unguided search stays as the literal
+oracle.
+
 Also here: transitive-orientation search (comparability), its odd-walk
-refutation witness (a shortest odd closed walk of the arc digraph), the
-dominant-vertex reduction, and a backtracking search for uniform
-representing words of bounded multiplicity.
+refutation witness (a shortest odd closed walk of the arc digraph) and the
+dominant-vertex reduction.
 """
 
 from __future__ import annotations
@@ -756,7 +766,9 @@ def representable_via_dominant(g: Graph, x: str) -> bool:
 # --- bounded-multiplicity word search --------------------------------------
 
 
-def find_uniform_word(g: Graph, k: int) -> Optional[Word]:
+def find_uniform_word(
+    g: Graph, k: int, orientation: Orientation | Sequence[int] | None = None
+) -> Optional[Word]:
     """Backtracking search for a k-uniform word representing g.
 
     The word grows letter by letter in vertex order, its alternation state
@@ -765,6 +777,14 @@ def find_uniform_word(g: Graph, k: int) -> Optional[Word]:
     previous occurrence, and every non-adjacent pair must split before both
     letters run out.  Uniform words may be rotated freely, so the first
     position is pinned to the first vertex.
+
+    With an ``orientation`` (an ``Orientation`` of g or its out-bitsets),
+    the search keeps only words whose first copies order it: a letter's
+    first copy goes only after the first copies of all its in-neighbours.
+    The first letter is still vertex 0, so there is no such word unless 0
+    is a source.  It is the same search with one more check, and it returns
+    the first word of the unguided search's order that follows the
+    orientation.
     """
     n = len(g.vertices)
     if n == 0:
@@ -775,15 +795,22 @@ def find_uniform_word(g: Graph, k: int) -> Optional[Word]:
     full = (1 << n) - 1
     lanes = _lanes(n)
     nonadj = [full & ~adj[i] & ~(1 << i) for i in range(n)]
+    # inward[i]: the letters whose first copies must precede i's
+    inward = [0] * n
+    if orientation is not None:
+        out = orientation.out if isinstance(orientation, Orientation) else orientation
+        for j, mask in enumerate(out):
+            for i in _bits(mask):
+                inward[i] |= 1 << j
     word: list[int] = []
     remaining = [k] * n
 
-    def search(since: int, split: list[int]) -> bool:
+    def search(since: int, split: list[int], seen: int) -> bool:
         if len(word) == n * k:
             return True
         for i in range(n) if word else (0,):
             # adj[i] has n bits, so the lanes above i's need no mask
-            if not remaining[i] or adj[i] & ~(since >> i * n):
+            if not remaining[i] or inward[i] & ~seen or adj[i] & ~(since >> i * n):
                 continue
             remaining[i] -= 1
             word.append(i)
@@ -792,13 +819,14 @@ def find_uniform_word(g: Graph, k: int) -> Optional[Word]:
             # restriction with i, so it needs two more copies of the other,
             # which split it: a complete word has split every such pair.
             stuck = 0 if remaining[i] else nonadj[i] & ~split_i[i]
-            if all(remaining[j] > 1 for j in _bits(stuck)) and search(since_i, split_i):
+            if (all(remaining[j] > 1 for j in _bits(stuck))
+                    and search(since_i, split_i, seen | 1 << i)):
                 return True
             remaining[i] += 1
             word.pop()
         return False
 
-    if search((1 << n * n) - 1, [0] * n):
+    if search((1 << n * n) - 1, [0] * n, 0):
         return Word(tuple(g.vertices[i] for i in word))
     return None
 
@@ -816,6 +844,18 @@ def bounded_representation_number(
     a comparability graph (``_non_comparability_neighbourhood``) refutes
     before the longer searches; within the vertex cap that scan rejects
     exactly the graphs with no representing word, the labelled copies of W5.
+
+    The longer searches are guided.  They walk the semi-transitive decider's
+    pinned tree (``_zero_source_pin``: vertex 0 a source and the first edge
+    decided away from 0 forward), run the guided k = 2 search on each
+    orientation, and try k = 3 only on the orientations walked.  That is
+    exact: a k-uniform representant shifted to start with 0 still
+    represents (Kitaev-Pyatkin 2008), and its first copies order a
+    semi-transitive orientation with 0 a source (Halldorsson-Kitaev-Pyatkin
+    2016).  Reversing it and moving its last 0 to the front gives a second
+    such word, which reverses every edge away from 0.  So one of the two
+    induces a pinned orientation, and the guided search on that orientation
+    finds a word.
     """
     _check_cap(g, WORD_SEARCH_MAX_VERTICES)
     if max_k > DEFAULT_MAX_UNIFORMITY:
@@ -826,9 +866,15 @@ def bounded_representation_number(
         raise GraphError(f"multiplicity bound {max_k} must be at least 1")
     if not g.vertices:
         raise GraphError("need at least one vertex")
-    for k in range(1, max_k + 1):
-        if find_uniform_word(g, k) is not None:
-            return k
-        if k == 1 and max_k > 1 and _non_comparability_neighbourhood(g.adj):
-            return None
+    if find_uniform_word(g, 1) is not None:
+        return 1
+    if max_k == 1 or _non_comparability_neighbourhood(g.adj):
+        return None
+    walked = []
+    for out in acyclic_outsets(g, _zero_source_pin(g, ShortcutSearcher(g).prefix_free)):
+        if find_uniform_word(g, 2, out) is not None:
+            return 2
+        walked.append(out)
+    if max_k == 3 and any(find_uniform_word(g, 3, out) is not None for out in walked):
+        return 3
     return None

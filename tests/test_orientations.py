@@ -824,6 +824,56 @@ def first_uniform_word(g, k):
     return extend()
 
 
+def uniform_words(n, k):
+    """Every k-uniform word over the digits 0..n-1 (n <= 10) that starts
+    with 0, as a string, in lexicographic order, as ``first_uniform_word``
+    walks them."""
+    words = []
+    left = [k] * n
+    left[0] -= 1
+
+    def extend(word):
+        if len(word) == n * k:
+            words.append(word)
+        for i in range(n):
+            if left[i]:
+                left[i] -= 1
+                extend(word + str(i))
+                left[i] += 1
+
+    extend("0")
+    return words
+
+
+def alternation_graph(n):
+    """A function of a word over the digits 0..n-1 that gives the adjacency
+    bitsets of the graph the word represents, by the literal definition:
+    the restriction to a pair has no letter twice in a row."""
+    digits = [str(i) for i in range(n)]
+    pairs = [(i, j, digits[i] * 2, digits[j] * 2,
+              {ord(c): None for c in digits if c not in (digits[i], digits[j])})
+             for i, j in combinations(range(n), 2)]
+
+    def read(word):
+        adj = [0] * n
+        for i, j, twice_i, twice_j, others in pairs:
+            pair = word.translate(others)
+            if twice_i not in pair and twice_j not in pair:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        return tuple(adj)
+
+    return read
+
+
+def first_copy_order(adj, initial):
+    """Out-bitsets orienting each edge from the earlier to the later letter
+    of ``initial``, a word's first copies as a digit string."""
+    rank = {int(c): pos for pos, c in enumerate(initial)}
+    return tuple(sum(1 << j for j in range(len(adj)) if mask >> j & 1 and rank[i] < rank[j])
+                 for i, mask in enumerate(adj))
+
+
 class TestUniformWordSearch:
     def test_representation_numbers(self):
         assert bounded_representation_number(complete_graph(["1", "2", "3"])) == 1
@@ -856,10 +906,12 @@ class TestUniformWordSearch:
 
     def test_decider_precheck_keeps_the_literal_answer(self, monkeypatch):
         # After k = 1 fails, bounded_representation_number scans the
-        # neighbourhoods, never asking the decider, and skips the longer
-        # searches on a negative; the literal loop over find_uniform_word
-        # stays its oracle.  Up to isomorphism, W5 is the one graph on at
-        # most 6 vertices with no representing word.
+        # neighbourhoods and skips the longer searches on a negative; on a
+        # positive it walks the decider's pinned tree itself, never asking
+        # the decider, and runs the guided searches on what it walks.  The
+        # literal loop over the unguided find_uniform_word stays its oracle.
+        # Up to isomorphism, W5 is the one graph on at most 6 vertices with
+        # no representing word.
         calls = []
         monkeypatch.setattr(orientations, "find_semi_transitive_orientation",
                             lambda *args: calls.append(args))
@@ -876,6 +928,73 @@ class TestUniformWordSearch:
         for g in chain(copies, sixes):
             assert bounded_representation_number(g, 3) == literal(g), g.adj
         assert calls == []
+
+    def test_guided_number_matches_the_literal_loop(self):
+        # Every labelled graph on at most 5 vertices, every bound.
+        for n in range(1, 6):
+            for g in labelled_graphs(n):
+                number = next((k for k in (1, 2, 3) if find_uniform_word(g, k) is not None),
+                              None)
+                for max_k in (1, 2, 3):
+                    expected = number if number is not None and number <= max_k else None
+                    assert bounded_representation_number(g, max_k) == expected, (g.adj, max_k)
+
+    def test_guided_search_matches_brute_force(self):
+        # On every labelled graph of at most 4 vertices and every acyclic
+        # orientation with vertex 0 a source, the guided search finds a word
+        # exactly when some k-uniform representant starting with 0 has first
+        # copies ordering the orientation, and it finds the
+        # lexicographically first one, which represents and follows it.
+        cases = hits = 0
+        for n in range(1, 5):
+            for k in (1, 2, 3):
+                read = alternation_graph(n)
+                by_initial = {}
+                for word in uniform_words(n, k):
+                    by_initial.setdefault((read(word), "".join(dict.fromkeys(word))), word)
+                # (graph, orientation) -> the first word inducing both
+                first = {}
+                for (adj, initial), word in by_initial.items():
+                    first.setdefault((adj, first_copy_order(adj, initial)),
+                                     Word(tuple(f"v{c}" for c in word)))
+                for g in labelled_graphs(n):
+                    for out in acyclic_outsets(g):
+                        if any(mask & 1 for mask in out):
+                            continue
+                        found = find_uniform_word(g, k, Orientation(g, out))
+                        assert found == first.get((g.adj, out)), (g.adj, out, k)
+                        if found is not None:
+                            hits += 1
+                            assert represents(found, g).ok
+                            word = "".join(str(g.index(x)) for x in found)
+                            assert read(word) == g.adj
+                            assert first_copy_order(g.adj, "".join(dict.fromkeys(word))) == out
+                        cases += 1
+        assert (cases, hits) == (3 * 215, 398)
+
+    def test_guided_work_counts(self, monkeypatch):
+        # The searches are deterministic, so their work counts are exact
+        # regression values.  The prism has 3 pinned orientations; none
+        # has a guided 2-uniform word, and the first has a 3-uniform one.
+        walked, searches = [], []
+        outsets, search = orientations.acyclic_outsets, orientations.find_uniform_word
+
+        def counted_outsets(*args):
+            for out in outsets(*args):
+                walked.append(out)
+                yield out
+
+        def counted_search(g, k, orientation=None):
+            found = search(g, k, orientation)
+            searches.append((k, orientation is not None, found is not None))
+            return found
+
+        monkeypatch.setattr(orientations, "acyclic_outsets", counted_outsets)
+        monkeypatch.setattr(orientations, "find_uniform_word", counted_search)
+        prism = complement_crown_graph(GeneralizedCrownParams(3, 0))[0]
+        assert bounded_representation_number(prism, 3) == 3
+        assert len(walked) == 3
+        assert searches == [(1, False, False)] + [(2, True, False)] * 3 + [(3, True, True)]
 
     def test_rejects_a_non_positive_multiplicity_bound(self):
         for max_k in (0, -1):
