@@ -51,6 +51,16 @@ among its four vertices, which every completion keeps.  So the sweep
 below prunes on the core itself (``_prefix_may_pass``).  Of the 145,152
 acyclic orientations of the 512 graphs made of two 3-cliques, 22,536
 pass, 97,056 first fail typing and 25,560 first fail lemma 4.2.
+
+Both oracles keep their verdict when every arc is reversed.  A reversed
+shortcut is a shortcut (Halldorsson-Kitaev-Pyatkin 2016).  In the core,
+clique transitivity is symmetric, and each clique order turns around: a
+run stays a run, so types A and B swap, and a type C vertex stays type C,
+its in-prefix from the source becoming an out-suffix to the new sink; so
+an Invalid vertex stays Invalid.  Lemma 4.2 pattern 1 on (x, y, s, t)
+reverses to pattern 1 on (y, x, t, s), and pattern 2 to pattern 2 on
+(t, s, y, x) with the cliques swapped, a missing diagonal to a missing
+diagonal.  So the sweep below walks one mirror half and doubles its count.
 """
 
 from __future__ import annotations
@@ -58,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import factorial
 from random import Random
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .graphs import CoBipartitePartition, Graph, GraphError, _bits
 from .orientations import (
@@ -66,6 +76,7 @@ from .orientations import (
     CapExceededError,
     Orientation,
     ShortcutSearcher,
+    _one_mirror_half,
     count_acyclic_orientations,
     is_acyclic,
     outs_from_order,
@@ -512,10 +523,10 @@ def is_semi_transitive_cobip(
 # rejection is hereditary because every completion keeps a shortcut; the
 # structural one's because _prefix_may_pass runs the core, whose stages
 # are all hereditary (see the module docstring), on _cliques restricted to
-# the prefix's vertices, built once per sweep by _prefix_cliques.  So a
-# full sweep yields every shortcut-free orientation and every one that
-# passes the core, in enumerator order, and takes its orientation count
-# from count_acyclic_orientations rather than from the walk.  A drawn
+# the prefix's vertices, built once per sweep by _prefix_cliques.  So the
+# walk yields every shortcut-free orientation and every one that passes
+# the core, in enumerator order, and a full sweep takes its orientation
+# count from count_acyclic_orientations rather than from the walk.  A drawn
 # orientation that the walk never yields fails both oracles the same way:
 # it counts, but adds no semi-transitive orientation or disagreement.
 #
@@ -527,6 +538,18 @@ def is_semi_transitive_cobip(
 # and the full labelled report through is_semi_transitive_cobip.
 # Disagreements come in stream order, except that a sampled sweep reports
 # them in draw order even when it walks.
+#
+# Mirror half: a full sweep walks only the orientations with u->k, k the
+# first vertex with an earlier neighbour and u the lowest one, through
+# _one_mirror_half as the deciders use it.  Vertices 0..k-1 span no edge,
+# so the enumerator's stream is that half followed by the half with k->u,
+# and reversing every arc maps one onto the other and keeps both verdicts
+# (see the module docstring).  So the half with k->u holds as many
+# shortcut-free orientations and no disagreement, and the sweep doubles
+# the half's count; an edgeless graph has one orientation and no halves.
+# A half with a disagreement is walked again as the whole, so the
+# disagreements keep stream order.  A sampled sweep walks the whole tree,
+# since its draws are looked up as they stand.
 
 
 @dataclass(frozen=True)
@@ -578,24 +601,46 @@ def _prefix_may_pass(out: list[int], prefix_cliques: list[tuple]) -> bool:
     return _failed_stage(out, prefix_cliques[len(out) - 1])[0] is None
 
 
-def _orientation_stream(g: Graph, cliques: tuple, drawn: Optional[dict],
-                        walk: bool) -> Iterator[tuple[tuple[int, ...], bool]]:
+def _orientation_stream(g: Graph, cliques: tuple, drawn: Optional[dict], walk: bool,
+                        restrict: Optional[Callable] = None
+                        ) -> Iterator[tuple[tuple[int, ...], bool]]:
     """The sweep's stream, each item as ``(out, shortcut_free)``.
 
     In a full sweep (``drawn`` None), the walk that drops what both oracles
-    reject on a prefix.  In a sampled one, ``drawn`` maps the distinct
+    reject on a prefix, over the orientations that ``restrict`` keeps (all
+    of them by default).  In a sampled one, ``drawn`` maps the distinct
     sampled orientations to their draw positions; with ``walk``, the items
-    of that walk that were drawn, in enumerator order, and otherwise every
-    drawn one, in draw order, with ``ShortcutSearcher.find``'s verdict.
+    of the whole walk that were drawn, in enumerator order, and otherwise
+    every drawn one, in draw order, with ``ShortcutSearcher.find``'s verdict.
     """
     if not walk:
         find = ShortcutSearcher(g).find
         return ((out, find(out) is None) for out in drawn)
     prefix_cliques = _prefix_cliques(cliques)
-    stream = outsets_shortcut_free(g, lambda out: _prefix_may_pass(out, prefix_cliques))
+    stream = outsets_shortcut_free(g, lambda out: _prefix_may_pass(out, prefix_cliques), restrict)
     if drawn is None:
         return stream
     return ((out, free) for out, free in stream if out in drawn)
+
+
+def _compare(g: Graph, partition: CoBipartitePartition, cliques: tuple,
+             stream: Iterator[tuple[tuple[int, ...], bool]]) -> tuple[int, list]:
+    """The stream's shortcut-free count and its disagreements, in stream
+    order, each as ``(out, record)``."""
+    semi = 0
+    found = []
+    for out, path_verdict in stream:
+        semi += path_verdict
+        if path_verdict != (_failed_stage(out, cliques)[0] is None):
+            o = Orientation(g, out)
+            structural_verdict, report = is_semi_transitive_cobip(o, partition)
+            found.append((out, {
+                "arcs": [f"{u} -> {v}" for u, v in o.arcs()],
+                "pathOracle": path_verdict,
+                "structuralOracle": structural_verdict,
+                "report": report.to_json(),
+            }))
+    return semi, found
 
 
 def sweep_orientations(
@@ -611,12 +656,16 @@ def sweep_orientations(
     records the seed and that sampling happened).  A full sweep counts its
     orientations with ``count_acyclic_orientations``, since its walk skips
     those both oracles reject, so it raises CapExceededError above
-    COUNT_MAX_VERTICES vertices before it walks.  A sampled sweep reads the
-    verdicts of its distinct draws off that walk when the count is known
-    and at most ``sample_threshold``, so the walk costs about what the
-    draws do, and asks ``ShortcutSearcher.find`` about each draw otherwise.
-    Disagreeing orientations are returned in stream order (draw order when
-    sampling) with both verdicts and the structural report.
+    COUNT_MAX_VERTICES vertices before it walks.  It walks one mirror half
+    (``_one_mirror_half``) and doubles that half's semi-transitive count,
+    since both verdicts survive reversing every arc; a half with a
+    disagreement is walked again as the whole, so the disagreements come
+    in stream order.  A sampled sweep reads the verdicts of its distinct
+    draws off the whole walk when the count is known and at most
+    ``sample_threshold``, so the walk costs about what the draws do, and
+    asks ``ShortcutSearcher.find`` about each draw otherwise.  Disagreeing
+    orientations are returned in stream order (draw order when sampling)
+    with both verdicts and the structural report.
     """
     if sample_threshold < 1:
         raise ValueError(f"sample_threshold must be >= 1, got {sample_threshold}")
@@ -628,30 +677,24 @@ def sweep_orientations(
         raise CapExceededError(
             f"a full sweep counts the orientations of at most {COUNT_MAX_VERTICES} "
             f"vertices, not {len(g.vertices)}")
-    walk = total is not None and total <= sample_threshold  # always in a full sweep: total <= n!
-    drawn = None
     if sampled:
         rng = Random(seed)
         base = list(range(len(g.vertices)))
         distinct = dict.fromkeys(outs_from_order(g.adj, rng.sample(base, len(base)))
                                  for _ in range(sample_threshold))
         drawn = {out: p for p, out in enumerate(distinct)}
-
-    semi = 0
-    found = []
-    for out, path_verdict in _orientation_stream(g, cliques, drawn, walk):
-        semi += path_verdict
-        if path_verdict != (_failed_stage(out, cliques)[0] is None):
-            o = Orientation(g, out)
-            structural_verdict, report = is_semi_transitive_cobip(o, partition)
-            found.append((out, {
-                "arcs": [f"{u} -> {v}" for u, v in o.arcs()],
-                "pathOracle": path_verdict,
-                "structuralOracle": structural_verdict,
-                "report": report.to_json(),
-            }))
-    if drawn is not None:  # a walk yields the draws in enumerator order
-        found.sort(key=lambda item: drawn[item[0]])
+        walk = total is not None and total <= sample_threshold
+        semi, found = _compare(g, partition, cliques,
+                               _orientation_stream(g, cliques, drawn, walk))
+        found.sort(key=lambda item: drawn[item[0]])  # a walk yields the draws in enumerator order
+    else:
+        semi, found = _compare(g, partition, cliques,
+                               _orientation_stream(g, cliques, None, True, _one_mirror_half))
+        if found:
+            semi, found = _compare(g, partition, cliques,
+                                   _orientation_stream(g, cliques, None, True))
+        elif g.edge_count:  # an edgeless graph has one orientation, its own reverse
+            semi *= 2
     return SweepResult(
         orientations=len(drawn) if sampled else total,
         semi_transitive=semi,

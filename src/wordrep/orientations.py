@@ -35,7 +35,9 @@ chromatic-polynomial identity over independent-set partitions instead.
 Reversing every arc keeps an orientation transitive, so the comparability
 decider keeps the half in which the first edge the enumerator decides
 points forward: the first hit lies there, since its reverse would
-otherwise precede it.  The semi-transitive decider pins more.  A
+otherwise precede it.  The co-bipartite sweep walks the same half and
+doubles its count, since both of its oracles keep their verdicts under
+reversal.  The semi-transitive decider pins more.  A
 representable graph has a uniform representant (Kitaev-Pyatkin 2008); a
 cyclic shift starting with vertex 0 still represents, and its first copies
 order a semi-transitive orientation (Halldorsson-Kitaev-Pyatkin 2016)
@@ -429,11 +431,14 @@ def acyclic_outsets(
 
 
 def outsets_shortcut_free(
-    g: Graph, may_pass: Callable[[list[int]], bool]
+    g: Graph, may_pass: Callable[[list[int]], bool], restrict: Optional[Callable] = None
 ) -> Iterator[tuple[tuple[int, ...], bool]]:
     """The acyclic orientations as ``(out, shortcut_free)`` from one walk of
     ``acyclic_outsets``, in its order, less those dropped under a prefix that
-    has a shortcut and that ``may_pass`` rejects.
+    has a shortcut and that ``may_pass`` rejects.  A ``restrict``, such as
+    ``_one_mirror_half``, wraps the walk's prefix check as it wraps a
+    decider's (``_first_pruned_hit``), so only the orientations it keeps are
+    walked; a prefix it rejects never reaches the check.
 
     The prefix predicate runs ``prefix_free`` only under a shortcut-free
     parent prefix (every completion of a prefix keeps its shortcut) and
@@ -453,7 +458,7 @@ def outsets_shortcut_free(
         free[k] = free[k - 1] and searcher.prefix_free(out)
         return free[k] or may_pass(out)
 
-    for out in acyclic_outsets(g, record):
+    for out in acyclic_outsets(g, record if restrict is None else restrict(g, record)):
         yield out, free[-1]
 
 
@@ -856,6 +861,12 @@ def bounded_representation_number(
     such word, which reverses every edge away from 0.  So one of the two
     induces a pinned orientation, and the guided search on that orientation
     finds a word.
+
+    Isolated vertices stay out of those searches.  With k >= 2, a k-uniform
+    word w of the rest gives w x^k for each isolated x (each x^k alternates
+    with nothing), and G's word restricted to the rest is one of the rest;
+    so the rest alone decides every k >= 2, and an edgeless graph that
+    fails k = 1 has number 2.
     """
     _check_cap(g, WORD_SEARCH_MAX_VERTICES)
     if max_k > DEFAULT_MAX_UNIFORMITY:
@@ -870,11 +881,14 @@ def bounded_representation_number(
         return 1
     if max_k == 1 or _non_comparability_neighbourhood(g.adj):
         return None
+    rest = g if all(g.adj) else g.induced(v for v, mask in zip(g.vertices, g.adj) if mask)
+    if not rest.vertices:
+        return 2
     walked = []
-    for out in acyclic_outsets(g, _zero_source_pin(g, ShortcutSearcher(g).prefix_free)):
-        if find_uniform_word(g, 2, out) is not None:
+    for out in acyclic_outsets(rest, _zero_source_pin(rest, ShortcutSearcher(rest).prefix_free)):
+        if find_uniform_word(rest, 2, out) is not None:
             return 2
         walked.append(out)
-    if max_k == 3 and any(find_uniform_word(g, 3, out) is not None for out in walked):
+    if max_k == 3 and any(find_uniform_word(rest, 3, out) is not None for out in walked):
         return 3
     return None

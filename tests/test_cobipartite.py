@@ -559,6 +559,85 @@ class TestAgreementSweep:
                 pass
         assert passed > 1_000
 
+    def test_both_verdicts_survive_reversal(self):
+        # Why a full sweep walks one mirror half: reversing every arc keeps
+        # the path oracle's verdict and the structural core's (the proof is
+        # in the module docstring), so the other half adds the same count
+        # and no disagreement.  Shuffled labels interleave the cliques.
+        import random
+
+        import wordrep.cobipartite as cob
+
+        def reversed_outs(out):
+            return tuple(sum((mask >> i & 1) << j for j, mask in enumerate(out))
+                         for i in range(len(out)))
+
+        rng = random.Random(2516)
+        cases = [cross_pattern(["a1", "a2"], ["b1", "b2"], bits) for bits in range(16)]
+        cases += [cross_pattern(["a1", "a2"], ["b1", "b2", "b3"], bits) for bits in range(64)]
+        for _ in range(20):
+            g, part = cross_pattern(["a1", "a2", "a3"], ["b1", "b2", "b3"], rng.getrandbits(9))
+            cases.append((Graph.from_edges(rng.sample(g.vertices, 6), g.edges()), part))
+        checked = passed = 0
+        for g, part in cases:
+            searcher, cliques = ShortcutSearcher(g), cob._cliques(g, part)
+            for out in acyclic_outsets(g):
+                back = reversed_outs(out)
+                free = searcher.find(out) is None
+                core = cob._failed_stage(out, cliques)[0] is None
+                assert (searcher.find(back) is None) == free, (g.adj, out)
+                assert (cob._failed_stage(back, cliques)[0] is None) == core, (g.adj, out)
+                checked += 1
+                passed += core
+        assert checked > 10_000 and passed > 1_000, (checked, passed)
+
+    def test_full_sweep_work_counts(self, monkeypatch):
+        # The walk is deterministic, so its work counts are exact regression
+        # values: the prefix checks of a full sweep over one mirror half,
+        # about half of those over the whole walk (T1bar 410 / 356, T2bar
+        # 361 / 280, G1bar(4) 3,305 / 2,936).
+        import wordrep.cobipartite as cob
+
+        calls = {"free": 0, "may_pass": 0}
+        prefix_free, may_pass = ShortcutSearcher.prefix_free, cob._prefix_may_pass
+
+        def counted_free(self, out):
+            calls["free"] += 1
+            return prefix_free(self, out)
+
+        def counted_may_pass(out, prefix_cliques):
+            calls["may_pass"] += 1
+            return may_pass(out, prefix_cliques)
+
+        monkeypatch.setattr(ShortcutSearcher, "prefix_free", counted_free)
+        monkeypatch.setattr(cob, "_prefix_may_pass", counted_may_pass)
+        for name, n, free, passes in (("T1bar", None, 206, 178), ("T2bar", None, 181, 140),
+                                      ("G1bar", 4, 1_653, 1_468)):
+            g, part = named_witness(name, n)
+            calls.update(free=0, may_pass=0)
+            result = sweep_orientations(g, part, sample_threshold=math.factorial(len(g.vertices)))
+            assert not result.sampled and result.disagreements == ()
+            assert (calls["free"], calls["may_pass"]) == (free, passes), name
+
+    def test_family_semi_transitive_counts(self):
+        # Full sweeps of the positive families, whose counts check the
+        # doubling of the half's count.
+        from wordrep.constructions import complement_crown_graph, complement_cycle_graph
+        from wordrep.graphs import GeneralizedCrownParams
+
+        cases = []
+        for n in (3, 4, 5):
+            cases += [(complement_path_graph(n), 8 * n - 2),
+                      (complement_path_graph(n, even=False), 8 * n - 6),
+                      (complement_cycle_graph(n), 8 * n),
+                      (complement_crown_graph(GeneralizedCrownParams(n, 1)), 2 * n * n)]
+        cases += [(complement_crown_graph(GeneralizedCrownParams(4, 2)), 72),
+                  (complement_crown_graph(GeneralizedCrownParams(5, 2)), 40)]
+        for (g, part), semi in cases:
+            result = sweep_orientations(g, part, sample_threshold=math.factorial(len(g.vertices)))
+            assert not result.sampled and result.disagreements == ()
+            assert result.semi_transitive == semi, (g.vertices, result.semi_transitive)
+
     def test_sweep_helper_counts(self):
         g, part = join_graph(["a1", "a2"], ["b1", "b2"], cross=[])
         result = sweep_orientations(g, part)
@@ -566,6 +645,10 @@ class TestAgreementSweep:
         assert result.semi_transitive == 4
         assert result.disagreements == ()
         assert not result.sampled
+        # no edge, so no mirror half and nothing to double
+        g, part = join_graph(["a1"], ["b1"], cross=[])
+        result = sweep_orientations(g, part)
+        assert (result.orientations, result.semi_transitive) == (1, 1)
 
     def test_complete_join_all_orientations_pass(self):
         g, part = join_graph(["a1", "a2", "a3"], ["b1", "b2", "b3"])

@@ -996,6 +996,34 @@ class TestUniformWordSearch:
         assert len(walked) == 3
         assert searches == [(1, False, False)] + [(2, True, False)] * 3 + [(3, True, True)]
 
+    def test_isolated_vertices_stay_out_of_the_guided_search(self, monkeypatch):
+        # Past k = 1, an isolated vertex x turns a k-uniform word w of the
+        # rest into w x^k, so the guided searches run on the rest alone, and
+        # an edgeless graph needs none.  On these two graphs a search over
+        # all 6 vertices spent 2.5 ms (the first) and 766 alternation steps
+        # (the second) refuting a pinned orientation before its hit.
+        searched = []
+        search = orientations.find_uniform_word
+
+        def counted_search(g, k, orientation=None):
+            searched.append((len(g.vertices), k))
+            return search(g, k, orientation)
+
+        monkeypatch.setattr(orientations, "find_uniform_word", counted_search)
+        labels = [f"v{i}" for i in range(6)]
+        for edges in ([("v0", "v4"), ("v2", "v4"), ("v2", "v5"), ("v4", "v5")],
+                      [("v0", "v3"), ("v1", "v3"), ("v1", "v4"), ("v3", "v4")]):
+            g = Graph.from_edges(labels, edges)
+            assert [search(g, k) is not None for k in (1, 2)] == [False, True]
+            searched.clear()
+            assert bounded_representation_number(g, 3) == 2
+            # k = 1 on the graph, then k = 2 on the rest's first two pinned
+            # orientations, of which the second has a word
+            assert searched == [(6, 1), (4, 2), (4, 2)], edges
+        searched.clear()
+        assert bounded_representation_number(Graph.from_edges(labels, []), 3) == 2
+        assert searched == [(6, 1)]
+
     def test_rejects_a_non_positive_multiplicity_bound(self):
         for max_k in (0, -1):
             with pytest.raises(GraphError, match="at least 1"):
