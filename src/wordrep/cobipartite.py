@@ -68,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import factorial
 from random import Random
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .graphs import CoBipartitePartition, Graph, GraphError, _bits
 from .orientations import (
@@ -539,14 +539,12 @@ def is_semi_transitive_cobip(
 # Disagreements come in stream order, except that a sampled sweep reports
 # them in draw order even when it walks.
 #
-# Mirror half: a full sweep walks only the orientations with u->k, k the
-# first vertex with an earlier neighbour and u the lowest one, through
-# _one_mirror_half as the deciders use it.  Vertices 0..k-1 span no edge,
-# so the enumerator's stream is that half followed by the half with k->u,
-# and reversing every arc maps one onto the other and keeps both verdicts
-# (see the module docstring).  So the half with k->u holds as many
-# shortcut-free orientations and no disagreement, and the sweep doubles
-# the half's count; an edgeless graph has one orientation and no halves.
+# Mirror half: a full sweep pins the walk to _one_mirror_half's arc, as
+# the comparability decider does; that function's docstring shows that
+# reversing every arc maps the pinned half onto the rest.  Both verdicts
+# survive reversal (see the module docstring), so the other half holds as
+# many shortcut-free orientations and no disagreement, and the sweep
+# doubles the half's count; an edgeless graph has one orientation.
 # A half with a disagreement is walked again as the whole, so the
 # disagreements keep stream order.  A sampled sweep walks the whole tree,
 # since its draws are looked up as they stand.
@@ -602,12 +600,12 @@ def _prefix_may_pass(out: list[int], prefix_cliques: list[tuple]) -> bool:
 
 
 def _orientation_stream(g: Graph, cliques: tuple, drawn: Optional[dict], walk: bool,
-                        restrict: Optional[Callable] = None
+                        pinned: Optional[list[int]] = None
                         ) -> Iterator[tuple[tuple[int, ...], bool]]:
     """The sweep's stream, each item as ``(out, shortcut_free)``.
 
     In a full sweep (``drawn`` None), the walk that drops what both oracles
-    reject on a prefix, over the orientations that ``restrict`` keeps (all
+    reject on a prefix, over the orientations with the ``pinned`` arcs (all
     of them by default).  In a sampled one, ``drawn`` maps the distinct
     sampled orientations to their draw positions; with ``walk``, the items
     of the whole walk that were drawn, in enumerator order, and otherwise
@@ -617,7 +615,7 @@ def _orientation_stream(g: Graph, cliques: tuple, drawn: Optional[dict], walk: b
         find = ShortcutSearcher(g).find
         return ((out, find(out) is None) for out in drawn)
     prefix_cliques = _prefix_cliques(cliques)
-    stream = outsets_shortcut_free(g, lambda out: _prefix_may_pass(out, prefix_cliques), restrict)
+    stream = outsets_shortcut_free(g, lambda out: _prefix_may_pass(out, prefix_cliques), pinned)
     if drawn is None:
         return stream
     return ((out, free) for out, free in stream if out in drawn)
@@ -689,7 +687,7 @@ def sweep_orientations(
         found.sort(key=lambda item: drawn[item[0]])  # a walk yields the draws in enumerator order
     else:
         semi, found = _compare(g, partition, cliques,
-                               _orientation_stream(g, cliques, None, True, _one_mirror_half))
+                               _orientation_stream(g, cliques, None, True, _one_mirror_half(g)))
         if found:
             semi, found = _compare(g, partition, cliques,
                                    _orientation_stream(g, cliques, None, True))

@@ -31,7 +31,7 @@ from .graphs import (
     primed,
     unprimed,
 )
-from .words import Word, initial_permutation, concat
+from .words import Word, prepend_initial
 
 
 # --- complements of paths and cycles --------------------------------------
@@ -76,7 +76,7 @@ def word_complement_even_cycle(n: int) -> Word:
     if n < 2:
         raise GraphError("need n >= 2 for a simple even cycle")
     w = word_complement_path(n, even=True)
-    w1 = list(concat(initial_permutation(w), w).letters)
+    w1 = list(prepend_initial(w).letters)
     first_np = w1.index(primed(n))
     second_one = [i for i, x in enumerate(w1) if x == unprimed(1)][1]
     # In pi(w)w the first permutation ends with n' and the copy of w starts

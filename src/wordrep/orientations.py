@@ -32,20 +32,11 @@ it too.  A pruned search cannot count, so the orientation count of a
 negative verdict, and of that sweep, comes from Stanley's
 chromatic-polynomial identity over independent-set partitions instead.
 
-Reversing every arc keeps an orientation transitive, so the comparability
-decider keeps the half in which the first edge the enumerator decides
-points forward: the first hit lies there, since its reverse would
-otherwise precede it.  The co-bipartite sweep walks the same half and
-doubles its count, since both of its oracles keep their verdicts under
-reversal.  The semi-transitive decider pins more.  A
-representable graph has a uniform representant (Kitaev-Pyatkin 2008); a
-cyclic shift starting with vertex 0 still represents, and its first copies
-order a semi-transitive orientation (Halldorsson-Kitaev-Pyatkin 2016)
-with 0 a source.  Reversing the word and moving its last 0 to the front
-reverses every edge away from 0 (alternating letters keep the order of
-their first copies in their last ones).  So the decider keeps 0 a source
-and the first edge decided away from 0 forward, and a hard negative walks
-about a sixth of the tree; transitive orientations need no source at 0.
+The searches also pin arcs: the enumerator takes, per vertex, the earlier
+neighbours whose edges must point at it, and never builds a prefix
+without them.  The comparability decider and the co-bipartite sweep pin
+one mirror half (``_one_mirror_half`` argues why); the semi-transitive
+decider also keeps vertex 0 a source (``_zero_source_pin``).
 
 Most negatives never reach the search.  Every neighbourhood of a
 word-representable graph is a comparability graph (Kitaev-Pyatkin 2008),
@@ -61,13 +52,11 @@ multiplicity 2.
 The same pin guides the search for uniform words of bounded multiplicity.
 Given an orientation, the search places a letter's first copy only after
 the first copies of its in-neighbours, so it keeps only the words whose
-first copies order that orientation.  By the argument above, a graph with a
-k-uniform representant has one that starts with 0 and whose first copies
-order an orientation of the pinned tree, so the bounded representation
-number walks that tree and runs the guided search on each orientation.  On
-the triangular prism that walks 3 orientations in place of one unguided
-refutation of multiplicity 2.  The unguided search stays as the literal
-oracle.
+first copies order that orientation.  The bounded representation number
+walks the zero-source pinned tree and runs the guided search on each
+orientation.  On the triangular prism that walks 3 orientations in place
+of one unguided refutation of multiplicity 2.  The unguided search stays as
+the literal oracle.
 
 Also here: transitive-orientation search (comparability), its odd-walk
 refutation witness (a shortest odd closed walk of the arc digraph) and the
@@ -360,7 +349,8 @@ def outs_from_order(adj: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
 
 
 def acyclic_outsets(
-    g: Graph, prefix_ok: Optional[Callable[[list[int]], bool]] = None
+    g: Graph, prefix_ok: Optional[Callable[[list[int]], bool]] = None,
+    pinned: Optional[Sequence[int]] = None,
 ) -> Iterator[tuple[int, ...]]:
     """Out-bitsets of every acyclic orientation, each exactly once.
 
@@ -384,11 +374,18 @@ def acyclic_outsets(
     and under the predicate of ``outsets_shortcut_free``, which asks it only
     below a shortcut-free parent.  An accepted prefix of all n vertices is
     yielded as it stands.
+
+    With ``pinned``, ``pinned[k]`` holds earlier neighbours of k whose edges
+    must point at k.  Such a neighbour is decided like the others but never
+    joins S, so exactly the orientations with every pinned arc are yielded,
+    in unpruned order, and no prefix without them is built or checked.
     """
     n = len(g.vertices)
     adj = g.adj
     if n == 0:
         return iter([()])
+    if pinned is None:
+        pinned = [0] * n
 
     def extend(k: int, out: list[int], reach: list[int]) -> Iterator[tuple[int, ...]]:
         kbit = 1 << k
@@ -398,13 +395,15 @@ def acyclic_outsets(
         for _, b in sorted([(reach[b].bit_count(), b) for b in _bits(back)]):
             bit = 1 << b
             below = reach[b] & decided
+            decided |= bit
+            if pinned[k] & bit:
+                continue
             nxt = []
             for s in choices:
                 nxt.append(s)
                 if not below & ~s:
                     nxt.append(s | bit)
             choices = nxt
-            decided |= bit
         for s in choices:
             inward = back & ~s
             out_k = out + [s]
@@ -431,14 +430,12 @@ def acyclic_outsets(
 
 
 def outsets_shortcut_free(
-    g: Graph, may_pass: Callable[[list[int]], bool], restrict: Optional[Callable] = None
+    g: Graph, may_pass: Callable[[list[int]], bool], pinned: Optional[Sequence[int]] = None
 ) -> Iterator[tuple[tuple[int, ...], bool]]:
     """The acyclic orientations as ``(out, shortcut_free)`` from one walk of
     ``acyclic_outsets``, in its order, less those dropped under a prefix that
-    has a shortcut and that ``may_pass`` rejects.  A ``restrict``, such as
-    ``_one_mirror_half``, wraps the walk's prefix check as it wraps a
-    decider's (``_first_pruned_hit``), so only the orientations it keeps are
-    walked; a prefix it rejects never reaches the check.
+    has a shortcut and that ``may_pass`` rejects; ``pinned`` is passed on to
+    the walk, such as ``_one_mirror_half``'s arcs.
 
     The prefix predicate runs ``prefix_free`` only under a shortcut-free
     parent prefix (every completion of a prefix keeps its shortcut) and
@@ -458,7 +455,7 @@ def outsets_shortcut_free(
         free[k] = free[k - 1] and searcher.prefix_free(out)
         return free[k] or may_pass(out)
 
-    for out in acyclic_outsets(g, record if restrict is None else restrict(g, record)):
+    for out in acyclic_outsets(g, record, pinned):
         yield out, free[-1]
 
 
@@ -562,56 +559,48 @@ def enumerate_acyclic_orientations(g: Graph) -> Iterator[Orientation]:
         yield Orientation(g, out)
 
 
-def _one_mirror_half(g: Graph, prefix_ok: Callable[[list[int]], bool]
-                     ) -> Callable[[list[int]], bool]:
-    """``prefix_ok`` restricted to the orientations with u->k, where k is the
-    first vertex with an earlier neighbour and u the lowest-index one.
+def _one_mirror_half(g: Graph, skip: int = 0) -> list[int]:
+    """The pin of ``acyclic_outsets`` to one mirror half: u->k, where k is the
+    first vertex with an earlier neighbour outside the ``skip`` mask and u
+    the lowest such one; no pin when there is none.
 
-    For a property kept by reversing every arc, such as semi-transitivity
-    and transitivity, the unpruned scan's first hit has u->k: vertices
-    0..k-1 span no edge, so u, reaching only itself, is the first earlier
-    neighbour k decides, and every choice with u->k precedes every choice
-    with k->u.  A first hit with k->u would come after its own reverse,
-    which is also a hit.  So the first hit is kept and a negative walks one
-    mirror half.  A rejected prefix never reaches ``prefix_ok``, which
-    therefore still sees its prefixes in DFS preorder.
+    With nothing skipped, vertices 0..k-1 span no edge, so u, reaching only itself, is the first
+    earlier neighbour k decides, and every choice with u->k precedes every
+    choice with k->u: the unpinned stream is the half with u->k followed by
+    the half with k->u, and reversing every arc maps each half onto the
+    other.  For a property kept by that reversal, such as semi-transitivity
+    and transitivity, the unpruned scan's first hit has u->k, since a first
+    hit with k->u would come after its own reverse, which is also a hit.
+    So the first hit is kept and a negative walks one mirror half.
     """
-    k = next((k for k, mask in enumerate(g.adj) if mask & ((1 << k) - 1)), None)
-    if k is None:
-        return prefix_ok
-    u = (g.adj[k] & -g.adj[k]).bit_length() - 1
-
-    def kept(out: list[int]) -> bool:
-        if len(out) == k + 1 and not out[u] >> k & 1:
-            return False
-        return prefix_ok(out)
-
-    return kept
+    pinned = [0] * len(g.adj)
+    for k, mask in enumerate(g.adj):
+        earlier = mask & ((1 << k) - 1) & ~skip
+        if earlier:
+            pinned[k] = earlier & -earlier
+            break
+    return pinned
 
 
-def _zero_source_pin(g: Graph, prefix_ok: Callable[[list[int]], bool]
-                     ) -> Callable[[list[int]], bool]:
-    """``prefix_ok`` restricted to the orientations with no arc into vertex 0
-    and u->k, k the first vertex with an earlier neighbour other than 0 and
-    u the lowest such one; the module docstring shows that this keeps every
-    verdict.  Rejected prefixes never reach ``prefix_ok``."""
-    k = next((k for k in range(2, len(g.adj)) if g.adj[k] & ((1 << k) - 2)), None)
-    u = k and next(_bits(g.adj[k] & ((1 << k) - 2)))
+def _zero_source_pin(g: Graph) -> list[int]:
+    """The pin of ``acyclic_outsets`` that keeps vertex 0 a source and walks
+    one mirror half of the rest: every edge at 0 points away from 0, and
+    u->k for the first edge decided away from 0 (``_one_mirror_half`` with
+    vertex 0 skipped).
 
-    def kept(out: list[int]) -> bool:
-        if out[-1] & 1 or len(out) - 1 == k and not out[u] >> k & 1:
-            return False
-        return prefix_ok(out)
-
-    return kept
-
-
-def _first_pruned_hit(g: Graph, prefix_ok: Callable[[list[int]], bool],
-                      restrict: Callable) -> Optional[Orientation]:
-    """The unpruned scan's first orientation that the hereditary property
-    ``prefix_ok`` checks accepts among those ``restrict`` keeps, or None."""
-    out = next(acyclic_outsets(g, restrict(g, prefix_ok)), None)
-    return None if out is None else Orientation(g, out)
+    The pin keeps every semi-transitivity verdict.  A representable graph
+    has a uniform representant (Kitaev-Pyatkin 2008); a cyclic shift
+    starting with vertex 0 still represents, and its first copies order a
+    semi-transitive orientation (Halldorsson-Kitaev-Pyatkin 2016) with 0 a
+    source.  Reversing that word and moving its last 0 to the front gives a
+    second such word (alternating letters keep the order of their first
+    copies in their last ones), whose orientation reverses every edge away
+    from 0.  So one of the two has u->k: every uniform representant has one
+    of the same multiplicity that starts with 0 and whose first copies
+    order a pinned orientation.  A hard negative walks about a sixth of the
+    tree.  Transitive orientations need no source at 0.
+    """
+    return [pin | (mask & 1) for pin, mask in zip(_one_mirror_half(g, 1), g.adj)]
 
 
 def _non_comparability_neighbourhood(adj: Sequence[int]) -> bool:
@@ -665,16 +654,14 @@ def find_semi_transitive_orientation(
     A neighbourhood that is not a comparability graph refutes at once
     (``_non_comparability_neighbourhood``); otherwise the search is pruned
     by the incremental shortcut check and returns the unpruned scan's first
-    hit with vertex 0 a source and the first edge decided away from 0
-    forward (``_zero_source_pin``).  Some semi-transitive orientation has
-    both: a uniform representant (Kitaev-Pyatkin 2008) still represents
-    when shifted to start with 0 and when reversed, and its first copies
-    order one (Halldorsson-Kitaev-Pyatkin 2016).
+    hit among the orientations ``_zero_source_pin`` keeps, whose docstring
+    shows that this keeps every verdict.
     """
     _check_cap(g, max_vertices)
     if _non_comparability_neighbourhood(g.adj):
         return None
-    return _first_pruned_hit(g, ShortcutSearcher(g).prefix_free, _zero_source_pin)
+    out = next(acyclic_outsets(g, ShortcutSearcher(g).prefix_free, _zero_source_pin(g)), None)
+    return None if out is None else Orientation(g, out)
 
 
 def is_word_representable(g: Graph) -> bool:
@@ -687,13 +674,14 @@ def is_comparability(g: Graph) -> Optional[Orientation]:
 
     Implication classes refute a non-comparability graph at once
     (``_forces_a_reversal``); otherwise the search is pruned by
-    transitivity over one mirror half and returns the unpruned scan's first
-    hit.
+    transitivity over one mirror half (``_one_mirror_half``) and returns
+    the unpruned scan's first hit.
     """
     _check_cap(g, DEFAULT_MAX_VERTICES)
     if _forces_a_reversal(g.adj, (1 << len(g.adj)) - 1):
         return None
-    return _first_pruned_hit(g, outs_transitive, _one_mirror_half)
+    out = next(acyclic_outsets(g, outs_transitive, _one_mirror_half(g)), None)
+    return None if out is None else Orientation(g, out)
 
 
 # --- odd closed walks without triangular chords ----------------------------
@@ -851,16 +839,11 @@ def bounded_representation_number(
     exactly the graphs with no representing word, the labelled copies of W5.
 
     The longer searches are guided.  They walk the semi-transitive decider's
-    pinned tree (``_zero_source_pin``: vertex 0 a source and the first edge
-    decided away from 0 forward), run the guided k = 2 search on each
-    orientation, and try k = 3 only on the orientations walked.  That is
-    exact: a k-uniform representant shifted to start with 0 still
-    represents (Kitaev-Pyatkin 2008), and its first copies order a
-    semi-transitive orientation with 0 a source (Halldorsson-Kitaev-Pyatkin
-    2016).  Reversing it and moving its last 0 to the front gives a second
-    such word, which reverses every edge away from 0.  So one of the two
-    induces a pinned orientation, and the guided search on that orientation
-    finds a word.
+    pinned tree, run the guided k = 2 search on each orientation, and try
+    k = 3 only on the orientations walked.  That is exact: by the argument
+    in ``_zero_source_pin``'s docstring, a k-uniform representant starting
+    with 0 has first copies ordering a pinned orientation, and the guided
+    search on that orientation finds a word.
 
     Isolated vertices stay out of those searches.  With k >= 2, a k-uniform
     word w of the rest gives w x^k for each isolated x (each x^k alternates
@@ -885,7 +868,7 @@ def bounded_representation_number(
     if not rest.vertices:
         return 2
     walked = []
-    for out in acyclic_outsets(rest, _zero_source_pin(rest, ShortcutSearcher(rest).prefix_free)):
+    for out in acyclic_outsets(rest, ShortcutSearcher(rest).prefix_free, _zero_source_pin(rest)):
         if find_uniform_word(rest, 2, out) is not None:
             return 2
         walked.append(out)

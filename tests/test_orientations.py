@@ -14,7 +14,6 @@ from wordrep.orientations import (
     Orientation,
     OrientationError,
     ShortcutSearcher,
-    _first_pruned_hit,
     _forces_a_reversal,
     _one_mirror_half,
     _zero_source_pin,
@@ -103,6 +102,12 @@ def zero_source_pin(g):
         return first is None or len(out) <= first[0] or out[first[1]] >> first[0] & 1
 
     return pinned
+
+
+def has_pinned_arcs(pinned):
+    """Whether an orientation has u->k for every u in ``pinned[k]``."""
+    return lambda out: all(out[u] >> k & 1 for k, mask in enumerate(pinned)
+                           for u in range(k) if mask >> u & 1)
 
 
 def reject_keeps_state(searcher):
@@ -396,7 +401,7 @@ class TestPrunedSearch:
             transitive = [out for out in acyclic_outsets(g) if outs_transitive(out)]
             for full, keep in ((semi, searcher.prefix_free),
                                (transitive, outs_transitive)):
-                kept = list(acyclic_outsets(g, _one_mirror_half(g, keep)))
+                kept = list(acyclic_outsets(g, keep, _one_mirror_half(g)))
                 if first is None:
                     assert kept == full, g.adj
                     continue
@@ -446,10 +451,12 @@ class TestPrunedSearch:
             return len(calls)
 
         def semi_core(g):
-            return _first_pruned_hit(g, ShortcutSearcher(g).prefix_free, _zero_source_pin)
+            return next(acyclic_outsets(g, ShortcutSearcher(g).prefix_free, _zero_source_pin(g)),
+                        None)
 
         def transitive_core(g):
-            return _first_pruned_hit(g, orientations.outs_transitive, _one_mirror_half)
+            return next(acyclic_outsets(g, orientations.outs_transitive, _one_mirror_half(g)),
+                        None)
 
         t1bar, t2bar, g1bar3 = (named_witness(name, n)[0]
                                 for name, n in (("T1bar", None), ("T2bar", None), ("G1bar", 3)))
@@ -482,9 +489,9 @@ class TestPrunedSearch:
                         None)
             found = find_semi_transitive_orientation(g)
             assert (found and found.out) == semi, g.adj
-            core = _first_pruned_hit(g, outs_transitive, _one_mirror_half)
+            core = next(acyclic_outsets(g, outs_transitive, _one_mirror_half(g)), None)
             found = is_comparability(g)
-            assert (found and found.out) == (core and core.out), g.adj
+            assert (found and found.out) == core, g.adj
 
     def test_implication_classes_decide_comparability(self):
         # A conflict in the implication classes exactly when the pruned
@@ -500,11 +507,14 @@ class TestPrunedSearch:
 
     def test_pruned_stream_is_the_filtered_stream(self):
         # A hereditary predicate drops only branches with no accepted
-        # completion, and the order of what is left is unchanged.  The
+        # completion, and the order of what is left is unchanged.  Pinned
+        # arcs, with no predicate, keep exactly the orientations that have
+        # them; the third pin, from each vertex's highest earlier neighbour,
+        # leaves a free neighbour that can reach a pinned one.  The
         # incremental check gives find's filter, alone, over one mirror half
         # and under the zero-source pin, and a prefix it rejects leaves its
         # accepted state untouched.
-        for n in range(1, 6):
+        for n in range(6):
             for g in labelled_graphs(n):
                 searcher = ShortcutSearcher(g)
 
@@ -514,14 +524,24 @@ class TestPrunedSearch:
                 for keep in (free, outs_transitive):
                     assert list(acyclic_outsets(g, keep)) == [
                         out for out in acyclic_outsets(g) if keep(out)], g.adj
-                expected = [out for out in acyclic_outsets(g) if free(out)]
                 first = first_decided_edge(g)
-                half = [out for out in expected if first is None or out[first[1]] >> first[0] & 1]
+
+                def in_half(out):
+                    return first is None or out[first[1]] >> first[0] & 1
+
+                pinned = zero_source_pin(g)
+                top = [max((1 << u for u in range(k) if mask >> u & 1), default=0)
+                       for k, mask in enumerate(g.adj)]
+                for pin, keep in ((_one_mirror_half(g), in_half), (_zero_source_pin(g), pinned),
+                                  (top, has_pinned_arcs(top))):
+                    assert list(acyclic_outsets(g, None, pin)) == [
+                        out for out in acyclic_outsets(g) if keep(out)], g.adj
+                expected = [out for out in acyclic_outsets(g) if free(out)]
                 incremental = reject_keeps_state(ShortcutSearcher(g))
                 assert list(acyclic_outsets(g, incremental)) == expected, g.adj
-                assert list(acyclic_outsets(g, _one_mirror_half(g, incremental))) == half, g.adj
-                pinned = zero_source_pin(g)
-                assert list(acyclic_outsets(g, _zero_source_pin(g, incremental))) == [
+                assert list(acyclic_outsets(g, incremental, _one_mirror_half(g))) == [
+                    out for out in expected if in_half(out)], g.adj
+                assert list(acyclic_outsets(g, incremental, _zero_source_pin(g))) == [
                     out for out in expected if pinned(out)], g.adj
 
     def test_incremental_check_matches_find(self):
