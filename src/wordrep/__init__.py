@@ -16,7 +16,6 @@ from .graphs import (
     Graph,
     GraphError,
     cobipartite_from_bipartite,
-    complement,
     cycle_bipartite,
     format_graph_text,
     generalized_crown,
@@ -29,11 +28,9 @@ from .words import (
     Word,
     WordError,
     alternates,
-    alternation_neighborhood,
     final_permutation,
     initial_permutation,
     is_uniform,
-    once_only_between,
     prepend_initial,
     represents,
     restrict,

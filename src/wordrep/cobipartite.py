@@ -14,53 +14,17 @@ An orientation of a two-clique graph is semi-transitive exactly when
   force their diagonals (lemma 4.2, ``check_condition_quad``), and type C
   boundaries are not straddled (lemma 4.3, ``check_condition_typec``).
 
-``is_semi_transitive_cobip`` checks clique transitivity, acyclicity,
-typing and lemma 4.2, in that order, and reports the first failure as
-``clique-transitivity``, ``acyclicity``, ``typing`` or ``lemma42``; its
-verdict matches the generic test (``is_semi_transitive``), which the test
-suite sweeps exhaustively.  The later stages presume acyclic input: a
-directed 4-cycle passes them all.  Lemmas 4.1 and 4.3 cannot fail once
-typing passes (the proof is in ``_failed_stage``), so no verdict runs
-them; their helpers stay as the paper's conditions.
+This module holds the label-level API over that characterization, its
+index-level core, and the sweep that checks it against the generic
+shortcut test.  Each part, and each argument it relies on, has one home:
 
-Every stage runs in index space.  ``_cliques`` validates a partition and
-records, once, each clique's indices and mask and each vertex's cross
-neighbors (those in the opposite clique).  Per orientation, the core,
-``_failed_stage``, fills per-index lists: a rank bit (bit r for r
-successors in the vertex's own clique) while the out-degrees test
-transitivity, then a tag and the rank bits of the cross neighbors each
-vertex sends to and receives from.  Typing reads the cross neighbors
-alone, so every edge must be directed exactly once, as it is by
-``Orientation.from_arcs``, ``Orientation.from_order``, the enumerator and
-the sampled orders.  Typing and the lemma checks generate their
-violations: the core stops at the first one, while the
-``CharacterizationReport`` of a failing stage and the label-level helpers
-list them all and turn indices into labels.  ``_cliques`` keeps its
-result on the graph per partition, so the public functions validate a
-(graph, partition) pair on its first call only; the dual-oracle sweep
-fetches that result once and calls the core directly.
-
-The core's three stages fail hereditarily: once one fails on the
-orientation of a vertex subset, it fails on every orientation that
-induces it.  A cyclic clique stays cyclic.  A valid typing restricts to a
-valid typing of any vertex subset: a run stays a run, the prefix from the
-source stays a prefix and the suffix to the sink stays a suffix, and a
-type C vertex whose in- or out-side empties becomes type A or B; so an
-Invalid vertex stays Invalid.  A lemma 4.2 violation reads only the arcs
-among its four vertices, which every completion keeps.  So the sweep
-below prunes on the core itself (``_prefix_may_pass``).  Of the 145,152
-acyclic orientations of the 512 graphs made of two 3-cliques, 22,536
-pass, 97,056 first fail typing and 25,560 first fail lemma 4.2.
-
-Both oracles keep their verdict when every arc is reversed.  A reversed
-shortcut is a shortcut (Halldorsson-Kitaev-Pyatkin 2016).  In the core,
-clique transitivity is symmetric, and each clique order turns around: a
-run stays a run, so types A and B swap, and a type C vertex stays type C,
-its in-prefix from the source becoming an out-suffix to the new sink; so
-an Invalid vertex stays Invalid.  Lemma 4.2 pattern 1 on (x, y, s, t)
-reverses to pattern 1 on (y, x, t, s), and pattern 2 to pattern 2 on
-(t, s, y, x) with the cliques swapped, a missing diagonal to a missing
-diagonal.  So the sweep below walks one mirror half and doubles its count.
+* partition validation and cross neighbors, once per graph: ``_cliques``;
+* typing from the cross neighbors alone: ``_typing``;
+* the core, and why it skips lemmas 4.1 and 4.3: ``_failed_stage``;
+* the labelled verdict with its acyclicity stage: ``is_semi_transitive_cobip``;
+* the heredity of the core's stages: ``_prefix_may_pass``;
+* a sampled sweep walking or searching: ``_orientation_stream``;
+* both oracles surviving reversal, which halves a full sweep: ``sweep_orientations``.
 """
 
 from __future__ import annotations
@@ -170,8 +134,9 @@ def _typing(out: tuple[int, ...], cliques: tuple, typed: tuple) -> Iterator[int]
     the rank bits filled in; this fills in the rest.  The tag is "A", "B",
     "C" or "Invalid"; outrank and inrank hold the rank bits of the opposite
     vertices that the vertex sends to and receives from, read off its cross
-    neighbors alone.  That needs every cross edge directed exactly once:
-    the cross neighbors a vertex does not send to are then those it
+    neighbors alone.  That needs every cross edge directed exactly once, as
+    ``Orientation.from_arcs``, ``Orientation.from_order`` and the enumerator
+    do: the cross neighbors a vertex does not send to are then those it
     receives from.
     """
     sides, _, cross_lists = cliques
@@ -320,9 +285,8 @@ def _failed_stage(out: tuple[int, ...], cliques: tuple) -> tuple[Optional[str], 
 
     The index-level core of ``is_semi_transitive_cobip``.  ``cliques`` comes
     from ``_cliques`` (a validated partition), and ``out`` must direct every
-    edge exactly once, as the out-bitsets of ``Orientation.from_arcs``,
-    ``Orientation.from_order``, the enumerator and a sampled order all do,
-    and be acyclic, as the sweep's are: the core checks no cycle.  Typing
+    edge exactly once (``_typing``) and be acyclic, as the sweep's are: the
+    core checks no cycle, and a directed 4-cycle passes every stage.  Typing
     stops at the first Invalid vertex and lemma 4.2 at its first violation.
 
     Lemmas 4.1 and 4.3 cannot fail once typing passes, so the core skips
@@ -389,8 +353,7 @@ def clique_order(o: Orientation, clique: tuple[str, ...]) -> CliqueOrder:
                                                              reverse=True)))
 
 
-def classify_vertex(o: Orientation, partition: CoBipartitePartition, v: str,
-                    opposite: Optional[CliqueOrder] = None) -> VertexTypeInfo:
+def classify_vertex(o: Orientation, partition: CoBipartitePartition, v: str) -> VertexTypeInfo:
     """Type a vertex as A, B or C against the opposite clique's full order.
 
     A vertex with no cross edges is reported as type A with an empty
@@ -400,11 +363,10 @@ def classify_vertex(o: Orientation, partition: CoBipartitePartition, v: str,
     """
     g = o.graph
     side = partition.side_of(v)
-    if opposite is None:
-        opposite = clique_order(o, partition.clique_b if side == "A" else partition.clique_a)
+    opposite = clique_order(o, partition.clique_b if side == "A" else partition.clique_a)
     i = g.index(v)
     order = [g.index(w) for w in opposite.vertices]
-    # v alone as a side against the given order; dicts stand in for the lists
+    # v alone as a side against the opposite order; dicts stand in for the lists
     alone = ([([i], order, 0, 0)], None, {i: [w for w in order if g.adj[i] >> w & 1]})
     rank = {w: 1 << r for r, w in enumerate(reversed(order))}
     tags, outrank, inrank = {}, {}, {}
@@ -423,8 +385,8 @@ def classify_vertex(o: Orientation, partition: CoBipartitePartition, v: str,
 def check_condition_ab(o: Orientation, partition: CoBipartitePartition) -> list[dict]:
     """Directed B-to-A pairs within a clique must not share a cross neighbor.
 
-    If x is type A, y is type B, the edge runs y->x and both see a common
-    vertex z opposite, then x->z and z->y close a directed triangle.
+    For x of type A and y of type B with y->x, no vertex z opposite may be
+    adjacent to both.  ``_failed_stage`` shows why no verdict needs it.
     """
     return _violations(o, partition, "lemma41")
 
@@ -447,7 +409,8 @@ def check_condition_typec(o: Orientation, partition: CoBipartitePartition) -> li
     be neither a type A vertex adjacent to both s and t, nor a type C
     vertex whose sink group contains s; a predecessor y (y->x) may be
     neither a type B vertex adjacent to both s and t, nor a type C vertex
-    whose source group contains t.
+    whose source group contains t.  ``_failed_stage`` shows why no verdict
+    needs it.
     """
     return _violations(o, partition, "lemma43")
 
@@ -476,9 +439,8 @@ def is_semi_transitive_cobip(
     conditions are all clean.  The report names the first failing stage and
     lists all of its violations; later stages are skipped because their
     conditions presume an acyclic, fully typed orientation.  ``o`` must
-    direct every edge exactly once, as every orientation built by
-    ``from_arcs`` or ``from_order`` or yielded by the enumerator does.
-    Raises GraphError on a bad partition.
+    direct every edge exactly once (``_typing``).  Raises GraphError on a
+    bad partition.
     """
     g, out = o.graph, o.out
     cliques = _cliques(g, partition)
@@ -501,53 +463,6 @@ def is_semi_transitive_cobip(
 
 
 # --- dual-oracle sweep ------------------------------------------------------
-#
-# Runs both semi-transitivity deciders (the generic reachability-based
-# shortcut test and the staged structural test above) over one stream of
-# acyclic orientations of a co-bipartite graph and reports any
-# disagreement.  The stream is the exhaustive enumerator, or the distinct
-# orientations of seeded random orders when sampling.
-#
-# Path verdicts: a full sweep reads them off one walk of the enumerator,
-# outsets_shortcut_free, whose prefix check runs the incremental shortcut
-# test (ShortcutSearcher.prefix_free) only under a shortcut-free parent;
-# that relies on the enumerator's DFS preorder, and no orientation is
-# searched on its own.  A sampled sweep reads them off the same walk when
-# the graph has at most as many acyclic orientations as draws, keeping
-# the walk's drawn items; otherwise it calls ShortcutSearcher.find on each
-# drawn orientation, since every branch of the walk completes and the
-# walk could cost far more than the draws (K10 has 10! orientations).
-#
-# Pruning: the walk drops a prefix only when both oracles reject it, so no
-# completion can pass either one or make them disagree.  The path oracle's
-# rejection is hereditary because every completion keeps a shortcut; the
-# structural one's because _prefix_may_pass runs the core, whose stages
-# are all hereditary (see the module docstring), on _cliques restricted to
-# the prefix's vertices, built once per sweep by _prefix_cliques.  So the
-# walk yields every shortcut-free orientation and every one that passes
-# the core, in enumerator order, and a full sweep takes its orientation
-# count from count_acyclic_orientations rather than from the walk.  A drawn
-# orientation that the walk never yields fails both oracles the same way:
-# it counts, but adds no semi-transitive orientation or disagreement.
-#
-# Structural verdicts: _cliques validates the partition once per graph,
-# which also fixes the cross-neighbor masks and lists, and the sweep asks
-# the index-level core, _failed_stage, about every streamed orientation's
-# raw out-neighbor tuple.  Every one of them directs each edge exactly
-# once, as the core requires.  Only a disagreement builds an Orientation
-# and the full labelled report through is_semi_transitive_cobip.
-# Disagreements come in stream order, except that a sampled sweep reports
-# them in draw order even when it walks.
-#
-# Mirror half: a full sweep pins the walk to _one_mirror_half's arc, as
-# the comparability decider does; that function's docstring shows that
-# reversing every arc maps the pinned half onto the rest.  Both verdicts
-# survive reversal (see the module docstring), so the other half holds as
-# many shortcut-free orientations and no disagreement, and the sweep
-# doubles the half's count; an edgeless graph has one orientation.
-# A half with a disagreement is walked again as the whole, so the
-# disagreements keep stream order.  A sampled sweep walks the whole tree,
-# since its draws are looked up as they stand.
 
 
 @dataclass(frozen=True)
@@ -590,11 +505,18 @@ def _prefix_cliques(cliques: tuple) -> list[tuple]:
 
 def _prefix_may_pass(out: list[int], prefix_cliques: list[tuple]) -> bool:
     """Whether the orientation of vertices 0..k (``out``, k + 1 out-bitsets)
-    passes the structural core on the subgraph it orients.
+    passes the structural core on the subgraph it orients; ``prefix_cliques``
+    comes from ``_prefix_cliques``.
 
-    ``prefix_cliques`` comes from ``_prefix_cliques``.  A rejected prefix
-    fails the structural test in every completion, by the proof sketch in
-    the module docstring.
+    A rejected prefix fails the core in every completion, since each of the
+    core's three stages fails hereditarily.  A cyclic clique stays cyclic.
+    A valid typing restricts to a valid typing of any vertex subset: a run
+    stays a run, the prefix from the source stays a prefix and the suffix
+    to the sink stays a suffix, and a type C vertex whose in- or out-side
+    empties becomes type A or B; so an Invalid vertex stays Invalid.  A
+    lemma 4.2 violation reads only the arcs among its four vertices, which
+    every completion keeps.  Lemmas 4.1 and 4.3 have no such proof, so the
+    core must not run them.
     """
     return _failed_stage(out, prefix_cliques[len(out) - 1])[0] is None
 
@@ -604,12 +526,18 @@ def _orientation_stream(g: Graph, cliques: tuple, drawn: Optional[dict], walk: b
                         ) -> Iterator[tuple[tuple[int, ...], bool]]:
     """The sweep's stream, each item as ``(out, shortcut_free)``.
 
-    In a full sweep (``drawn`` None), the walk that drops what both oracles
-    reject on a prefix, over the orientations with the ``pinned`` arcs (all
-    of them by default).  In a sampled one, ``drawn`` maps the distinct
-    sampled orientations to their draw positions; with ``walk``, the items
-    of the whole walk that were drawn, in enumerator order, and otherwise
-    every drawn one, in draw order, with ``ShortcutSearcher.find``'s verdict.
+    In a full sweep (``drawn`` None), the walk of ``outsets_shortcut_free``
+    under ``_prefix_may_pass``, which drops what both oracles reject on a
+    prefix, over the orientations with the ``pinned`` arcs (all of them by
+    default).  In a sampled one, ``drawn`` maps the distinct sampled
+    orientations to their draw positions.  With ``walk``, the stream is the
+    items of the whole walk that were drawn, in enumerator order: a draw the
+    walk never yields fails both oracles the same way, so it adds no
+    semi-transitive orientation and no disagreement.  Otherwise it is every
+    draw, in draw order, with ``ShortcutSearcher.find``'s verdict.  The
+    caller walks only when the graph has at most as many acyclic
+    orientations as draws: every branch of the walk completes, so past that
+    it could cost far more than the draws (K10 has 10! orientations).
     """
     if not walk:
         find = ShortcutSearcher(g).find
@@ -651,19 +579,28 @@ def sweep_orientations(
 
     When the number of linear orders exceeds ``sample_threshold``, that
     many orders are drawn with the seeded generator instead (the result
-    records the seed and that sampling happened).  A full sweep counts its
+    records the seed and that sampling happened; ``_orientation_stream``
+    says when the draws are read off the walk).  A full sweep counts its
     orientations with ``count_acyclic_orientations``, since its walk skips
     those both oracles reject, so it raises CapExceededError above
-    COUNT_MAX_VERTICES vertices before it walks.  It walks one mirror half
-    (``_one_mirror_half``) and doubles that half's semi-transitive count,
-    since both verdicts survive reversing every arc; a half with a
-    disagreement is walked again as the whole, so the disagreements come
-    in stream order.  A sampled sweep reads the verdicts of its distinct
-    draws off the whole walk when the count is known and at most
-    ``sample_threshold``, so the walk costs about what the draws do, and
-    asks ``ShortcutSearcher.find`` about each draw otherwise.  Disagreeing
-    orientations are returned in stream order (draw order when sampling)
-    with both verdicts and the structural report.
+    COUNT_MAX_VERTICES vertices before it walks.  Disagreeing orientations
+    are returned in stream order (draw order when sampling) with both
+    verdicts and the structural report, the only one the sweep builds.
+
+    A full sweep walks one mirror half (``_one_mirror_half``) and doubles
+    its semi-transitive count, because both oracles keep their verdict when
+    every arc is reversed.  A reversed shortcut is a shortcut
+    (Halldorsson-Kitaev-Pyatkin 2016).  In the core, clique transitivity is
+    symmetric, and each clique order turns around: a run stays a run, so
+    types A and B swap, and a type C vertex stays type C, its in-prefix
+    from the source becoming an out-suffix to the new sink; so an Invalid
+    vertex stays Invalid.  Lemma 4.2 pattern 1 on (x, y, s, t) reverses to
+    pattern 1 on (y, x, t, s), and pattern 2 to pattern 2 on (t, s, y, x)
+    with the cliques swapped, a missing diagonal to a missing diagonal.  So
+    the other half holds as many shortcut-free orientations and no
+    disagreement.  A half with a disagreement is walked again as the whole,
+    so the disagreements keep stream order; an edgeless graph has one
+    orientation, its own reverse.
     """
     if sample_threshold < 1:
         raise ValueError(f"sample_threshold must be >= 1, got {sample_threshold}")

@@ -146,10 +146,6 @@ class Graph:
         return f"Graph({len(self.vertices)} vertices, {self.edge_count} edges)"
 
 
-def complement(g: Graph) -> Graph:
-    return g.complement()
-
-
 @dataclass(frozen=True)
 class BipartiteSpec:
     """Bipartite graph given by its two independent parts and the cross edges."""

@@ -1,66 +1,27 @@
 """Directed orientations of small graphs and the searches built on them.
 
-The central notion: an orientation is semi-transitive when it is acyclic
-and no directed path between the endpoints of an edge induces a
-non-transitive subdigraph (a shortcut).  A graph has a representing word
-exactly when it admits such an orientation, so exhaustive search over
-acyclic orientations decides word-representability at desk scale.
+An orientation is semi-transitive when it is acyclic and no directed path
+between the endpoints of an edge induces a non-transitive subdigraph (a
+shortcut).  A graph has a representing word exactly when it admits such an
+orientation, so exhaustive search over acyclic orientations decides
+word-representability at desk scale.
 
-Acyclic orientations are generated vertex by vertex: each new vertex
-points at a set of its earlier neighbours that is closed under reachability,
-so every branch ends in a distinct acyclic orientation and nothing needs
-deduplicating.  The shortcut test enumerates no paths: an arc u->v is
-shortcut exactly when some vertex reachable from u reaches a non-neighbour
-that reaches v, so one pass over reachability bitsets checks an
-orientation in polynomial time.  The literal path-enumerating definition
-stays in the test suite as the oracle this test is checked against.
+This module holds the orientation type, the one enumerator of acyclic
+orientations, the shortcut and transitivity tests, the semi-transitive and
+comparability deciders, the orientation count, the comparability
+refutations and the bounded uniform-word search.  Each argument that keeps
+a search exact is stated once, in the docstring of the code relying on it:
 
-Semi-transitivity and transitivity are hereditary (Halldorsson-Kitaev-
-Pyatkin 2016; Kitaev-Lozin, Words and Graphs, 2015), so the deciders prune
-the same enumerator with a prefix check and still return the unpruned
-scan's first hit.  The shortcut prefix check is incremental: when vertex k
-joins, only k and its ancestors change their reachability, so only they
-can gain a shortcut and only their bitsets are recomputed; the rest are
-kept from the parent prefix, which the enumerator's DFS preorder
-guarantees was the last one accepted at its length.  k is checked first,
-against the parent's state, which is copied only once k passes; a rejected
-prefix leaves the accepted state untouched.  The same preorder lets one
-walk flag every orientation it yields as shortcut-free or not, which is how
-the co-bipartite sweep gets its path verdicts; that walk drops a prefix only
-when it has a shortcut and a second hereditary check, the sweep's, rejects
-it too.  A pruned search cannot count, so the orientation count of a
-negative verdict, and of that sweep, comes from Stanley's
-chromatic-polynomial identity over independent-set partitions instead.
-
-The searches also pin arcs: the enumerator takes, per vertex, the earlier
-neighbours whose edges must point at it, and never builds a prefix
-without them.  The comparability decider and the co-bipartite sweep pin
-one mirror half (``_one_mirror_half`` argues why); the semi-transitive
-decider also keeps vertex 0 a source (``_zero_source_pin``).
-
-Most negatives never reach the search.  Every neighbourhood of a
-word-representable graph is a comparability graph (Kitaev-Pyatkin 2008),
-and comparability is decided in polynomial time by Golumbic's implication
-classes: a class holding an arc and its reverse refutes it.  So the
-semi-transitive decider first tests the neighbourhoods that could fail,
-and the comparability decider the whole graph; a positive still comes
-from the search, as its first hit.  Where only a yes/no is asked, the
-classes answer it alone: the dominant-vertex route tests the rest of the
-graph, and the bounded multiplicity search scans the neighbourhoods before
-multiplicity 2.
-
-The same pin guides the search for uniform words of bounded multiplicity.
-Given an orientation, the search places a letter's first copy only after
-the first copies of its in-neighbours, so it keeps only the words whose
-first copies order that orientation.  The bounded representation number
-walks the zero-source pinned tree and runs the guided search on each
-orientation.  On the triangular prism that walks 3 orientations in place
-of one unguided refutation of multiplicity 2.  The unguided search stays as
-the literal oracle.
-
-Also here: transitive-orientation search (comparability), its odd-walk
-refutation witness (a shortest odd closed walk of the arc digraph) and the
-dominant-vertex reduction.
+* every acyclic orientation once, pruned and pinned: ``acyclic_outsets``;
+* the shortcut test over reachability bitsets: ``ShortcutSearcher``;
+* its incremental prefix step: ``ShortcutSearcher.prefix_free``;
+* path verdicts flagged along one pruned walk: ``outsets_shortcut_free``;
+* the count of acyclic orientations (Stanley): ``count_acyclic_orientations``;
+* comparability refuted by implication classes: ``_forces_a_reversal``;
+* a neighbourhood refuting semi-transitivity: ``_non_comparability_neighbourhood``;
+* one mirror half: ``_one_mirror_half``; vertex 0 a source: ``_zero_source_pin``;
+* the chordless odd walk: ``find_noncomparability_witness``;
+* guided word searches, isolated vertices: ``bounded_representation_number``.
 """
 
 from __future__ import annotations
@@ -253,8 +214,9 @@ class ShortcutSearcher:
         is shortcut-free, given that the shortcut-free parent prefix on
         0..k-1 is the last one this method accepted with k bitsets.
 
-        ``acyclic_outsets`` checks prefixes in DFS preorder, which meets that
-        contract (a one-vertex prefix has the empty parent).  Joining k
+        ``acyclic_outsets`` meets that contract: it checks each prefix after
+        its parent was accepted and before any other prefix of the parent's
+        length, and a one-vertex prefix has the empty parent.  Joining k
         changes the reach only of k and its ancestors, so every other vertex
         keeps its ``reach`` and ``far`` from the parent and cannot gain a
         shortcut.  The step recomputes k, then its ancestors in ascending
@@ -262,6 +224,10 @@ class ShortcutSearcher:
         contains ``reach[w]``, so every descendant is done first.
         A shortcut at k is found before the parent's lists are copied, and
         a rejected prefix leaves ``_accepted`` untouched.
+
+        As a prefix check it prunes soundly: a shortcut on a prefix stays a
+        shortcut in every completion, so semi-transitivity is hereditary
+        (Halldorsson-Kitaev-Pyatkin 2016).
         """
         k = len(out) - 1
         reach, far = self._accepted[k]
@@ -363,17 +329,14 @@ def acyclic_outsets(
 
     With ``prefix_ok``, a branch is dropped once the predicate rejects the
     orientation built on vertices 0..k (a list of k + 1 out-bitsets).  For
-    a hereditary property, kept by every induced sub-orientation, that
-    loses nothing: every completion of the branch induces the rejected
-    prefix.  The order is unchanged, so exactly the accepted orientations
-    are yielded, in unpruned order.  Prefixes reach the predicate in DFS
-    preorder: each one after its parent prefix was accepted and before any
-    other prefix of the parent's length is checked.  So a predicate may keep
-    state per prefix length and extend its parent's state, as
-    ``ShortcutSearcher.prefix_free`` does, directly in the pruned deciders
-    and under the predicate of ``outsets_shortcut_free``, which asks it only
-    below a shortcut-free parent.  An accepted prefix of all n vertices is
-    yielded as it stands.
+    a hereditary property, kept by every induced sub-orientation, such as
+    semi-transitivity and transitivity, that loses nothing: every
+    completion of the branch induces the rejected prefix.  The order is
+    unchanged, so exactly the accepted orientations are yielded, in
+    unpruned order, and a pruned decider's first hit is the unpruned
+    scan's.  Prefixes reach the predicate in DFS preorder, on which
+    ``ShortcutSearcher.prefix_free`` relies.  An accepted prefix of all n
+    vertices is yielded as it stands.
 
     With ``pinned``, ``pinned[k]`` holds earlier neighbours of k whose edges
     must point at k.  Such a neighbour is decided like the others but never
@@ -435,17 +398,14 @@ def outsets_shortcut_free(
     """The acyclic orientations as ``(out, shortcut_free)`` from one walk of
     ``acyclic_outsets``, in its order, less those dropped under a prefix that
     has a shortcut and that ``may_pass`` rejects; ``pinned`` is passed on to
-    the walk, such as ``_one_mirror_half``'s arcs.
+    the walk.
 
     The prefix predicate runs ``prefix_free`` only under a shortcut-free
-    parent prefix (every completion of a prefix keeps its shortcut) and
-    records the verdict per depth; a prefix with a shortcut is kept exactly
-    when ``may_pass`` accepts it.  So every shortcut-free orientation is
-    yielded, and for a ``may_pass`` that every completion of a rejected
-    prefix also fails, a dropped orientation is one that fails both tests.
-    By the DFS preorder, ``prefix_free`` sees a prefix only after accepting
-    its parent and before any other prefix of the parent's length, as its
-    contract needs.
+    parent prefix, since every completion of a prefix keeps its shortcut,
+    and records the verdict per depth; a prefix with a shortcut is kept
+    exactly when ``may_pass`` accepts it.  So every shortcut-free
+    orientation is yielded, and for a ``may_pass`` that every completion of
+    a rejected prefix also fails, a dropped orientation fails both tests.
     """
     searcher = ShortcutSearcher(g)
     free = [True] * (len(g.vertices) + 1)
@@ -469,7 +429,8 @@ def count_acyclic_orientations(g: Graph) -> Optional[int]:
     over the independent sets I holding the lowest vertex of S, x times
     that of S - I; it is memoised on the vertex sets reached and kept as
     one int of 32-bit lanes, lane j holding p_j (at most Bell(14) < 2^28).
-    At most 3^n / 2 terms, the edgeless graph's count.
+    At most 3^n / 2 terms, the edgeless graph's count.  A pruned search
+    skips most orientations, so negative verdicts and full sweeps count here.
     """
     adj = g.adj
     n = len(adj)
@@ -553,7 +514,11 @@ def _check_cap(g: Graph, max_vertices: int) -> None:
 
 
 def enumerate_acyclic_orientations(g: Graph) -> Iterator[Orientation]:
-    """Every acyclic orientation exactly once."""
+    """Every acyclic orientation exactly once.
+
+    The public face of ``acyclic_outsets``, kept because it is the one
+    public enumerator that applies the search cap.
+    """
     _check_cap(g, DEFAULT_MAX_VERTICES)
     for out in acyclic_outsets(g):
         yield Orientation(g, out)
@@ -564,14 +529,15 @@ def _one_mirror_half(g: Graph, skip: int = 0) -> list[int]:
     first vertex with an earlier neighbour outside the ``skip`` mask and u
     the lowest such one; no pin when there is none.
 
-    With nothing skipped, vertices 0..k-1 span no edge, so u, reaching only itself, is the first
-    earlier neighbour k decides, and every choice with u->k precedes every
-    choice with k->u: the unpinned stream is the half with u->k followed by
-    the half with k->u, and reversing every arc maps each half onto the
-    other.  For a property kept by that reversal, such as semi-transitivity
-    and transitivity, the unpruned scan's first hit has u->k, since a first
-    hit with k->u would come after its own reverse, which is also a hit.
-    So the first hit is kept and a negative walks one mirror half.
+    With nothing skipped, vertices 0..k-1 span no edge, so u, reaching only
+    itself, is the first earlier neighbour k decides, and every choice with
+    u->k precedes every choice with k->u: the unpinned stream is the half
+    with u->k followed by the half with k->u, and reversing every arc maps
+    each half onto the other.  For a property kept by that reversal, such
+    as transitivity and semi-transitivity (``sweep_orientations``), the
+    unpruned scan's first hit has u->k, since a first hit with k->u would
+    come after its own reverse, which is also a hit.  So the first hit is
+    kept and a negative walks one mirror half.
     """
     pinned = [0] * len(g.adj)
     for k, mask in enumerate(g.adj):
@@ -685,20 +651,19 @@ def is_comparability(g: Graph) -> Optional[Orientation]:
 
 
 # --- odd closed walks without triangular chords ----------------------------
-#
-# A graph is a comparability graph iff every odd closed walk (in the
-# generalized sense: consecutive pairs are edges and no ordered consecutive
-# pair repeats, wrap included) has a triangular chord.  A chordless odd
-# walk therefore certifies that no transitive orientation exists.  It is a
-# closed walk of the arc digraph: one node per ordered edge, and a step
-# (x, y) -> (y, z) when y ~ z and xz is not an edge.  One of least odd
-# length repeats no arc, or it would split into a shorter odd closed walk.
 
 
 def find_noncomparability_witness(g: Graph, max_len: int) -> Optional[tuple[str, ...]]:
     """The label-least shortest chordless odd closed walk of at most
     ``max_len`` steps, or None, in about (2|E|)^2 max_len bit steps.
 
+    A graph is a comparability graph iff every odd closed walk (consecutive
+    pairs are edges and no ordered consecutive pair repeats, wrap included)
+    has a triangular chord, so a chordless one certifies that no transitive
+    orientation exists.  It is a closed walk of the arc digraph: one node
+    per ordered edge, and a step (x, y) -> (y, z) when y ~ z and xz is not
+    an edge.  One of least odd length repeats no arc, or it would split
+    into a shorter odd closed walk.
     Rotated to its least vertex s, a walk starts with an arc (s, t), s < t,
     and one through the first such arc to close at the least odd k never
     dips below s, or a lesser start would close.
@@ -777,7 +742,8 @@ def find_uniform_word(
     The first letter is still vertex 0, so there is no such word unless 0
     is a source.  It is the same search with one more check, and it returns
     the first word of the unguided search's order that follows the
-    orientation.
+    orientation.  Raises OrientationError unless the orientation directs
+    every edge of g exactly once and puts no arc on a non-edge.
     """
     n = len(g.vertices)
     if n == 0:
@@ -791,10 +757,20 @@ def find_uniform_word(
     # inward[i]: the letters whose first copies must precede i's
     inward = [0] * n
     if orientation is not None:
-        out = orientation.out if isinstance(orientation, Orientation) else orientation
+        out = orientation
+        if isinstance(orientation, Orientation):
+            if orientation.graph.vertices != g.vertices:
+                raise OrientationError("the orientation belongs to another graph")
+            out = orientation.out
+        if len(out) != n:
+            raise OrientationError(f"{len(out)} out-bitsets for {n} vertices")
+        if any(m & ~a for m, a in zip(out, adj)):
+            raise OrientationError("the orientation puts an arc on a non-edge of the graph")
         for j, mask in enumerate(out):
             for i in _bits(mask):
                 inward[i] |= 1 << j
+        if any(m & i or m | i != a for m, i, a in zip(out, inward, adj)):
+            raise OrientationError("the orientation does not direct every edge exactly once")
     word: list[int] = []
     remaining = [k] * n
 

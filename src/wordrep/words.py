@@ -136,7 +136,10 @@ def initial_permutation(w: Word) -> Word:
 
 
 def final_permutation(w: Word) -> Word:
-    """Rightmost occurrence of each letter, in order of last appearance."""
+    """Rightmost occurrence of each letter, in order of last appearance.
+
+    Kept beside ``initial_permutation`` as its dual in the word calculus.
+    """
     return Word(tuple(reversed(dict.fromkeys(reversed(w.letters)))))
 
 
@@ -152,32 +155,6 @@ def rotate_uniform(w: Word, cut: int) -> Word:
     if not 0 <= cut <= len(w.letters):
         raise WordError(f"cut index {cut} out of range")
     return Word(w.letters[cut:] + w.letters[:cut])
-
-
-def alternation_neighborhood(w: Word, x: str) -> set[str]:
-    """All letters alternating with x in w."""
-    letters = sorted(w.alphabet())
-    if x not in letters:
-        raise WordError(f"letter {x!r} does not occur in the word")
-    return {letters[j] for j in _bits(_alternating(w, letters)[letters.index(x)])}
-
-
-def once_only_between(w: Word, x: str) -> list[set[str]]:
-    """For each consecutive pair of x's, the letters occurring exactly once between.
-
-    Letters in any one of these gap sets are the only candidates for being
-    adjacent to x in a graph represented by w.  The per-gap sets are exposed
-    as-is; they are diagnostics and need not coincide with each other or
-    with the alternation neighborhood.
-    """
-    if x not in w.alphabet():
-        raise WordError(f"letter {x!r} does not occur in the word")
-    positions = [i for i, letter in enumerate(w.letters) if letter == x]
-    gaps = []
-    for left, right in zip(positions, positions[1:]):
-        segment = w.letters[left + 1 : right]
-        gaps.append({y for y in set(segment) if segment.count(y) == 1})
-    return gaps
 
 
 @dataclass(frozen=True)

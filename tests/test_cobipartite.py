@@ -273,7 +273,7 @@ class TestStagedVerdict:
                                    (part.clique_b, part.clique_a)):
                 order = clique_order(o, opposite)
                 for v in side:
-                    info = classify_vertex(o, part, v, opposite=order)
+                    info = classify_vertex(o, part, v)
                     if info.tag == "C":
                         assert info.source_group[0] == order.vertices[0]
                         assert info.sink_group[-1] == order.vertices[-1]
@@ -562,8 +562,8 @@ class TestAgreementSweep:
     def test_both_verdicts_survive_reversal(self):
         # Why a full sweep walks one mirror half: reversing every arc keeps
         # the path oracle's verdict and the structural core's (the proof is
-        # in the module docstring), so the other half adds the same count
-        # and no disagreement.  Shuffled labels interleave the cliques.
+        # in sweep_orientations), so the other half adds the same count and
+        # no disagreement.  Shuffled labels interleave the cliques.
         import random
 
         import wordrep.cobipartite as cob

@@ -12,7 +12,6 @@ from wordrep.graphs import (
     Graph,
     GraphError,
     cobipartite_from_bipartite,
-    complement,
     crown_removed_neighbors,
     cycle_bipartite,
     format_graph_text,
@@ -41,7 +40,7 @@ def brute_complement_edges(vertices, edges):
 
 class TestComplement:
     def test_complete_becomes_empty(self):
-        assert complement(k_n(3)).edge_count == 0
+        assert k_n(3).complement().edge_count == 0
 
     def test_involution_on_random_graphs(self):
         rng = random.Random(7)
@@ -50,14 +49,14 @@ class TestComplement:
             labels = [f"v{i}" for i in range(n)]
             edges = [e for e in combinations(labels, 2) if rng.random() < 0.5]
             g = Graph.from_edges(labels, edges)
-            assert complement(complement(g)) == g
+            assert g.complement().complement() == g
 
     def test_path_p4_complement_edges(self):
         # brute-force oracle: non-edges of the path 1-1'-2-2'
         verts = ["1", "1'", "2", "2'"]
         path_edges = [("1", "1'"), ("1'", "2"), ("2", "2'")]
         expected = brute_complement_edges(verts, path_edges)
-        g = complement(Graph.from_edges(verts, path_edges))
+        g = Graph.from_edges(verts, path_edges).complement()
         assert g.edge_set() == frozenset(expected)
         assert g.edge_set() == {
             frozenset(("1", "2")), frozenset(("1'", "2'")), frozenset(("1", "2'")),

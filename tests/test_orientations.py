@@ -505,6 +505,21 @@ class TestPrunedSearch:
                 inner = g.without(g.vertices[0]).adj
                 assert _forces_a_reversal(g.adj, full - 1) == _forces_a_reversal(inner, full >> 1)
 
+    def test_neighbourhood_scan_matches_every_neighbourhood(self):
+        # The scan skips vertices of degree below 5 and those whose closed
+        # neighbourhood lies inside another's, yet answers as a scan of
+        # every neighbourhood does.
+        rng = random.Random(19)
+        refuted = 0
+        for n in (7, 8, 9):
+            for p in (0.5, 0.7):
+                for _ in range(100):
+                    g = random_graph(rng, [f"v{i}" for i in range(n)], p)
+                    every = any(_forces_a_reversal(g.adj, mask) for mask in g.adj)
+                    assert orientations._non_comparability_neighbourhood(g.adj) == every, g.adj
+                    refuted += every
+        assert refuted == 88
+
     def test_pruned_stream_is_the_filtered_stream(self):
         # A hereditary predicate drops only branches with no accepted
         # completion, and the order of what is left is unchanged.  Pinned
@@ -1043,6 +1058,28 @@ class TestUniformWordSearch:
         searched.clear()
         assert bounded_representation_number(Graph.from_edges(labels, []), 3) == 2
         assert searched == [(6, 1)]
+
+    def test_guided_search_rejects_a_foreign_orientation(self):
+        # An orientation of another graph once raised a bare IndexError (4
+        # vertices against 3) or guided the search by arcs on non-edges
+        # (a->b, b->c of the path, against the single edge ac: a b b c a c).
+        g = Graph.from_edges("abc", [("a", "c")])
+        path = Graph.from_edges("abc", [("a", "b"), ("b", "c")])
+        foreign = [
+            (Orientation.from_order(Graph.from_edges("abcd", [("a", "b")]), "abcd"),
+             "another graph"),
+            (Orientation.from_arcs(path, [("a", "b"), ("b", "c")]), "non-edge"),
+            ((0b100, 0, 0, 0), "4 out-bitsets for 3 vertices"),
+            ((0b100, 0), "2 out-bitsets"),
+            ((0b001, 0, 0b100), "non-edge"),  # a loop at a
+            ((0b100, 0, 0b001), "exactly once"),  # ac both ways
+            ((0, 0, 0), "exactly once"),
+        ]
+        for orientation, message in foreign:
+            with pytest.raises(OrientationError, match=message):
+                find_uniform_word(g, 2, orientation)
+        assert str(find_uniform_word(g, 2, Orientation.from_arcs(g, [("a", "c")]))) == "a b b c a c"
+        assert find_uniform_word(g, 2, (0, 0, 0b001)) is None  # c->a: 0 is no source
 
     def test_rejects_a_non_positive_multiplicity_bound(self):
         for max_k in (0, -1):

@@ -12,14 +12,12 @@ from wordrep.words import (
     Word,
     WordError,
     alternates,
-    alternation_neighborhood,
     alternation_relation,
     concat,
     final_permutation,
     format_word_text,
     initial_permutation,
     is_uniform,
-    once_only_between,
     parse_word_text,
     prepend_initial,
     represents,
@@ -140,9 +138,6 @@ class TestAgainstLiteralAlternation:
                     literal = {frozenset((x, y)) for x, y in combinations(alphabet, 2)
                                if alternates(w, x, y)}
                     assert alternation_relation(w) == literal, w
-                    for x in alphabet:
-                        expected = {y for y in alphabet if y != x and alternates(w, x, y)}
-                        assert alternation_neighborhood(w, x) == expected, (w, x)
                     checked += 1
         assert checked == 2785
 
@@ -189,9 +184,6 @@ class TestAgainstLiteralAlternation:
             literal = {frozenset((x, y)) for x, y in combinations(alphabet, 2)
                        if alternates(w, x, y)}
             assert alternation_relation(w) == literal, m
-            for x in rng.sample(alphabet, 3):
-                assert alternation_neighborhood(w, x) == {
-                    y for y in alphabet if frozenset((x, y)) in literal}, (m, x)
             edges = [e for e in combinations(alphabet, 2)
                      if (frozenset(e) in literal) != (rng.random() < 0.02)]
             g = Graph.from_edges(alphabet, edges)
@@ -279,21 +271,14 @@ class TestRewrites:
 
 class TestNeighborhoods:
     def test_simple(self):
-        assert alternation_neighborhood(Word(tuple("123123")), "1") == {"2", "3"}
-        assert alternation_neighborhood(Word(tuple("1221")), "1") == set()
+        assert alternation_relation(Word(tuple("123123"))) == {
+            frozenset(p) for p in combinations("123", 2)}
+        assert alternation_relation(Word(tuple("1221"))) == set()
 
     def test_matches_graph_neighbors_on_co_p6(self):
         w = word_complement_path(3)
         g, _ = complement_path_graph(3)
-        assert alternation_neighborhood(w, "2") == set(g.neighbors("2"))
-
-    def test_once_only_between(self):
-        w = Word.from_text("1 2 3 3 1 2 1")
-        assert once_only_between(w, "1") == [{"2"}, {"2"}]
-
-    def test_once_only_requires_occurrence(self):
-        with pytest.raises(WordError):
-            once_only_between(Word(tuple("22")), "1")
+        assert alternation_relation(w) == g.edge_set()
 
 
 class TestTextFormat:
