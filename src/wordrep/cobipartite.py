@@ -23,8 +23,8 @@ shortcut test.  Each part, and each argument it relies on, has one home:
 * the core, and why it skips lemmas 4.1 and 4.3: ``_failed_stage``;
 * the labelled verdict with its acyclicity stage: ``is_semi_transitive_cobip``;
 * the heredity of the core's stages: ``_prefix_may_pass``;
-* a sampled sweep walking or searching: ``_orientation_stream``;
-* both oracles surviving reversal, which halves a full sweep: ``sweep_orientations``.
+* a sampled sweep walking or searching, and both oracles surviving
+  reversal, which halves a full sweep: ``sweep_orientations``.
 """
 
 from __future__ import annotations
@@ -134,10 +134,9 @@ def _typing(out: tuple[int, ...], cliques: tuple, typed: tuple) -> Iterator[int]
     the rank bits filled in; this fills in the rest.  The tag is "A", "B",
     "C" or "Invalid"; outrank and inrank hold the rank bits of the opposite
     vertices that the vertex sends to and receives from, read off its cross
-    neighbors alone.  That needs every cross edge directed exactly once, as
-    ``Orientation.from_arcs``, ``Orientation.from_order`` and the enumerator
-    do: the cross neighbors a vertex does not send to are then those it
-    receives from.
+    neighbors alone: an ``Orientation`` directs every edge exactly once, so
+    the cross neighbors a vertex does not send to are those it receives
+    from.
     """
     sides, _, cross_lists = cliques
     rank, tags, outranks, inranks = typed
@@ -164,43 +163,13 @@ def _typing(out: tuple[int, ...], cliques: tuple, typed: tuple) -> Iterator[int]
                 yield v
 
 
-def _typed(out: tuple[int, ...], cliques: tuple) -> Optional[tuple]:
-    """The whole typing (rank, tags, outrank, inrank), each a list by vertex
-    index, or None when a clique is oriented cyclically."""
-    rank = _ranks(out, cliques[0])
-    if rank is None:
-        return None
-    n = len(out)
-    typed = rank, [None] * n, [0] * n, [0] * n
-    for _ in _typing(out, cliques, typed):
-        pass
-    return typed
+# Lemma 4.2 is the core's one lemma: it yields its violations as index
+# tuples, in a fixed order, and ``_describe42`` labels them for both the
+# report and ``check_condition_quad``.  Lemmas 4.1 and 4.3 run only in their
+# label-level checks, which report their violations directly.
 
 
-# The lemma checks yield their violations as index tuples, in a fixed
-# order; each has a companion that turns one into the labelled report entry.
-
-
-def _lemma41(out: tuple[int, ...], cliques: tuple, typed: tuple) -> Iterator[tuple]:
-    sides, cross, _ = cliques
-    tags = typed[1]
-    for clique, _, _, _ in sides:
-        for x in clique:
-            if tags[x] != "A":
-                continue
-            for y in clique:
-                if tags[y] == "B" and out[y] >> x & 1:
-                    common = cross[x] & cross[y]
-                    if common:
-                        yield x, y, common
-
-
-def _describe41(labels: tuple[str, ...], x: int, y: int, common: int) -> dict:
-    return {"condition": "ab-common-neighbor", "x": labels[x], "y": labels[y],
-            "common": sorted(labels[i] for i in _bits(common))}
-
-
-def _lemma42(out: tuple[int, ...], cliques: tuple, typed: tuple) -> Iterator[tuple]:
+def _lemma42(out: tuple[int, ...], cliques: tuple) -> Iterator[tuple]:
     for clique, other, _, other_mask in cliques[0]:
         for x in clique:
             outx = out[x]
@@ -231,63 +200,23 @@ def _lemma42(out: tuple[int, ...], cliques: tuple, typed: tuple) -> Iterator[tup
                                 yield 2, x, y, s, t, y, t
 
 
-def _describe42(labels: tuple[str, ...], pattern: int, x: int, y: int, s: int, t: int,
-                tail: int, head: int) -> dict:
-    return {"condition": f"quad-pattern-{pattern}",
-            "x": labels[x], "y": labels[y], "s": labels[s], "t": labels[t],
-            "requires": f"{labels[tail]}->{labels[head]}"}
+def _describe42(labels: tuple[str, ...], out: tuple[int, ...], cliques: tuple) -> list[dict]:
+    """Every lemma 4.2 violation of ``out`` as a labelled report entry."""
+    return [{"condition": f"quad-pattern-{pattern}",
+             "x": labels[x], "y": labels[y], "s": labels[s], "t": labels[t],
+             "requires": f"{labels[tail]}->{labels[head]}"}
+            for pattern, x, y, s, t, tail, head in _lemma42(out, cliques)]
 
 
-def _lemma43(out: tuple[int, ...], cliques: tuple, typed: tuple) -> Iterator[tuple]:
-    sides, cross, _ = cliques
-    rank, tags, outrank, inrank = typed
-    for clique, other, _, _ in sides:
-        for x in clique:
-            if tags[x] != "C":
-                continue
-            # boundary: last in-neighbor s and first out-neighbor t, by rank
-            last_in, first_out = inrank[x] & -inrank[x], 1 << outrank[x].bit_length() >> 1
-            s = next(w for w in other if rank[w] == last_in)
-            t = next(w for w in other if rank[w] == first_out)
-            both = 1 << s | 1 << t
-            for y in clique:
-                if y == x:
-                    continue
-                ytag = tags[y]
-                if out[x] >> y & 1:
-                    if ytag == "A" and cross[y] & both == both:
-                        yield "typec-successor-a", x, y, s, t
-                    if ytag == "C" and outrank[y] & last_in:
-                        yield "typec-successor-c", x, y, s, t
-                elif out[y] >> x & 1:
-                    if ytag == "B" and cross[y] & both == both:
-                        yield "typec-predecessor-b", x, y, s, t
-                    if ytag == "C" and inrank[y] & first_out:
-                        yield "typec-predecessor-c", x, y, s, t
-
-
-def _describe43(labels: tuple[str, ...], condition: str, x: int, y: int, s: int,
-                t: int) -> dict:
-    return {"condition": condition, "x": labels[x], "y": labels[y],
-            "boundary": [labels[s], labels[t]]}
-
-
-_LEMMAS = {
-    "lemma41": (_lemma41, _describe41),
-    "lemma42": (_lemma42, _describe42),
-    "lemma43": (_lemma43, _describe43),
-}
-
-
-def _failed_stage(out: tuple[int, ...], cliques: tuple) -> tuple[Optional[str], Optional[tuple]]:
-    """The first failing stage of an orientation (None when it passes), with
-    the typing in ``_typed``'s shape when every vertex typed.
+def _failed_stage(out: tuple[int, ...], cliques: tuple) -> Optional[str]:
+    """The first failing stage of an orientation, or None when it passes.
 
     The index-level core of ``is_semi_transitive_cobip``.  ``cliques`` comes
-    from ``_cliques`` (a validated partition), and ``out`` must direct every
-    edge exactly once (``_typing``) and be acyclic, as the sweep's are: the
-    core checks no cycle, and a directed 4-cycle passes every stage.  Typing
-    stops at the first Invalid vertex and lemma 4.2 at its first violation.
+    from ``_cliques`` (a validated partition), and ``out`` must be the
+    out-bitsets of an ``Orientation`` (``_typing``) and acyclic, as the
+    sweep's are: the core checks no cycle, and a directed 4-cycle passes
+    every stage.  Typing stops at the first Invalid vertex and lemma 4.2 at
+    its first violation.
 
     Lemmas 4.1 and 4.3 cannot fail once typing passes, so the core skips
     them.  Each of their violations closes a directed triangle: x->z->y->x
@@ -299,14 +228,13 @@ def _failed_stage(out: tuple[int, ...], cliques: tuple) -> tuple[Optional[str], 
     """
     rank = _ranks(out, cliques[0])
     if rank is None:
-        return "clique-transitivity", None
+        return "clique-transitivity"
     n = len(out)
-    typed = rank, [None] * n, [0] * n, [0] * n
-    if next(_typing(out, cliques, typed), None) is not None:
-        return "typing", None
-    if next(_lemma42(out, cliques, typed), None) is not None:
-        return "lemma42", typed
-    return None, typed
+    if next(_typing(out, cliques, (rank, [None] * n, [0] * n, [0] * n)), None) is not None:
+        return "typing"
+    if next(_lemma42(out, cliques), None) is not None:
+        return "lemma42"
+    return None
 
 
 # --- label-level API over the index core ---------------------------------------
@@ -321,19 +249,22 @@ def _cyclic_clique_error(out: tuple[int, ...], cliques: tuple,
     return NonTransitiveCliqueError(f"clique {labels} is not oriented transitively")
 
 
-def _violations(o: Orientation, partition: CoBipartitePartition, stage: str) -> list[dict]:
-    """Every labelled violation of one lemma stage, in check order.
+def _typed(o: Orientation, partition: CoBipartitePartition) -> tuple[tuple, tuple]:
+    """``_cliques``'s result and the whole typing (rank, tags, outrank,
+    inrank), each a list by vertex index.
 
     Raises GraphError on a bad partition and NonTransitiveCliqueError when a
     clique is oriented cyclically.
     """
-    g, out = o.graph, o.out
-    cliques = _cliques(g, partition)
-    typed = _typed(out, cliques)
-    if typed is None:
-        raise _cyclic_clique_error(out, cliques, partition)
-    lemma, describe = _LEMMAS[stage]
-    return [describe(g.vertices, *v) for v in lemma(out, cliques, typed)]
+    cliques = _cliques(o.graph, partition)
+    rank = _ranks(o.out, cliques[0])
+    if rank is None:
+        raise _cyclic_clique_error(o.out, cliques, partition)
+    n = len(o.out)
+    typed = rank, [None] * n, [0] * n, [0] * n
+    for _ in _typing(o.out, cliques, typed):
+        pass
+    return cliques, typed
 
 
 def clique_order(o: Orientation, clique: tuple[str, ...]) -> CliqueOrder:
@@ -388,7 +319,19 @@ def check_condition_ab(o: Orientation, partition: CoBipartitePartition) -> list[
     For x of type A and y of type B with y->x, no vertex z opposite may be
     adjacent to both.  ``_failed_stage`` shows why no verdict needs it.
     """
-    return _violations(o, partition, "lemma41")
+    (sides, cross, _), (_, tags, _, _) = _typed(o, partition)
+    labels, out = o.graph.vertices, o.out
+    found = []
+    for clique, _, _, _ in sides:
+        for x in clique:
+            if tags[x] != "A":
+                continue
+            for y in clique:
+                common = cross[x] & cross[y]
+                if tags[y] == "B" and out[y] >> x & 1 and common:
+                    found.append({"condition": "ab-common-neighbor", "x": labels[x], "y": labels[y],
+                                  "common": sorted(labels[i] for i in _bits(common))})
+    return found
 
 
 def check_condition_quad(o: Orientation, partition: CoBipartitePartition) -> list[dict]:
@@ -399,7 +342,8 @@ def check_condition_quad(o: Orientation, partition: CoBipartitePartition) -> lis
     pattern 2: with y->s and x->t present, x->s and y->t must be present.
     A missing or reversed diagonal would complete a shortcut or a cycle.
     """
-    return _violations(o, partition, "lemma42")
+    cliques, _ = _typed(o, partition)
+    return _describe42(o.graph.vertices, o.out, cliques)
 
 
 def check_condition_typec(o: Orientation, partition: CoBipartitePartition) -> list[dict]:
@@ -412,7 +356,32 @@ def check_condition_typec(o: Orientation, partition: CoBipartitePartition) -> li
     whose source group contains t.  ``_failed_stage`` shows why no verdict
     needs it.
     """
-    return _violations(o, partition, "lemma43")
+    (sides, cross, _), (rank, tags, outrank, inrank) = _typed(o, partition)
+    labels, out = o.graph.vertices, o.out
+    found = []
+    for clique, other, _, _ in sides:
+        for x in clique:
+            if tags[x] != "C":
+                continue
+            # boundary: last in-neighbor s and first out-neighbor t, by rank
+            last_in, first_out = inrank[x] & -inrank[x], 1 << outrank[x].bit_length() >> 1
+            s = next(w for w in other if rank[w] == last_in)
+            t = next(w for w in other if rank[w] == first_out)
+            both = 1 << s | 1 << t
+            for y in clique:
+                if y == x:
+                    continue
+                ytag, straddles = tags[y], cross[y] & both == both
+                if out[x] >> y & 1:
+                    fails = {"typec-successor-a": ytag == "A" and straddles,
+                             "typec-successor-c": ytag == "C" and outrank[y] & last_in}
+                else:  # a clique pair is an edge, directed one way
+                    fails = {"typec-predecessor-b": ytag == "B" and straddles,
+                             "typec-predecessor-c": ytag == "C" and inrank[y] & first_out}
+                found += ({"condition": condition, "x": labels[x], "y": labels[y],
+                           "boundary": [labels[s], labels[t]]}
+                          for condition, fail in fails.items() if fail)
+    return found
 
 
 @dataclass(frozen=True)
@@ -438,13 +407,12 @@ def is_semi_transitive_cobip(
     acyclic, every vertex types as A/B/C, and the three cross-pattern
     conditions are all clean.  The report names the first failing stage and
     lists all of its violations; later stages are skipped because their
-    conditions presume an acyclic, fully typed orientation.  ``o`` must
-    direct every edge exactly once (``_typing``).  Raises GraphError on a
-    bad partition.
+    conditions presume an acyclic, fully typed orientation.  Raises
+    GraphError on a bad partition.
     """
     g, out = o.graph, o.out
     cliques = _cliques(g, partition)
-    stage, typed = _failed_stage(out, cliques)
+    stage = _failed_stage(out, cliques)
     if stage != "clique-transitivity" and not is_acyclic(o):
         return False, CharacterizationReport(False, "acyclicity",
                                              ("the orientation has a directed cycle",))
@@ -453,12 +421,11 @@ def is_semi_transitive_cobip(
     if stage == "clique-transitivity":
         details = (str(_cyclic_clique_error(out, cliques, partition)),)
     elif stage == "typing":
-        tags = _typed(out, cliques)[1]
+        _, (_, tags, _, _) = _typed(o, partition)
         invalid = sorted(g.vertices[v] for v, tag in enumerate(tags) if tag == "Invalid")
         details = tuple({"vertex": v} for v in invalid)
     else:
-        lemma, describe = _LEMMAS[stage]
-        details = tuple(describe(g.vertices, *v) for v in lemma(out, cliques, typed))
+        details = tuple(_describe42(g.vertices, out, cliques))
     return False, CharacterizationReport(False, stage, details)
 
 
@@ -518,35 +485,17 @@ def _prefix_may_pass(out: list[int], prefix_cliques: list[tuple]) -> bool:
     every completion keeps.  Lemmas 4.1 and 4.3 have no such proof, so the
     core must not run them.
     """
-    return _failed_stage(out, prefix_cliques[len(out) - 1])[0] is None
+    return _failed_stage(out, prefix_cliques[len(out) - 1]) is None
 
 
-def _orientation_stream(g: Graph, cliques: tuple, drawn: Optional[dict], walk: bool,
-                        pinned: Optional[list[int]] = None
-                        ) -> Iterator[tuple[tuple[int, ...], bool]]:
-    """The sweep's stream, each item as ``(out, shortcut_free)``.
-
-    In a full sweep (``drawn`` None), the walk of ``outsets_shortcut_free``
-    under ``_prefix_may_pass``, which drops what both oracles reject on a
-    prefix, over the orientations with the ``pinned`` arcs (all of them by
-    default).  In a sampled one, ``drawn`` maps the distinct sampled
-    orientations to their draw positions.  With ``walk``, the stream is the
-    items of the whole walk that were drawn, in enumerator order: a draw the
-    walk never yields fails both oracles the same way, so it adds no
-    semi-transitive orientation and no disagreement.  Otherwise it is every
-    draw, in draw order, with ``ShortcutSearcher.find``'s verdict.  The
-    caller walks only when the graph has at most as many acyclic
-    orientations as draws: every branch of the walk completes, so past that
-    it could cost far more than the draws (K10 has 10! orientations).
-    """
-    if not walk:
-        find = ShortcutSearcher(g).find
-        return ((out, find(out) is None) for out in drawn)
+def _pruned_walk(g: Graph, cliques: tuple, pinned: Optional[list[int]] = None
+                 ) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """The walk of ``outsets_shortcut_free`` under ``_prefix_may_pass``, each
+    item as ``(out, shortcut_free)``, over the orientations with the
+    ``pinned`` arcs (all of them by default): every acyclic orientation
+    except those that both oracles reject on a prefix."""
     prefix_cliques = _prefix_cliques(cliques)
-    stream = outsets_shortcut_free(g, lambda out: _prefix_may_pass(out, prefix_cliques), pinned)
-    if drawn is None:
-        return stream
-    return ((out, free) for out, free in stream if out in drawn)
+    return outsets_shortcut_free(g, lambda out: _prefix_may_pass(out, prefix_cliques), pinned)
 
 
 def _compare(g: Graph, partition: CoBipartitePartition, cliques: tuple,
@@ -557,7 +506,7 @@ def _compare(g: Graph, partition: CoBipartitePartition, cliques: tuple,
     found = []
     for out, path_verdict in stream:
         semi += path_verdict
-        if path_verdict != (_failed_stage(out, cliques)[0] is None):
+        if path_verdict != (_failed_stage(out, cliques) is None):
             o = Orientation(g, out)
             structural_verdict, report = is_semi_transitive_cobip(o, partition)
             found.append((out, {
@@ -579,13 +528,22 @@ def sweep_orientations(
 
     When the number of linear orders exceeds ``sample_threshold``, that
     many orders are drawn with the seeded generator instead (the result
-    records the seed and that sampling happened; ``_orientation_stream``
-    says when the draws are read off the walk).  A full sweep counts its
+    records the seed and that sampling happened).  A full sweep counts its
     orientations with ``count_acyclic_orientations``, since its walk skips
     those both oracles reject, so it raises CapExceededError above
     COUNT_MAX_VERTICES vertices before it walks.  Disagreeing orientations
     are returned in stream order (draw order when sampling) with both
     verdicts and the structural report, the only one the sweep builds.
+
+    A sampled sweep reads its draws' verdicts off the whole pruned walk
+    (``_pruned_walk``) when the graph has at most as many acyclic
+    orientations as draws, and otherwise runs ``ShortcutSearcher.find`` on
+    each distinct draw.  A draw the walk never yields fails both oracles
+    the same way, so it adds no semi-transitive orientation and no
+    disagreement; the walk yields the draws in enumerator order, so its
+    disagreements are sorted back into draw order.  Past the count the
+    walk could cost far more than the draws, since every branch of it
+    completes (K10 has 10! orientations).
 
     A full sweep walks one mirror half (``_one_mirror_half``) and doubles
     its semi-transitive count, because both oracles keep their verdict when
@@ -618,16 +576,18 @@ def sweep_orientations(
         distinct = dict.fromkeys(outs_from_order(g.adj, rng.sample(base, len(base)))
                                  for _ in range(sample_threshold))
         drawn = {out: p for p, out in enumerate(distinct)}
-        walk = total is not None and total <= sample_threshold
-        semi, found = _compare(g, partition, cliques,
-                               _orientation_stream(g, cliques, drawn, walk))
-        found.sort(key=lambda item: drawn[item[0]])  # a walk yields the draws in enumerator order
+        if total is not None and total <= sample_threshold:
+            stream = ((out, free) for out, free in _pruned_walk(g, cliques) if out in drawn)
+        else:
+            find = ShortcutSearcher(g).find
+            stream = ((out, find(out) is None) for out in drawn)
+        semi, found = _compare(g, partition, cliques, stream)
+        found.sort(key=lambda item: drawn[item[0]])
     else:
         semi, found = _compare(g, partition, cliques,
-                               _orientation_stream(g, cliques, None, True, _one_mirror_half(g)))
+                               _pruned_walk(g, cliques, _one_mirror_half(g)))
         if found:
-            semi, found = _compare(g, partition, cliques,
-                                   _orientation_stream(g, cliques, None, True))
+            semi, found = _compare(g, partition, cliques, _pruned_walk(g, cliques))
         elif g.edge_count:  # an edgeless graph has one orientation, its own reverse
             semi *= 2
     return SweepResult(

@@ -175,6 +175,14 @@ class CoBipartitePartition:
     clique_a: tuple[str, ...]
     clique_b: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        # tuples, so that a partition built from lists can key a memo
+        for name in ("clique_a", "clique_b"):
+            clique = getattr(self, name)
+            if isinstance(clique, str):
+                raise GraphError(f"{name} must be a sequence of labels, not the string {clique!r}")
+            object.__setattr__(self, name, tuple(clique))
+
     def validate(self, g: Graph) -> tuple[list[int], list[int]]:
         """Raise GraphError unless the cliques split ``g``; return their index lists."""
         a, b = set(self.clique_a), set(self.clique_b)

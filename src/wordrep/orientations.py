@@ -58,6 +58,19 @@ class Orientation:
     graph: Graph
     out: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        """Raise OrientationError unless ``out`` directs every edge of the
+        graph exactly once and puts no arc on a non-edge."""
+        adj, out = self.graph.adj, self.out
+        if len(out) != len(adj):
+            raise OrientationError(f"{len(out)} out-bitsets for {len(adj)} vertices")
+        if any(m & ~a for m, a in zip(out, adj)):
+            raise OrientationError("the orientation puts an arc on a non-edge of the graph")
+        # arcs only on edges, none both ways, as many as edges: each edge once
+        if (sum(m.bit_count() for m in out) != self.graph.edge_count
+                or any(out[j] >> i & 1 for i, m in enumerate(out) for j in _bits(m))):
+            raise OrientationError("the orientation does not direct every edge exactly once")
+
     @classmethod
     def from_order(cls, g: Graph, order: Iterable[str]) -> "Orientation":
         """Orient every edge from the earlier to the later vertex of a linear order."""
@@ -76,10 +89,6 @@ class Orientation:
             if (out[i] >> j | out[j] >> i) & 1:
                 raise OrientationError(f"edge ({u}, {v}) directed twice")
             out[i] |= 1 << j
-        for i, mask in enumerate(g.adj):
-            incoming = sum((row >> i & 1) << j for j, row in enumerate(out))
-            if (out[i] | incoming) != mask:
-                raise OrientationError("not every edge received a direction")
         return cls(g, tuple(out))
 
     def arcs(self) -> list[tuple[str, str]]:
@@ -742,8 +751,9 @@ def find_uniform_word(
     The first letter is still vertex 0, so there is no such word unless 0
     is a source.  It is the same search with one more check, and it returns
     the first word of the unguided search's order that follows the
-    orientation.  Raises OrientationError unless the orientation directs
-    every edge of g exactly once and puts no arc on a non-edge.
+    orientation.  Raises OrientationError when the orientation belongs to
+    another graph, or when the out-bitsets are no orientation of g
+    (``Orientation``).
     """
     n = len(g.vertices)
     if n == 0:
@@ -757,20 +767,14 @@ def find_uniform_word(
     # inward[i]: the letters whose first copies must precede i's
     inward = [0] * n
     if orientation is not None:
-        out = orientation
-        if isinstance(orientation, Orientation):
-            if orientation.graph.vertices != g.vertices:
-                raise OrientationError("the orientation belongs to another graph")
-            out = orientation.out
-        if len(out) != n:
-            raise OrientationError(f"{len(out)} out-bitsets for {n} vertices")
-        if any(m & ~a for m, a in zip(out, adj)):
-            raise OrientationError("the orientation puts an arc on a non-edge of the graph")
-        for j, mask in enumerate(out):
+        if not isinstance(orientation, Orientation):
+            orientation = Orientation(g, tuple(orientation))
+        elif (orientation.graph.vertices, orientation.graph.adj) != (g.vertices, adj):
+            raise OrientationError("the orientation belongs to another graph "
+                                   "(other vertices, vertex order or edges)")
+        for j, mask in enumerate(orientation.out):
             for i in _bits(mask):
                 inward[i] |= 1 << j
-        if any(m & i or m | i != a for m, i, a in zip(out, inward, adj)):
-            raise OrientationError("the orientation does not direct every edge exactly once")
     word: list[int] = []
     remaining = [k] * n
 

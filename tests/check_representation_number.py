@@ -18,6 +18,17 @@ from wordrep.graphs import Graph
 from wordrep.orientations import bounded_representation_number, find_uniform_word
 
 
+def differs(g: Graph, numbers: Counter) -> bool:
+    """Whether the guided number of g differs from the literal one, which
+    is tallied in ``numbers``."""
+    literal = next((k for k in (1, 2, 3) if find_uniform_word(g, k) is not None), None)
+    guided = bounded_representation_number(g, 3)
+    numbers[str(literal)] += 1
+    if guided != literal:
+        print(f"edges {g.edges()}: guided {guided}, literal {literal}")
+    return guided != literal
+
+
 def main() -> int:
     labels = [f"v{i}" for i in range(6)]
     pairs = list(combinations(labels, 2))
@@ -25,12 +36,7 @@ def main() -> int:
     differences = 0
     for bits in range(1 << len(pairs)):
         g = Graph.from_edges(labels, [e for t, e in enumerate(pairs) if bits >> t & 1])
-        literal = next((k for k in (1, 2, 3) if find_uniform_word(g, k) is not None), None)
-        guided = bounded_representation_number(g, 3)
-        numbers[str(literal)] += 1
-        if guided != literal:
-            differences += 1
-            print(f"edges {g.edges()}: guided {guided}, literal {literal}")
+        differences += differs(g, numbers)
     print(f"{1 << len(pairs)} graphs, representation numbers {dict(sorted(numbers.items()))}, "
           f"{differences} differences")
     return 1 if differences else 0

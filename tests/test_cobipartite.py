@@ -235,7 +235,7 @@ class TestStagedVerdict:
                 if is_acyclic(o):
                     continue
                 cyclic += 1
-                core_passed += cob._failed_stage(o.out, cliques)[0] is None
+                core_passed += cob._failed_stage(o.out, cliques) is None
                 ok, report = is_semi_transitive_cobip(o, part)
                 expected = ("acyclicity" if cob._ranks(o.out, cliques[0]) is not None else
                             "clique-transitivity")
@@ -401,7 +401,7 @@ class TestIndexCore:
             g, part, o = random_two_clique_case(rng)
             _, report = is_semi_transitive_cobip(o, part)
             cliques = cob._cliques(g, part)
-            stage, typed = cob._failed_stage(o.out, cliques)
+            stage = cob._failed_stage(o.out, cliques)
             assert stage == helper_stage(o, part), (part, o)
             # the labelled verdict checks acyclicity right after the cliques
             cyclic = stage != "clique-transitivity" and not is_acyclic(o)
@@ -412,10 +412,12 @@ class TestIndexCore:
             if literal is None:
                 assert stage == "clique-transitivity", (part, o)
             else:
-                _, tags, outrank, inrank = cob._typed(o.out, cliques)
+                _, (_, tags, outrank, inrank) = cob._typed(o, part)
                 assert {i: (tags[i], outrank[i], inrank[i]) for i in literal} == literal
                 invalid = any(tag == "Invalid" for tag, _, _ in literal.values())
-                assert (stage == "typing") == invalid == (typed is None), (part, o)
+                assert (stage == "typing") == invalid, (part, o)
+            if report.failed_stage == "lemma42":
+                assert report.details == tuple(check_condition_quad(o, part)), (part, o)
             seen.add(stage)
         # Lemmas 4.1 and 4.3 cannot fail once typing passes, on cyclic
         # input too (the proof is in _failed_stage).
@@ -443,7 +445,7 @@ def literal_sampled_sweep(g, part, threshold, seed):
     for out in distinct:
         free = searcher.find(out) is None
         semi += free
-        if free != (cob._failed_stage(out, cliques)[0] is None):
+        if free != (cob._failed_stage(out, cliques) is None):
             o = Orientation(g, out)
             structural, report = is_semi_transitive_cobip(o, part)
             disagreements.append({"arcs": [f"{u} -> {v}" for u, v in o.arcs()],
@@ -494,7 +496,7 @@ class TestAgreementSweep:
                         if free or may_pass(Orientation(g, out), part)]
             dropped += len(flagged) - len(expected)
             cliques = cob._cliques(g, part)
-            assert list(cob._orientation_stream(g, cliques, None, True)) == expected, g.adj
+            assert list(cob._pruned_walk(g, cliques)) == expected, g.adj
         assert dropped > 0
 
     def test_prefix_rejections_are_hereditary(self):
@@ -525,7 +527,7 @@ class TestAgreementSweep:
             for out in acyclic_outsets(g, record):
                 if under[-1]:
                     rejected += 1
-                    assert cob._failed_stage(out, cliques)[0] is not None, (g.adj, out)
+                    assert cob._failed_stage(out, cliques) is not None, (g.adj, out)
         assert rejected > 10_000
 
     def test_prefix_check_runs_only_the_hereditary_stages(self, monkeypatch):
@@ -540,9 +542,8 @@ class TestAgreementSweep:
         def unproven(*args):
             raise AssertionError("a lemma with no heredity proof ran on a prefix")
 
-        for stage in ("lemma41", "lemma43"):
-            monkeypatch.setattr(cob, f"_{stage}", unproven)
-            monkeypatch.setitem(cob._LEMMAS, stage, (unproven, cob._LEMMAS[stage][1]))
+        for check in ("check_condition_ab", "check_condition_typec"):
+            monkeypatch.setattr(cob, check, unproven)
         rng = random.Random(2121)
         passed = 0
         for _ in range(30):
@@ -584,9 +585,9 @@ class TestAgreementSweep:
             for out in acyclic_outsets(g):
                 back = reversed_outs(out)
                 free = searcher.find(out) is None
-                core = cob._failed_stage(out, cliques)[0] is None
+                core = cob._failed_stage(out, cliques) is None
                 assert (searcher.find(back) is None) == free, (g.adj, out)
-                assert (cob._failed_stage(back, cliques)[0] is None) == core, (g.adj, out)
+                assert (cob._failed_stage(back, cliques) is None) == core, (g.adj, out)
                 checked += 1
                 passed += core
         assert checked > 10_000 and passed > 1_000, (checked, passed)
@@ -662,9 +663,7 @@ class TestAgreementSweep:
         # path oracle on exactly the semi-transitive orientations.
         import wordrep.cobipartite as cob
 
-        core = cob._failed_stage
-        monkeypatch.setattr(cob, "_failed_stage", lambda out, cliques: (
-            "typing", *core(out, cliques)[1:]))
+        monkeypatch.setattr(cob, "_failed_stage", lambda out, cliques: "typing")
         g, part = complement_path_graph(2)
         result = sweep_orientations(g, part)
         assert len(result.disagreements) == result.semi_transitive > 1
@@ -680,9 +679,7 @@ class TestAgreementSweep:
         # disagreements are the shortcut-free draws, in draw order.
         import wordrep.cobipartite as cob
 
-        core = cob._failed_stage
-        monkeypatch.setattr(cob, "_failed_stage", lambda out, cliques: (
-            "typing", *core(out, cliques)[1:]))
+        monkeypatch.setattr(cob, "_failed_stage", lambda out, cliques: "typing")
         g, part = complement_path_graph(3)
         result = sweep_orientations(g, part, sample_threshold=400, seed=6)
         assert result.sampled and len(result.disagreements) == result.semi_transitive > 1

@@ -180,6 +180,21 @@ class TestCobipartite:
         with pytest.raises(GraphError, match="cliqueA"):  # a repeated label
             CoBipartitePartition(("a", "b", "a"), ("c",)).validate(g)
 
+    def test_partition_from_lists_stores_tuples(self):
+        # A partition built from lists once failed the memo lookup of the
+        # structural oracle with a bare TypeError (unhashable list).
+        from wordrep.cobipartite import is_semi_transitive_cobip
+        from wordrep.orientations import Orientation
+
+        g = Graph.from_edges(["a", "b", "c"], [("a", "b")])
+        part = CoBipartitePartition(["a", "b"], ["c"])
+        assert (part.clique_a, part.clique_b) == (("a", "b"), ("c",))
+        assert part == CoBipartitePartition(("a", "b"), ("c",))
+        ok, _ = is_semi_transitive_cobip(Orientation.from_order(g, "abc"), part)
+        assert ok
+        with pytest.raises(GraphError, match="string"):  # not split into characters
+            CoBipartitePartition("ab", ("c",))
+
     def test_partition_validation_returns_index_lists(self):
         g = Graph.from_edges(["a", "b", "c"], [("a", "b")])
         assert CoBipartitePartition(("b", "a"), ("c",)).validate(g) == ([1, 0], [2])

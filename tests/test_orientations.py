@@ -1063,17 +1063,15 @@ class TestUniformWordSearch:
         # An orientation of another graph once raised a bare IndexError (4
         # vertices against 3) or guided the search by arcs on non-edges
         # (a->b, b->c of the path, against the single edge ac: a b b c a c).
+        # Raw out-bitsets are checked as an Orientation is built.
         g = Graph.from_edges("abc", [("a", "c")])
         path = Graph.from_edges("abc", [("a", "b"), ("b", "c")])
         foreign = [
             (Orientation.from_order(Graph.from_edges("abcd", [("a", "b")]), "abcd"),
              "another graph"),
-            (Orientation.from_arcs(path, [("a", "b"), ("b", "c")]), "non-edge"),
+            (Orientation.from_arcs(path, [("a", "b"), ("b", "c")]), "another graph"),
             ((0b100, 0, 0, 0), "4 out-bitsets for 3 vertices"),
-            ((0b100, 0), "2 out-bitsets"),
             ((0b001, 0, 0b100), "non-edge"),  # a loop at a
-            ((0b100, 0, 0b001), "exactly once"),  # ac both ways
-            ((0, 0, 0), "exactly once"),
         ]
         for orientation, message in foreign:
             with pytest.raises(OrientationError, match=message):
@@ -1099,6 +1097,30 @@ class TestSerialization:
         g = Graph.from_edges(["a", "b", "c"], [("a", "b"), ("b", "c")])
         o = Orientation.from_order(g, ["b", "a", "c"])
         assert o.serialize() == "b -> a\nb -> c\n"
+
+    def test_construction_rejects_malformed_out_bitsets(self):
+        # The bare constructor once accepted these: co-P(2) without the
+        # decider's arc 1->2 read as 2->1 in arcs() and passed the shortcut
+        # test, and the path's a->b, a->c listed an invented c->b.
+        g = Graph.from_edges("abc", [("a", "c")])
+        path = Graph.from_edges("abc", [("a", "b"), ("b", "c")])
+        co_p2, _ = complement_path_graph(2)
+        out = list(find_semi_transitive_orientation(co_p2).out)
+        i, j = co_p2.index("1"), co_p2.index("2")
+        assert out[i] >> j & 1
+        out[i] &= ~(1 << j)
+        malformed = [
+            (g, (0b100, 0, 0, 0), "4 out-bitsets for 3 vertices"),
+            (g, (0b100, 0), "2 out-bitsets"),
+            (g, (0b001, 0, 0b100), "non-edge"),  # a loop at a
+            (g, (0b100, 0, 0b001), "exactly once"),  # ac both ways
+            (g, (0, 0, 0), "exactly once"),
+            (path, (0b110, 0, 0), "non-edge"),
+            (co_p2, tuple(out), "exactly once"),
+        ]
+        for graph, bits, message in malformed:
+            with pytest.raises(OrientationError, match=message):
+                Orientation(graph, bits)
 
     def test_from_arcs_validation(self):
         g = Graph.from_edges(["a", "b"], [("a", "b")])
