@@ -542,11 +542,7 @@ def _one_mirror_half(g: Graph, skip: int = 0) -> list[int]:
     itself, is the first earlier neighbour k decides, and every choice with
     u->k precedes every choice with k->u: the unpinned stream is the half
     with u->k followed by the half with k->u, and reversing every arc maps
-    each half onto the other.  For a property kept by that reversal, such
-    as transitivity and semi-transitivity (``sweep_orientations``), the
-    unpruned scan's first hit has u->k, since a first hit with k->u would
-    come after its own reverse, which is also a hit.  So the first hit is
-    kept and a negative walks one mirror half.
+    each half onto the other.
     """
     pinned = [0] * len(g.adj)
     for k, mask in enumerate(g.adj):
@@ -583,42 +579,10 @@ def _non_comparability_neighbourhood(adj: Sequence[int]) -> bool:
     rules out a semi-transitive orientation (Kitaev-Pyatkin 2008: G[N[v]] is
     then representable with v dominant).
 
-    Only a vertex with at least 5 neighbours can fail (every graph on at most
-    4 vertices is a comparability graph), and only one whose closed
-    neighbourhood lies inside no other's, the lowest of closed twins kept:
-    with N[v] inside N[u], G[N(v)] is induced in the cone G[N[u]], which is
-    a comparability graph when G[N(u)] is.  The filter pays for itself: on
-    random and witness graphs of 7 and 8 vertices, most of them positives
-    that scan every kept vertex, it took 10-13 us a graph against 16-18 us
-    for the scan of every big vertex (2-core machine, Python 3.11).
+    Only a vertex with at least 5 neighbours can fail: every graph on at
+    most 4 vertices is a comparability graph.
     """
-    big = 0
-    for v, mask in enumerate(adj):
-        if mask.bit_count() >= 5:
-            big |= 1 << v
-    # A closed neighbourhood holding that of a big vertex is big itself.
-    covered = 0
-    todo = big
-    while todo:
-        v = todo & -todo
-        todo ^= v
-        closed_v = adj[v.bit_length() - 1] | v
-        later = closed_v & todo
-        while later:
-            u = later & -later
-            later ^= u
-            closed_u = adj[u.bit_length() - 1] | u
-            if not closed_u & ~closed_v:
-                covered |= u
-            elif not closed_v & ~closed_u:
-                covered |= v
-    todo = big & ~covered
-    while todo:
-        v = todo & -todo
-        todo ^= v
-        if _forces_a_reversal(adj, adj[v.bit_length() - 1]):
-            return True
-    return False
+    return any(mask.bit_count() >= 5 and _forces_a_reversal(adj, mask) for mask in adj)
 
 
 def find_semi_transitive_orientation(
@@ -648,14 +612,13 @@ def is_comparability(g: Graph) -> Optional[Orientation]:
     """A transitive orientation if one exists (comparability graph), else None.
 
     Implication classes refute a non-comparability graph at once
-    (``_forces_a_reversal``); otherwise the search is pruned by
-    transitivity over one mirror half (``_one_mirror_half``) and returns
-    the unpruned scan's first hit.
+    (``_forces_a_reversal``); otherwise the search, pruned by transitivity,
+    returns the unpruned scan's first hit.
     """
     _check_cap(g, DEFAULT_MAX_VERTICES)
     if _forces_a_reversal(g.adj, (1 << len(g.adj)) - 1):
         return None
-    out = next(acyclic_outsets(g, outs_transitive, _one_mirror_half(g)), None)
+    out = next(acyclic_outsets(g, outs_transitive), None)
     return None if out is None else Orientation(g, out)
 
 

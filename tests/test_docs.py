@@ -3,15 +3,22 @@
 Each exactness argument is stated once, in the docstring of the function
 that relies on it, and other places point there.  These tests keep the
 pointers in the package's docstrings and comments, and the README's proof
-table, from naming code or tests that no longer exist.
+table, from naming code or tests that no longer exist, and run the entry
+points the README documents.
 """
 
 import ast
 import importlib
 import io
+import json
+import os
 import re
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wordrep"
@@ -126,3 +133,27 @@ def test_readme_proof_table_names_real_code_and_tests():
                              (pruning, home, test + "_gone"),
                              (pruning, home, "test_no_such_file.py::test_x")]) == [
         home + "_gone", test + "_gone", "test_no_such_file.py::test_x"]
+
+
+def test_readme_entry_points_run(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    quick_start = readme.split("## Library quick start", 1)[1]
+    exec(quick_start.split("```python\n", 1)[1].split("```", 1)[0], {})
+    # The module form of the command line, as the README gives it.
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "wordrep.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+
+    done = cli("catalog", "--out", "cat", "t1bar")
+    assert done.returncode == 0, done.stderr
+    manifest = json.loads((tmp_path / "cat" / "manifest.json").read_text())
+    assert [entry["name"] for entry in manifest["files"]] == ["t1bar.graph"]
+    done = cli("representable", "cat/t1bar.graph")
+    assert done.returncode == 1 and json.loads(done.stdout)["representable"] is False
+    # The installed script's target.
+    tomllib = pytest.importorskip("tomllib")
+    target = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]["wordrep"]
+    module, _, name = target.partition(":")
+    assert callable(getattr(importlib.import_module(module), name))

@@ -8,7 +8,11 @@ import pytest
 from wordrep import orientations
 from wordrep.graphs import GeneralizedCrownParams, Graph, GraphError, named_witness
 from wordrep.words import Word, alternates, represents
-from wordrep.constructions import complement_crown_graph, complement_path_graph
+from wordrep.constructions import (
+    complement_crown_graph,
+    complement_cycle_graph,
+    complement_path_graph,
+)
 from wordrep.orientations import (
     CapExceededError,
     Orientation,
@@ -390,24 +394,21 @@ class TestPrunedSearch:
             found = is_comparability(g)
             assert (found and found.out) == transitive, g.adj
 
-    def test_deciders_walk_one_mirror_half(self):
-        # Reversal keeps semi-transitivity and transitivity, so the half
-        # with the first decided edge u->k, together with its reverse, is
-        # the whole set, and the half is exactly the set's members with u->k.
+    def test_mirror_half_and_its_reverse_are_every_semi_transitive_orientation(self):
+        # Reversal keeps semi-transitivity, so the half with the first
+        # decided edge u->k, together with its reverse, is the whole set,
+        # and the half is exactly the set's members with u->k.
         for g in small_and_random_graphs():
             first = first_decided_edge(g)
             searcher = ShortcutSearcher(g)
-            semi = [out for out in acyclic_outsets(g) if searcher.find(out) is None]
-            transitive = [out for out in acyclic_outsets(g) if outs_transitive(out)]
-            for full, keep in ((semi, searcher.prefix_free),
-                               (transitive, outs_transitive)):
-                kept = list(acyclic_outsets(g, keep, _one_mirror_half(g)))
-                if first is None:
-                    assert kept == full, g.adj
-                    continue
-                k, u = first
-                assert kept == [out for out in full if out[u] >> k & 1], g.adj
-                assert sorted(full) == sorted(kept + [reversed_outs(o) for o in kept]), g.adj
+            full = [out for out in acyclic_outsets(g) if searcher.find(out) is None]
+            kept = list(acyclic_outsets(g, searcher.prefix_free, _one_mirror_half(g)))
+            if first is None:
+                assert kept == full, g.adj
+                continue
+            k, u = first
+            assert kept == [out for out in full if out[u] >> k & 1], g.adj
+            assert sorted(full) == sorted(kept + [reversed_outs(o) for o in kept]), g.adj
 
     def test_zero_source_pin_keeps_every_verdict(self):
         # Some semi-transitive orientation has vertex 0 a source and the
@@ -418,7 +419,7 @@ class TestPrunedSearch:
             assert (find_semi_transitive_orientation(g) is None) == (semi is None), g.adj
 
     def test_comparability_needs_no_source_at_vertex_0(self):
-        # Why is_comparability keeps the mirror half: this graph has a
+        # Why is_comparability takes no zero-source pin: this graph has a
         # transitive orientation, but none with v0 a source: v0->v1 and
         # v0->v2 force v4->v1 and v3->v2, and then v1->v2 leaves
         # v4->v1->v2 unclosed and v2->v1 leaves v3->v2->v1 unclosed.
@@ -432,11 +433,11 @@ class TestPrunedSearch:
 
     def test_decider_work_counts(self, monkeypatch):
         # The searches are deterministic, so their work counts are exact
-        # regression values.  The comparability core walks one mirror half,
-        # about half the count of a walk over both; the semi-transitive core
-        # keeps vertex 0 a source and pins one more edge, about a sixth of
-        # it on these negatives.  The public deciders run the pruned core
-        # only when no implication-class conflict refutes first.
+        # regression values.  The semi-transitive core keeps vertex 0 a
+        # source and pins one more edge, about a sixth of the tree on these
+        # negatives.  The public deciders run the pruned core only when no
+        # refutation answers first: a negative crown complement costs
+        # is_comparability no transitivity check at all.
         calls = []
         prefix_free = ShortcutSearcher.prefix_free
         transitive = orientations.outs_transitive
@@ -454,21 +455,19 @@ class TestPrunedSearch:
             return next(acyclic_outsets(g, ShortcutSearcher(g).prefix_free, _zero_source_pin(g)),
                         None)
 
-        def transitive_core(g):
-            return next(acyclic_outsets(g, orientations.outs_transitive, _one_mirror_half(g)),
-                        None)
-
         t1bar, t2bar, g1bar3 = (named_witness(name, n)[0]
                                 for name, n in (("T1bar", None), ("T2bar", None), ("G1bar", 3)))
         for g, core, public in ((t1bar, 47, 0), (t2bar, 37, 37), (g1bar3, 47, 0),
                                 (wheel5(), 11, 0)):
             assert checks(semi_core, g) == core, g.vertices
             assert checks(find_semi_transitive_orientation, g) == public, g.vertices
-        for params, core in ((GeneralizedCrownParams(3, 0), 25),
-                             (GeneralizedCrownParams(4, 0), 77)):
-            g = complement_crown_graph(params)[0]
-            assert checks(transitive_core, g) == core, params
-            assert checks(is_comparability, g) == 0, params
+        for params in (GeneralizedCrownParams(3, 0), GeneralizedCrownParams(4, 0)):
+            assert checks(is_comparability, complement_crown_graph(params)[0]) == 0, params
+        for g, count in ((complement_path_graph(3)[0], 7), (complement_path_graph(4)[0], 11),
+                         (complete_graph([f"v{i}" for i in range(5)]), 5)):
+            calls.clear()
+            assert is_comparability(g) is not None
+            assert len(calls) == count, g.vertices
 
     def test_public_deciders_match_the_pruned_core(self):
         # A neighbourhood refutation (the semi-transitive decider) or an
@@ -489,7 +488,7 @@ class TestPrunedSearch:
                         None)
             found = find_semi_transitive_orientation(g)
             assert (found and found.out) == semi, g.adj
-            core = next(acyclic_outsets(g, outs_transitive, _one_mirror_half(g)), None)
+            core = next(acyclic_outsets(g, outs_transitive), None)
             found = is_comparability(g)
             assert (found and found.out) == core, g.adj
 
@@ -506,9 +505,8 @@ class TestPrunedSearch:
                 assert _forces_a_reversal(g.adj, full - 1) == _forces_a_reversal(inner, full >> 1)
 
     def test_neighbourhood_scan_matches_every_neighbourhood(self):
-        # The scan skips vertices of degree below 5 and those whose closed
-        # neighbourhood lies inside another's, yet answers as a scan of
-        # every neighbourhood does.
+        # The scan skips vertices of degree below 5, yet answers as a scan
+        # of every neighbourhood does.
         rng = random.Random(19)
         refuted = 0
         for n in (7, 8, 9):
@@ -519,6 +517,21 @@ class TestPrunedSearch:
                     assert orientations._non_comparability_neighbourhood(g.adj) == every, g.adj
                     refuted += every
         assert refuted == 88
+
+    def test_neighbourhood_scan_work_counts(self, monkeypatch):
+        # One implication-class check per vertex of degree at least 5, up
+        # to the first refuting one.
+        calls = []
+        forces = orientations._forces_a_reversal
+        monkeypatch.setattr(orientations, "_forces_a_reversal",
+                            lambda adj, mask: calls.append(1) or forces(adj, mask))
+        for g, count, refuted in ((complement_path_graph(4)[0], 8, False),
+                                  (complement_cycle_graph(4)[0], 8, False),
+                                  (named_witness("T2bar")[0], 3, False),
+                                  (named_witness("T1bar")[0], 1, True)):
+            calls.clear()
+            assert orientations._non_comparability_neighbourhood(g.adj) == refuted
+            assert len(calls) == count, g.vertices
 
     def test_pruned_stream_is_the_filtered_stream(self):
         # A hereditary predicate drops only branches with no accepted
