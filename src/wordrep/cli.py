@@ -30,7 +30,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import constructions as cons
 from . import graphs as gr
@@ -215,14 +215,17 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+        return value
+    return parse
 
 
 @functools.cache
@@ -265,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("representable", help="exhaustive orientation search")
     p.add_argument("graph")
     p.add_argument("--max-vertices", type=int, default=ori.DEFAULT_MAX_VERTICES)
-    p.add_argument("--max-k", type=_positive_int,
+    p.add_argument("--max-k", type=_int_at_least(1),
                    help="also report the bounded representation number")
     p.add_argument("--max-walk", type=int,
                    help="also search for a chordless odd closed walk")
@@ -278,8 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, choices=(1,), default=1,
                    help="must be 1: the sweep runs in one process; the flag stays only "
                         "for command lines that pass --workers 1, such as perfbench's")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample-threshold", type=_positive_int, default=DEFAULT_SAMPLE_THRESHOLD)
+    # Random seeds from abs(seed), so a negative seed would repeat a positive one's draws
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--sample-threshold", type=_int_at_least(1), default=DEFAULT_SAMPLE_THRESHOLD)
     p.set_defaults(handler=cmd_characterize)
 
     p = sub.add_parser("catalog", help="write family graph files plus manifest",

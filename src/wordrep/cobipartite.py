@@ -23,6 +23,8 @@ shortcut test.  Each part, and each argument it relies on, has one home:
 * the core, and why it skips lemmas 4.1 and 4.3: ``_failed_stage``;
 * the labelled verdict with its acyclicity stage: ``is_semi_transitive_cobip``;
 * the heredity of the core's stages: ``_prefix_may_pass``;
+* a sampled sweep's draws, the orders ``Random(seed).sample`` gives, and
+  why one pass over the generator's bits draws them: ``_drawn``;
 * a sampled sweep walking or searching, and both oracles surviving
   reversal, which halves a full sweep: ``sweep_orientations``.
 """
@@ -43,7 +45,6 @@ from .orientations import (
     _one_mirror_half,
     count_acyclic_orientations,
     is_acyclic,
-    outs_from_order,
     outsets_shortcut_free,
 )
 
@@ -518,6 +519,45 @@ def _compare(g: Graph, partition: CoBipartitePartition, cliques: tuple,
     return semi, found
 
 
+def _drawn(adj: tuple[int, ...], count: int, seed: int) -> dict[tuple[int, ...], int]:
+    """The distinct orientations of ``count`` seeded vertex orders, each
+    mapped to its position among them in draw order.
+
+    The orders are those of ``count`` calls of
+    ``Random(seed).sample(range(n), n)``, and each is oriented from its
+    earlier to its later vertices, as ``outs_from_order`` does; the tests
+    keep that literal loop as the oracle.  This runs the same sample on the
+    generator's bits.  Asked for all n items, ``sample`` takes its pool
+    branch on every CPython from 3.10 to 3.13, since n never exceeds its
+    set-size bound (21, plus 4^ceil(log4 3n) when n > 5): for m = n..1 it
+    draws r below m by its randbelow step, ``getrandbits(m.bit_length())``
+    again while r >= m, takes ``pool[r]`` and moves ``pool[m - 1]`` into
+    its place.  So this makes the same ``getrandbits`` calls and takes the
+    same vertices in the same order.  Each taken vertex v points at its
+    neighbours still in the pool (``rest``, as a bitset), which are the
+    vertices after v in the order.  So the distinct orientations and their
+    first positions are the literal loop's.
+    """
+    getrandbits = Random(seed).getrandbits
+    n = len(adj)
+    widths = [(m, m.bit_length()) for m in range(n, 0, -1)]
+    drawn: dict[tuple[int, ...], int] = {}
+    for _ in range(count):
+        pool = list(range(n))
+        out = [0] * n
+        rest = (1 << n) - 1
+        for m, width in widths:
+            r = getrandbits(width)
+            while r >= m:
+                r = getrandbits(width)
+            v = pool[r]
+            pool[r] = pool[m - 1]
+            out[v] = adj[v] & rest
+            rest ^= 1 << v
+        drawn.setdefault(tuple(out), len(drawn))
+    return drawn
+
+
 def sweep_orientations(
     g: Graph,
     partition: CoBipartitePartition,
@@ -527,8 +567,10 @@ def sweep_orientations(
     """Compare both oracles over the acyclic orientations of one graph.
 
     When the number of linear orders exceeds ``sample_threshold``, that
-    many orders are drawn with the seeded generator instead (the result
-    records the seed and that sampling happened).  A full sweep counts its
+    many orders are drawn with the seeded generator instead (``_drawn``;
+    the result records the seed and that sampling happened).  The seed
+    must be non-negative: ``Random`` seeds from its absolute value, so
+    seeds s and -s would draw the same orders.  A full sweep counts its
     orientations with ``count_acyclic_orientations``, since its walk skips
     those both oracles reject, so it raises CapExceededError above
     COUNT_MAX_VERTICES vertices before it walks.  Disagreeing orientations
@@ -562,6 +604,8 @@ def sweep_orientations(
     """
     if sample_threshold < 1:
         raise ValueError(f"sample_threshold must be >= 1, got {sample_threshold}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     cliques = _cliques(g, partition)
     total_orders = factorial(len(g.vertices))
     sampled = total_orders > sample_threshold
@@ -571,11 +615,7 @@ def sweep_orientations(
             f"a full sweep counts the orientations of at most {COUNT_MAX_VERTICES} "
             f"vertices, not {len(g.vertices)}")
     if sampled:
-        rng = Random(seed)
-        base = list(range(len(g.vertices)))
-        distinct = dict.fromkeys(outs_from_order(g.adj, rng.sample(base, len(base)))
-                                 for _ in range(sample_threshold))
-        drawn = {out: p for p, out in enumerate(distinct)}
+        drawn = _drawn(g.adj, sample_threshold, seed)
         if total is not None and total <= sample_threshold:
             stream = ((out, free) for out, free in _pruned_walk(g, cliques) if out in drawn)
         else:

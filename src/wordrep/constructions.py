@@ -24,9 +24,9 @@ from .graphs import (
     GeneralizedCrownParams,
     Graph,
     GraphError,
+    _parts,
     cobipartite_from_bipartite,
     cycle_bipartite,
-    generalized_crown,
     path_bipartite,
     primed,
     unprimed,
@@ -119,7 +119,20 @@ def word_generalized_crown(params: GeneralizedCrownParams) -> Word:
 
 
 def complement_crown_graph(params: GeneralizedCrownParams) -> tuple[Graph, CoBipartitePartition]:
-    return cobipartite_from_bipartite(generalized_crown(params))
+    """The complement of ``generalized_crown(params)``, built as bitsets.
+
+    Both parts become cliques, and i~j' is a cross edge exactly when the
+    crown lacks it, that is when (j - i) mod n <= k.  Vertices and partition
+    are those of ``cobipartite_from_bipartite`` on the crown.
+    """
+    n, k = params.n, params.k
+    part_x, part_y = _parts(n)
+    clique = (1 << n) - 1
+    adj = [clique ^ 1 << i | sum(1 << n + (i + t) % n for t in range(k + 1))
+           for i in range(n)]
+    adj += [clique << n ^ 1 << n + j | sum(1 << (j - t) % n for t in range(k + 1))
+            for j in range(n)]
+    return Graph(part_x + part_y, tuple(adj)), CoBipartitePartition(part_x, part_y)
 
 
 # --- co-bipartite graphs with one clique of size 2 or 3 -------------------

@@ -352,6 +352,16 @@ class TestCharacterize:
             capsys, "characterize", str(gpath), "--sample-threshold", threshold)
         assert code == 2 and out == "" and "--sample-threshold" in err
 
+    @pytest.mark.parametrize("seed", ["-5", "-1"])
+    def test_negative_seed_exit_2(self, capsys, tmp_path, seed):
+        # Random seeds from abs(seed): --seed -5 would draw the orders of
+        # --seed 5 and report a different seed.
+        g, part = named_witness("T1bar")
+        gpath = write_graph(tmp_path, "t1bar.graph", g, part)
+        code, out, err = run_cli(capsys, "characterize", str(gpath), "--seed", seed,
+                                 "--sample-threshold", "100")
+        assert code == 2 and out == "" and "--seed" in err
+
 
 class TestCatalog:
     def test_deterministic_and_complete(self, capsys, tmp_path):

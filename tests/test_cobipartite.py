@@ -757,24 +757,61 @@ class TestAgreementSweep:
         assert len(calls) == 1
 
     def test_sampled_sweep_draws_once(self, monkeypatch):
-        # The sweep draws and dedups the sampled orders once.
+        # The sweep draws and dedups the sampled orders once, in one _drawn call.
         import wordrep.cobipartite as cob
 
         draws = []
-        draw = cob.outs_from_order
+        drawn = cob._drawn
 
-        def counted(adj, order):
-            draws.append(order)
-            return draw(adj, order)
+        def counted(adj, count, seed):
+            draws.append(count)
+            return drawn(adj, count, seed)
 
-        monkeypatch.setattr(cob, "outs_from_order", counted)
+        monkeypatch.setattr(cob, "_drawn", counted)
         g, part = complement_path_graph(3)
         first = sweep_orientations(g, part, sample_threshold=300, seed=4)
-        assert len(draws) == 300
+        assert draws == [300]
         assert first.sampled and first.orientations > 3
         second = sweep_orientations(g, part, sample_threshold=300, seed=4)
-        assert len(draws) == 600
+        assert draws == [300, 300]
         assert first.to_json() == second.to_json()
+
+    def test_drawn_matches_the_literal_sample_loop(self):
+        # _drawn runs Random.sample's pool branch on the generator's bits; it
+        # must give the literal loop's distinct orientations, in draw order,
+        # on every CPython the package supports.  Counts above n! repeat
+        # orders, so duplicates occur.
+        import random
+
+        import wordrep.cobipartite as cob
+
+        rng = random.Random(3030)
+        cases = []
+        for n in range(1, 13):
+            labels = [f"v{i}" for i in range(n)]
+            g = Graph.from_edges(labels, [e for e in combinations(labels, 2)
+                                          if rng.random() < 0.5])
+            for seed in (0, 7, rng.randrange(1 << 30)):
+                for count in {3, 40, math.factorial(n) + 1} if n <= 5 else (3, 40):
+                    cases.append((g, count, seed))
+        for bits in (0b1011_0110_0101, 0b0110_1101_1010):
+            g, _ = cross_pattern(["a1", "a2", "a3"], ["b1", "b2", "b3", "b4"], bits)
+            cases.append((g, 2500, bits))
+        duplicated = 0
+        for g, count, seed in cases:
+            expected = drawn_orientations(g, count, seed)
+            got = cob._drawn(g.adj, count, seed)
+            assert list(got.items()) == [(out, p) for p, out in enumerate(expected)], (
+                g.adj, count, seed)
+            duplicated += len(got) < count
+        assert 0 < duplicated < len(cases), duplicated
+
+    @pytest.mark.parametrize("seed", [-1, -5])
+    def test_sweep_rejects_a_negative_seed(self, seed):
+        # Random seeds from abs(seed), so -5 would draw the orders of 5.
+        g, part = named_witness("T1bar")
+        with pytest.raises(ValueError, match="seed"):
+            sweep_orientations(g, part, sample_threshold=500, seed=seed)
 
     def test_partition_validated_once_per_sweep(self, monkeypatch):
         calls = []

@@ -5,7 +5,14 @@ from itertools import combinations, product
 
 import pytest
 
-from wordrep.graphs import CoBipartitePartition, GeneralizedCrownParams, Graph, GraphError
+from wordrep.graphs import (
+    CoBipartitePartition,
+    GeneralizedCrownParams,
+    Graph,
+    GraphError,
+    cobipartite_from_bipartite,
+    generalized_crown,
+)
 from wordrep.words import Word, is_uniform, represents, restrict
 from wordrep.orientations import find_semi_transitive_orientation
 from wordrep.constructions import (
@@ -130,6 +137,16 @@ class TestGeneralizedCrownWord:
             params = GeneralizedCrownParams(n, n - 1)
             g, _ = complement_crown_graph(params)
             assert represents(word_generalized_crown(params), g).ok
+
+    def test_graph_equals_the_complemented_crown(self):
+        # The bitset builder gives the labelled route's vertex order,
+        # bitsets and partition exactly.
+        for n in range(1, 9):
+            for k in range(n):
+                params = GeneralizedCrownParams(n, k)
+                g, part = complement_crown_graph(params)
+                h, route_part = cobipartite_from_bipartite(generalized_crown(params))
+                assert (g.vertices, g.adj, part) == (h.vertices, h.adj, route_part), (n, k)
 
 
 class TestFixedCliqueWords:
