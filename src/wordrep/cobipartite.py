@@ -19,9 +19,12 @@ index-level core, and the sweep that checks it against the generic
 shortcut test.  Each part, and each argument it relies on, has one home:
 
 * partition validation and cross neighbors, once per graph: ``_cliques``;
-* typing from the cross neighbors alone: ``_typing``;
+* the typing rule, one pass that stops at the first Invalid vertex or
+  fills in every vertex's type for the label API: ``_typing``;
 * the core, and why it skips lemmas 4.1 and 4.3: ``_failed_stage``;
 * the labelled verdict with its acyclicity stage: ``is_semi_transitive_cobip``;
+* the restriction to each prefix, and why meeting the newest vertex first
+  changes no verdict: ``_prefix_cliques``;
 * the heredity of the core's stages: ``_prefix_may_pass``;
 * a sampled sweep's draws, the orders ``Random(seed).sample`` gives, and
   why one pass over the generator's bits draws them: ``_drawn``;
@@ -123,24 +126,22 @@ def _ranks(out: tuple[int, ...], sides: tuple) -> Optional[list[int]]:
     return rank
 
 
-def _run(x: int) -> bool:
-    """The set bits of x are consecutive (vacuously when there are none)."""
-    return x & (x + (x & -x)) == 0
+def _typing(out: tuple[int, ...], cliques: tuple, rank: list[int],
+            typed: Optional[tuple] = None) -> Optional[int]:
+    """Type the clique vertices against the opposite clique; return the first
+    Invalid one in ``cliques`` order, or None when every vertex types.
 
-
-def _typing(out: tuple[int, ...], cliques: tuple, typed: tuple) -> Iterator[int]:
-    """Type each clique vertex against the opposite clique; yield the Invalid ones.
-
-    ``typed`` is (rank, tags, outrank, inrank), lists by vertex index with
-    the rank bits filled in; this fills in the rest.  The tag is "A", "B",
-    "C" or "Invalid"; outrank and inrank hold the rank bits of the opposite
-    vertices that the vertex sends to and receives from, read off its cross
-    neighbors alone: an ``Orientation`` directs every edge exactly once, so
-    the cross neighbors a vertex does not send to are those it receives
-    from.
+    ``rank`` holds the rank bits by vertex index (``_ranks``).  With
+    ``typed``, (tags, outrank, inrank) containers by vertex index, the pass
+    instead types every vertex, fills them in and returns None, for the
+    label API.  The tag is "A", "B", "C" or "Invalid"; outrank and inrank
+    hold the rank bits of the opposite vertices that the vertex sends to
+    and receives from, read off its cross neighbors alone: an
+    ``Orientation`` directs every edge exactly once, so the cross neighbors
+    a vertex does not send to are those it receives from.  A run of set
+    bits is one that adding its lowest bit clears.
     """
     sides, _, cross_lists = cliques
-    rank, tags, outranks, inranks = typed
     for clique, other, _, _ in sides:
         above_source = 1 << len(other)
         for v in clique:
@@ -152,16 +153,19 @@ def _typing(out: tuple[int, ...], cliques: tuple, typed: tuple) -> Iterator[int]
                 else:
                     inrank |= rank[w]
             if not inrank:
-                tag = "A" if _run(outrank) else "Invalid"
+                tag = "Invalid" if outrank & (outrank + (outrank & -outrank)) else "A"
             elif not outrank:
-                tag = "B" if _run(inrank) else "Invalid"
+                tag = "Invalid" if inrank & (inrank + (inrank & -inrank)) else "B"
             elif inrank + (inrank & -inrank) == above_source and not outrank & (outrank + 1):
                 tag = "C"  # a run of in-neighbors from the source, of out-neighbors to the sink
             else:
                 tag = "Invalid"
-            tags[v], outranks[v], inranks[v] = tag, outrank, inrank
-            if tag == "Invalid":
-                yield v
+            if typed is not None:
+                tags, outranks, inranks = typed
+                tags[v], outranks[v], inranks[v] = tag, outrank, inrank
+            elif tag == "Invalid":
+                return v
+    return None
 
 
 # Lemma 4.2 is the core's one lemma: it yields its violations as index
@@ -212,12 +216,13 @@ def _describe42(labels: tuple[str, ...], out: tuple[int, ...], cliques: tuple) -
 def _failed_stage(out: tuple[int, ...], cliques: tuple) -> Optional[str]:
     """The first failing stage of an orientation, or None when it passes.
 
-    The index-level core of ``is_semi_transitive_cobip``.  ``cliques`` comes
-    from ``_cliques`` (a validated partition), and ``out`` must be the
+    The index-level core of ``is_semi_transitive_cobip``: ``_ranks``, then
+    ``_typing`` and ``_lemma42``, each stopping at its first failure, in
+    the vertex order of ``cliques``.  ``cliques`` comes from ``_cliques`` (a
+    validated partition) or ``_prefix_cliques``, and ``out`` must be the
     out-bitsets of an ``Orientation`` (``_typing``) and acyclic, as the
     sweep's are: the core checks no cycle, and a directed 4-cycle passes
-    every stage.  Typing stops at the first Invalid vertex and lemma 4.2 at
-    its first violation.
+    every stage.
 
     Lemmas 4.1 and 4.3 cannot fail once typing passes, so the core skips
     them.  Each of their violations closes a directed triangle: x->z->y->x
@@ -230,8 +235,7 @@ def _failed_stage(out: tuple[int, ...], cliques: tuple) -> Optional[str]:
     rank = _ranks(out, cliques[0])
     if rank is None:
         return "clique-transitivity"
-    n = len(out)
-    if next(_typing(out, cliques, (rank, [None] * n, [0] * n, [0] * n)), None) is not None:
+    if _typing(out, cliques, rank) is not None:
         return "typing"
     if next(_lemma42(out, cliques), None) is not None:
         return "lemma42"
@@ -262,10 +266,9 @@ def _typed(o: Orientation, partition: CoBipartitePartition) -> tuple[tuple, tupl
     if rank is None:
         raise _cyclic_clique_error(o.out, cliques, partition)
     n = len(o.out)
-    typed = rank, [None] * n, [0] * n, [0] * n
-    for _ in _typing(o.out, cliques, typed):
-        pass
-    return cliques, typed
+    typed = [None] * n, [0] * n, [0] * n
+    _typing(o.out, cliques, rank, typed)
+    return cliques, (rank, *typed)
 
 
 def clique_order(o: Orientation, clique: tuple[str, ...]) -> CliqueOrder:
@@ -302,7 +305,7 @@ def classify_vertex(o: Orientation, partition: CoBipartitePartition, v: str) -> 
     alone = ([([i], order, 0, 0)], None, {i: [w for w in order if g.adj[i] >> w & 1]})
     rank = {w: 1 << r for r, w in enumerate(reversed(order))}
     tags, outrank, inrank = {}, {}, {}
-    next(_typing(o.out, alone, (rank, tags, outrank, inrank)), None)
+    _typing(o.out, alone, rank, (tags, outrank, inrank))
     tag = tags[i]
     outs, ins = (tuple(label for label, w in zip(opposite.vertices, order) if rank[w] & m)
                  for m in (outrank[i], inrank[i]))
@@ -454,20 +457,32 @@ class SweepResult:
 
 
 def _prefix_cliques(cliques: tuple) -> list[tuple]:
-    """``_cliques``'s result restricted to vertices 0..k, for every k.
+    """``_cliques``'s result restricted to vertices 0..k, for every k, ordered
+    so that the core meets vertex k first.
 
     Entry k has the shape of ``_cliques``'s result for the subgraph induced
     on vertices 0..k under the partition restricted to them, so the stage
-    functions run on a prefix's out-bitsets as they stand.
+    functions run on a prefix's out-bitsets as they stand.  Each restricted
+    tuple keeps its clique's vertex set, but the side opposite k comes
+    first, since its vertices type against k's clique, whose ranks k's
+    arrival shifts, and k comes first within its own clique, whose other
+    vertices type as in the parent prefix.  No verdict and no count
+    changes: each stage's verdict is a conjunction over clique vertices or
+    quads, which no order changes, so neither does the first failing stage
+    that ``_prefix_may_pass`` reads.  The order only decides how soon a
+    failure is met.
     """
     sides, cross, _ = cliques
     restricted = []
     for k in range(len(cross)):
         keep = (1 << k + 1) - 1
-        kept = [(tuple(v for v in clique if v <= k), tuple(w for w in other if w <= k),
-                 mask & keep, other_mask & keep) for clique, other, mask, other_mask in sides]
+        clique, other, mask, other_mask = sides[0] if sides[0][2] >> k & 1 else sides[1]
+        mine = (k, *(v for v in clique if v < k))
+        theirs = tuple(w for w in other if w < k)
+        kept = ((theirs, mine, other_mask & keep, mask & keep),
+                (mine, theirs, mask & keep, other_mask & keep))
         cross_k = tuple(c & keep for c in cross[:k + 1])
-        restricted.append((tuple(kept), cross_k, tuple(tuple(_bits(c)) for c in cross_k)))
+        restricted.append((kept, cross_k, tuple(tuple(_bits(c)) for c in cross_k)))
     return restricted
 
 

@@ -1,7 +1,8 @@
 """A/B/C typing, the cross-pattern conditions, and the staged verdict."""
 
 import math
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 
@@ -345,6 +346,65 @@ def literal_types(o, part):
     return types
 
 
+def literal_quad_fails(o, part):
+    """Whether some x->y in one clique and s->t in the other miss a diagonal
+    that lemma 4.2 forces, read off its two patterns."""
+    g, out = o.graph, o.out
+
+    def arc(u, v):
+        return out[u] >> v & 1
+
+    a, b = ([g.index(v) for v in clique] for clique in (part.clique_a, part.clique_b))
+    for one, other in ((a, b), (b, a)):
+        for x, y in permutations(one, 2):
+            for s, t in permutations(other, 2):
+                if not (arc(x, y) and arc(s, t)):
+                    continue
+                if arc(s, x) and arc(y, t) and not (arc(x, t) and arc(s, y)):
+                    return True
+                if arc(y, s) and arc(x, t) and not (arc(x, s) and arc(y, t)):
+                    return True
+    return False
+
+
+def literal_stage(o, part):
+    """The core's stage from the slot walk and lemma 4.2's patterns alone."""
+    types = literal_types(o, part)
+    if types is None:
+        return "clique-transitivity"
+    if any(tag == "Invalid" for tag, _, _ in types.values()):
+        return "typing"
+    return "lemma42" if literal_quad_fails(o, part) else None
+
+
+def small_cross_patterns(seed):
+    """Every 2+2, 2+3 and 3+3 cross pattern, each with its vertices listed
+    in a seeded random order, so the cliques interleave in index order."""
+    import random
+
+    rng = random.Random(seed)
+    for na, nb in ((2, 2), (2, 3), (3, 3)):
+        a, b = [f"a{i}" for i in range(na)], [f"b{j}" for j in range(nb)]
+        for bits in range(1 << na * nb):
+            g, part = cross_pattern(a, b, bits)
+            yield Graph.from_edges(rng.sample(g.vertices, na + nb), g.edges()), part
+
+
+def clique_order_prefixes(cliques):
+    """``_cliques``'s result restricted to vertices 0..k, for every k, each
+    clique kept in partition order."""
+    sides, cross, _ = cliques
+    entries = []
+    for k in range(len(cross)):
+        keep = (1 << k + 1) - 1
+        kept = tuple((tuple(v for v in clique if v <= k), tuple(w for w in other if w <= k),
+                      mask & keep, other_mask & keep) for clique, other, mask, other_mask in sides)
+        cross_k = tuple(c & keep for c in cross[:k + 1])
+        entries.append((kept, cross_k,
+                        tuple(tuple(w for w in range(k + 1) if c >> w & 1) for c in cross_k)))
+    return entries
+
+
 def random_two_clique_case(rng):
     """A random graph of two cliques of 1-5 vertices with shuffled indices,
     and an orientation of it: random directions on every edge (cliques may
@@ -422,6 +482,51 @@ class TestIndexCore:
         # Lemmas 4.1 and 4.3 cannot fail once typing passes, on cyclic
         # input too (the proof is in _failed_stage).
         assert seen == {None, "clique-transitivity", "typing", "lemma42"}
+
+    def test_core_stage_matches_the_slot_walk_exhaustively(self):
+        # Every acyclic orientation of every small cross pattern, with the
+        # cliques interleaved in index order: the core's stage is the slot
+        # walk's typing verdict, then lemma 4.2's from its patterns.
+        import wordrep.cobipartite as cob
+
+        seen = Counter()
+        for g, part in small_cross_patterns(3131):
+            cliques = cob._cliques(g, part)
+            for out in acyclic_outsets(g):
+                stage = literal_stage(Orientation(g, out), part)
+                assert cob._failed_stage(out, cliques) == stage, (g.adj, out)
+                seen[stage] += 1
+        assert seen == {"typing": 98_280, "lemma42": 26_484, None: 24_244}, seen
+
+    def test_newest_vertex_first_keeps_every_prefix_verdict(self):
+        # _prefix_cliques puts the side opposite the newest vertex first and
+        # that vertex first in its own clique; on every prefix of every walk
+        # the check gives the verdict it gives with the cliques in partition
+        # order (the argument is in _prefix_cliques).
+        import wordrep.cobipartite as cob
+
+        checked = rejected = 0
+        for g, part in small_cross_patterns(3232):
+            cliques = cob._cliques(g, part)
+            newest_first = cob._prefix_cliques(cliques)
+            in_order = clique_order_prefixes(cliques)
+            for k, (entry, plain) in enumerate(zip(newest_first, in_order)):
+                (opposite, own), *rest = entry
+                assert own[0][0] == k and rest == list(plain[1:]), (g.adj, k)
+                assert ({(frozenset(clique), mask) for clique, _, mask, _ in (opposite, own)}
+                        == {(frozenset(clique), mask) for clique, _, mask, _ in plain[0]})
+
+            def same_verdict(out):
+                nonlocal checked, rejected
+                verdict = cob._prefix_may_pass(out, newest_first)
+                assert verdict == cob._prefix_may_pass(out, in_order), (g.adj, out)
+                checked += 1
+                rejected += not verdict
+                return True
+
+            for _ in acyclic_outsets(g, same_verdict):
+                pass
+        assert (checked, rejected) == (190_315, 143_932)
 
 
 def drawn_orientations(g, threshold, seed):
@@ -619,6 +724,29 @@ class TestAgreementSweep:
             result = sweep_orientations(g, part, sample_threshold=math.factorial(len(g.vertices)))
             assert not result.sampled and result.disagreements == ()
             assert (calls["free"], calls["may_pass"]) == (free, passes), name
+
+    def test_full_sweep_core_call_counts(self, monkeypatch):
+        # The structural core's calls in the same sweeps, on prefixes (one
+        # per prefix check above) and on the complete orientations the walk
+        # yields, which the three negatives never reach; co-P(4) does.  A
+        # cheaper core shows as time, not as fewer calls.
+        import wordrep.cobipartite as cob
+
+        core = cob._failed_stage
+        for g, part, on_prefixes, on_complete in (
+                (*named_witness("T1bar"), 178, 0), (*named_witness("T2bar"), 140, 0),
+                (*named_witness("G1bar", 4), 1_468, 0), (*complement_path_graph(4), 254, 15)):
+            cliques = cob._cliques(g, part)
+            calls = Counter()
+
+            def counted(out, given):
+                calls["complete" if given is cliques else "prefix"] += 1
+                return core(out, given)
+
+            monkeypatch.setattr(cob, "_failed_stage", counted)
+            result = sweep_orientations(g, part, sample_threshold=math.factorial(len(g.vertices)))
+            assert not result.sampled and result.disagreements == ()
+            assert (calls["prefix"], calls["complete"]) == (on_prefixes, on_complete), calls
 
     def test_family_semi_transitive_counts(self):
         # Full sweeps of the positive families, whose counts check the
