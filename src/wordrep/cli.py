@@ -215,15 +215,17 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-def _int_at_least(low: int) -> Callable[[str], int]:
-    """An argparse type: an integer of at least ``low``."""
+def _int_at_least(low: int, odd: bool = False) -> Callable[[str], int]:
+    """An argparse type: an integer (an odd one with ``odd``) of at least ``low``."""
+    kind = "an odd integer" if odd else "an integer"
+
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+        if value < low or odd and value % 2 == 0:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {kind} >= {low}")
         return value
     return parse
 
@@ -270,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vertices", type=int, default=ori.DEFAULT_MAX_VERTICES)
     p.add_argument("--max-k", type=_int_at_least(1),
                    help="also report the bounded representation number")
-    p.add_argument("--max-walk", type=int,
+    p.add_argument("--max-walk", type=_int_at_least(5, odd=True),
                    help="also search for a chordless odd closed walk")
     p.set_defaults(handler=cmd_representable)
 

@@ -26,6 +26,7 @@ shortcut test.  Each part, and each argument it relies on, has one home:
 * the restriction to each prefix, and why meeting the newest vertex first
   changes no verdict: ``_prefix_cliques``;
 * the heredity of the core's stages: ``_prefix_may_pass``;
+* path verdicts flagged along one pruned walk: ``_pruned_walk``;
 * a sampled sweep's draws, the orders ``Random(seed).sample`` gives, and
   why one pass over the generator's bits draws them: ``_drawn``;
 * a sampled sweep walking or searching, and both oracles surviving
@@ -46,9 +47,9 @@ from .orientations import (
     Orientation,
     ShortcutSearcher,
     _one_mirror_half,
+    acyclic_outsets,
     count_acyclic_orientations,
     is_acyclic,
-    outsets_shortcut_free,
 )
 
 DEFAULT_SAMPLE_THRESHOLD = 200_000
@@ -132,9 +133,9 @@ def _typing(out: tuple[int, ...], cliques: tuple, rank: list[int],
     Invalid one in ``cliques`` order, or None when every vertex types.
 
     ``rank`` holds the rank bits by vertex index (``_ranks``).  With
-    ``typed``, (tags, outrank, inrank) containers by vertex index, the pass
-    instead types every vertex, fills them in and returns None, for the
-    label API.  The tag is "A", "B", "C" or "Invalid"; outrank and inrank
+    ``typed``, the (tags, outrank, inrank) lists by vertex index, the pass
+    instead types every vertex, fills them in and returns None, for
+    ``_typed``.  The tag is "A", "B", "C" or "Invalid"; outrank and inrank
     hold the rank bits of the opposite vertices that the vertex sends to
     and receives from, read off its cross neighbors alone: an
     ``Orientation`` directs every edge exactly once, so the cross neighbors
@@ -294,21 +295,16 @@ def classify_vertex(o: Orientation, partition: CoBipartitePartition, v: str) -> 
     A vertex with no cross edges is reported as type A with an empty
     interval (it satisfies both A and B vacuously; A is the fixed
     tie-break).  Anything that fits no shape is Invalid, which is a value
-    rather than an error.
+    rather than an error.  Raises GraphError on a bad partition or an
+    unknown vertex, and NonTransitiveCliqueError when a clique is oriented
+    cyclically.
     """
-    g = o.graph
-    side = partition.side_of(v)
-    opposite = clique_order(o, partition.clique_b if side == "A" else partition.clique_a)
-    i = g.index(v)
-    order = [g.index(w) for w in opposite.vertices]
-    # v alone as a side against the opposite order; dicts stand in for the lists
-    alone = ([([i], order, 0, 0)], None, {i: [w for w in order if g.adj[i] >> w & 1]})
-    rank = {w: 1 << r for r, w in enumerate(reversed(order))}
-    tags, outrank, inrank = {}, {}, {}
-    _typing(o.out, alone, rank, (tags, outrank, inrank))
+    (sides, _, _), (rank, tags, outrank, inrank) = _typed(o, partition)
+    labels, i = o.graph.vertices, o.graph.index(v)
+    other = next(other for _, other, mask, _ in sides if mask >> i & 1)
+    order = sorted(other, key=rank.__getitem__, reverse=True)
+    outs, ins = (tuple(labels[w] for w in order if rank[w] & m) for m in (outrank[i], inrank[i]))
     tag = tags[i]
-    outs, ins = (tuple(label for label, w in zip(opposite.vertices, order) if rank[w] & m)
-                 for m in (outrank[i], inrank[i]))
     if tag == "C":
         return VertexTypeInfo(v, "C", source_group=ins, sink_group=outs,
                               boundary=(ins[-1], outs[0]))
@@ -506,12 +502,30 @@ def _prefix_may_pass(out: list[int], prefix_cliques: list[tuple]) -> bool:
 
 def _pruned_walk(g: Graph, cliques: tuple, pinned: Optional[list[int]] = None
                  ) -> Iterator[tuple[tuple[int, ...], bool]]:
-    """The walk of ``outsets_shortcut_free`` under ``_prefix_may_pass``, each
-    item as ``(out, shortcut_free)``, over the orientations with the
-    ``pinned`` arcs (all of them by default): every acyclic orientation
-    except those that both oracles reject on a prefix."""
+    """The acyclic orientations with the ``pinned`` arcs (all by default)
+    as ``(out, shortcut_free)``, in the order of one ``acyclic_outsets``
+    walk, less those that both oracles reject on a prefix.
+
+    ``prefix_free`` runs only under a shortcut-free parent prefix, since
+    every completion keeps a shortcut, and its verdict is recorded per
+    depth; the walk is depth-first, so the flags hold the yielded
+    orientation's own prefixes.  A prefix with a shortcut is kept exactly
+    when ``_prefix_may_pass`` accepts it.  So every shortcut-free
+    orientation is yielded, and a dropped one fails both oracles: it keeps
+    its prefix's shortcut, and ``_prefix_may_pass``'s rejections are
+    hereditary.
+    """
+    searcher = ShortcutSearcher(g)
     prefix_cliques = _prefix_cliques(cliques)
-    return outsets_shortcut_free(g, lambda out: _prefix_may_pass(out, prefix_cliques), pinned)
+    free = [True] * (len(g.vertices) + 1)
+
+    def record(out: list[int]) -> bool:
+        k = len(out)
+        free[k] = free[k - 1] and searcher.prefix_free(out)
+        return free[k] or _prefix_may_pass(out, prefix_cliques)
+
+    for out in acyclic_outsets(g, record, pinned):
+        yield out, free[-1]
 
 
 def _compare(g: Graph, partition: CoBipartitePartition, cliques: tuple,

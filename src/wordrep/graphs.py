@@ -200,13 +200,6 @@ class CoBipartitePartition:
             sides.append(idx)
         return sides[0], sides[1]
 
-    def side_of(self, v: str) -> str:
-        if v in self.clique_a:
-            return "A"
-        if v in self.clique_b:
-            return "B"
-        raise GraphError(f"vertex {v!r} not in either clique")
-
 
 @dataclass(frozen=True)
 class GeneralizedCrownParams:

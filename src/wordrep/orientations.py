@@ -15,7 +15,6 @@ a search exact is stated once, in the docstring of the code relying on it:
 * every acyclic orientation once, pruned and pinned: ``acyclic_outsets``;
 * the shortcut test over reachability bitsets: ``ShortcutSearcher``;
 * its incremental prefix step: ``ShortcutSearcher.prefix_free``;
-* path verdicts flagged along one pruned walk: ``outsets_shortcut_free``;
 * the count of acyclic orientations (Stanley): ``count_acyclic_orientations``;
 * comparability refuted by implication classes: ``_forces_a_reversal``;
 * a neighbourhood refuting semi-transitivity: ``_non_comparability_neighbourhood``;
@@ -399,33 +398,6 @@ def acyclic_outsets(
             )
 
     return extend(0, [], [])
-
-
-def outsets_shortcut_free(
-    g: Graph, may_pass: Callable[[list[int]], bool], pinned: Optional[Sequence[int]] = None
-) -> Iterator[tuple[tuple[int, ...], bool]]:
-    """The acyclic orientations as ``(out, shortcut_free)`` from one walk of
-    ``acyclic_outsets``, in its order, less those dropped under a prefix that
-    has a shortcut and that ``may_pass`` rejects; ``pinned`` is passed on to
-    the walk.
-
-    The prefix predicate runs ``prefix_free`` only under a shortcut-free
-    parent prefix, since every completion of a prefix keeps its shortcut,
-    and records the verdict per depth; a prefix with a shortcut is kept
-    exactly when ``may_pass`` accepts it.  So every shortcut-free
-    orientation is yielded, and for a ``may_pass`` that every completion of
-    a rejected prefix also fails, a dropped orientation fails both tests.
-    """
-    searcher = ShortcutSearcher(g)
-    free = [True] * (len(g.vertices) + 1)
-
-    def record(out: list[int]) -> bool:
-        k = len(out)
-        free[k] = free[k - 1] and searcher.prefix_free(out)
-        return free[k] or may_pass(out)
-
-    for out in acyclic_outsets(g, record, pinned):
-        yield out, free[-1]
 
 
 def count_acyclic_orientations(g: Graph) -> Optional[int]:

@@ -241,6 +241,19 @@ class TestRepresentable:
         code, out, err = run_cli(capsys, "representable", str(gpath), "--max-k", max_k)
         assert code == 2 and out == "" and "--max-k" in err
 
+    @pytest.mark.parametrize("max_walk", ["4", "3"])
+    def test_bad_walk_bound_exit_2_before_any_search(self, capsys, tmp_path, monkeypatch,
+                                                      max_walk):
+        # The walk search needs an odd bound of at least 5; W5 is a
+        # negative, so the decider and the orientation count would run first.
+        def decide(*args):
+            raise AssertionError("the decider ran")
+
+        monkeypatch.setattr(ori, "find_semi_transitive_orientation", decide)
+        gpath = write_graph(tmp_path, "w5.graph", wheel5())
+        code, out, err = run_cli(capsys, "representable", str(gpath), "--max-walk", max_walk)
+        assert code == 2 and out == "" and "--max-walk" in err
+
     def test_huge_walk_bound_is_quick(self, capsys, tmp_path):
         # A closed walk repeats no ordered pair, so P4's 3 edges allow 6 steps.
         g, _ = complement_path_graph(2)

@@ -19,6 +19,7 @@ from wordrep.orientations import (
 )
 from wordrep.cobipartite import (
     NonTransitiveCliqueError,
+    VertexTypeInfo,
     check_condition_ab,
     check_condition_quad,
     check_condition_typec,
@@ -103,6 +104,32 @@ class TestClassifyVertex:
         o = Orientation.from_arcs(g, arcs)
         info = classify_vertex(o, part, "v")
         assert info.tag == "B" and info.interval == ("p2", "p3")
+
+    def test_a_partition_missing_a_vertex_raises(self):
+        g, _ = join_graph(["a", "c"], ["b", "d"])
+        o = Orientation.from_order(g, list("abcd"))
+        part = CoBipartitePartition(("a",), ("b",))
+        for check in (check_condition_ab, lambda o, part: classify_vertex(o, part, "a")):
+            with pytest.raises(GraphError):
+                check(o, part)
+
+    def test_a_side_that_is_no_clique_raises_for_every_vertex(self):
+        g = Graph.from_edges("abcd", ["ab", "bc", "cd", "ac"])
+        o = Orientation.from_order(g, list("abcd"))
+        part = CoBipartitePartition(("a", "c"), ("b", "d"))
+        with pytest.raises(GraphError):
+            check_condition_ab(o, part)
+        for v in "abcd":
+            with pytest.raises(GraphError):
+                classify_vertex(o, part, v)
+
+    def test_a_cyclic_own_clique_raises(self):
+        g, part = join_graph(["a", "b", "c"], ["p"])
+        o = Orientation.from_arcs(g, [("a", "b"), ("b", "c"), ("c", "a"),
+                                      ("p", "a"), ("p", "b"), ("p", "c")])
+        for check in (check_condition_ab, lambda o, part: classify_vertex(o, part, "a")):
+            with pytest.raises(NonTransitiveCliqueError):
+                check(o, part)
 
 
 class TestConditionAB:
@@ -346,6 +373,23 @@ def literal_types(o, part):
     return types
 
 
+def literal_info(o, part, types, v):
+    """``classify_vertex``'s answer for v, read off ``literal_types``: its
+    tag, and its groups from the rank masks against the opposite order."""
+    g = o.graph
+    tag, outmask, inmask = types[g.index(v)]
+    order = literal_order(o, part.clique_b if v in part.clique_a else part.clique_a)
+    last = len(order) - 1
+    outs, ins = (tuple(g.vertices[w] for p, w in enumerate(order) if mask >> last - p & 1)
+                 for mask in (outmask, inmask))
+    if tag == "C":
+        return VertexTypeInfo(v, "C", source_group=ins, sink_group=outs,
+                              boundary=(ins[-1], outs[0]))
+    if tag == "Invalid":
+        return VertexTypeInfo(v, "Invalid")
+    return VertexTypeInfo(v, tag, interval=outs if tag == "A" else ins)
+
+
 def literal_quad_fails(o, part):
     """Whether some x->y in one clique and s->t in the other miss a diagonal
     that lemma 4.2 forces, read off its two patterns."""
@@ -474,6 +518,9 @@ class TestIndexCore:
             else:
                 _, (_, tags, outrank, inrank) = cob._typed(o, part)
                 assert {i: (tags[i], outrank[i], inrank[i]) for i in literal} == literal
+                for v in g.vertices:
+                    assert classify_vertex(o, part, v) == literal_info(o, part, literal, v), (
+                        part, o, v)
                 invalid = any(tag == "Invalid" for tag, _, _ in literal.values())
                 assert (stage == "typing") == invalid, (part, o)
             if report.failed_stage == "lemma42":
@@ -574,6 +621,28 @@ class TestAgreementSweep:
                 path_verdict = searcher.find(out) is None
                 structural_verdict, _ = is_semi_transitive_cobip(o, part)
                 assert path_verdict == structural_verdict, (bits, o.arcs())
+
+    def test_flagged_stream_matches_find(self, monkeypatch):
+        # With every prefix accepted, one walk flags every acyclic
+        # orientation with find's verdict, in the enumerator's order.
+        import random
+
+        import wordrep.cobipartite as cob
+
+        monkeypatch.setattr(cob, "_prefix_may_pass", lambda out, prefix_cliques: True)
+        rng = random.Random(31)
+        cases = [cross_pattern(["a1", "a2"], ["b1", "b2"], bits) for bits in range(16)]
+        cases += [cross_pattern(["a1", "a2"], ["b1", "b2", "b3"], bits) for bits in range(64)]
+        for _ in range(20):
+            g, part = cross_pattern(["a1", "a2", "a3"], ["b1", "b2", "b3"], rng.getrandbits(9))
+            cases.append((Graph.from_edges(rng.sample(g.vertices, 6), g.edges()), part))
+        flags = Counter()
+        for g, part in cases:
+            searcher = ShortcutSearcher(g)
+            expected = [(out, searcher.find(out) is None) for out in acyclic_outsets(g)]
+            assert list(cob._pruned_walk(g, cob._cliques(g, part))) == expected, g.adj
+            flags.update(free for _, free in expected)
+        assert flags[True] and flags[False], flags
 
     def test_stream_path_verdicts_match_find(self):
         # The full sweep's stream is the enumerator less the orientations
@@ -845,10 +914,10 @@ class TestAgreementSweep:
 
     def test_sampled_sweep_walks_only_under_the_orientation_count(self, monkeypatch):
         # T1bar has 1,752 acyclic orientations and 5,040 orders.
-        import wordrep.orientations as ori
+        import wordrep.cobipartite as cob
 
         walks, finds = [], []
-        enumerate_outsets, find = ori.acyclic_outsets, ShortcutSearcher.find
+        enumerate_outsets, find = cob.acyclic_outsets, ShortcutSearcher.find
 
         def counted_walk(*args):
             walks.append(args)
@@ -858,7 +927,7 @@ class TestAgreementSweep:
             finds.append(out)
             return find(self, out)
 
-        monkeypatch.setattr(ori, "acyclic_outsets", counted_walk)
+        monkeypatch.setattr(cob, "acyclic_outsets", counted_walk)
         monkeypatch.setattr(ShortcutSearcher, "find", counted_find)
         g, part = named_witness("T1bar")
         for threshold in (2500, 1752):
@@ -869,16 +938,16 @@ class TestAgreementSweep:
         assert drawn.sampled and (len(walks), len(finds)) == (0, drawn.orientations)
 
     def test_full_sweep_walks_the_enumerator_once(self, monkeypatch):
-        import wordrep.orientations as ori
+        import wordrep.cobipartite as cob
 
         calls = []
-        enumerate_outsets = ori.acyclic_outsets
+        enumerate_outsets = cob.acyclic_outsets
 
         def counted(*args):
             calls.append(args)
             return enumerate_outsets(*args)
 
-        monkeypatch.setattr(ori, "acyclic_outsets", counted)
+        monkeypatch.setattr(cob, "acyclic_outsets", counted)
         g, part = named_witness("T2bar")
         result = sweep_orientations(g, part)
         assert result.orientations > 0 and result.disagreements == ()

@@ -35,7 +35,6 @@ from wordrep.orientations import (
     is_transitive,
     is_word_representable,
     outs_transitive,
-    outsets_shortcut_free,
     representable_via_dominant,
 )
 
@@ -581,22 +580,6 @@ class TestPrunedSearch:
             searcher = ShortcutSearcher(g)
             expected = [out for out in acyclic_outsets(g) if searcher.find(out) is None]
             assert list(acyclic_outsets(g, searcher.prefix_free)) == expected, g.adj
-
-    def test_flagged_stream_matches_find(self):
-        # One unpruned walk flags every orientation with find's verdict.
-        for g in small_and_random_graphs():
-            searcher = ShortcutSearcher(g)
-            expected = [(out, searcher.find(out) is None) for out in acyclic_outsets(g)]
-            assert list(outsets_shortcut_free(g, lambda out: True)) == expected, g.adj
-
-    def test_flagged_stream_drops_what_both_checks_reject(self):
-        # Transitivity is hereditary, so the walk keeps exactly the
-        # shortcut-free orientations and the transitive ones, in order.
-        for g in small_and_random_graphs():
-            searcher = ShortcutSearcher(g)
-            flagged = [(out, searcher.find(out) is None) for out in acyclic_outsets(g)]
-            expected = [(out, free) for out, free in flagged if free or outs_transitive(out)]
-            assert list(outsets_shortcut_free(g, outs_transitive)) == expected, g.adj
 
     def test_incremental_check_survives_an_abandoned_search(self):
         # A search stopped at its first hit leaves per-depth state behind;
