@@ -19,8 +19,9 @@ index-level core, and the sweep that checks it against the generic
 shortcut test.  Each part, and each argument it relies on, has one home:
 
 * partition validation and cross neighbors, once per graph: ``_cliques``;
-* the typing rule, one pass that stops at the first Invalid vertex or
-  fills in every vertex's type for the label API: ``_typing``;
+* the typing rule, one pass that fills in the rank masks and stops at the
+  first Invalid vertex, or types every vertex for the label API: ``_typing``;
+* lemma 4.2 as one rank-mask test per clique pair: ``_quads_hold``;
 * the core, and why it skips lemmas 4.1 and 4.3: ``_failed_stage``;
 * the labelled verdict with its acyclicity stage: ``is_semi_transitive_cobip``;
 * the restriction to each prefix, and why meeting the newest vertex first
@@ -29,8 +30,8 @@ shortcut test.  Each part, and each argument it relies on, has one home:
 * path verdicts flagged along one pruned walk: ``_pruned_walk``;
 * a sampled sweep's draws, the orders ``Random(seed).sample`` gives, and
   why one pass over the generator's bits draws them: ``_drawn``;
-* a sampled sweep walking or searching, and both oracles surviving
-  reversal, which halves a full sweep: ``sweep_orientations``.
+* a sampled sweep walking one mirror half or searching, and both oracles
+  surviving reversal, which halves every walk: ``sweep_orientations``.
 """
 
 from __future__ import annotations
@@ -127,52 +128,54 @@ def _ranks(out: tuple[int, ...], sides: tuple) -> Optional[list[int]]:
     return rank
 
 
-def _typing(out: tuple[int, ...], cliques: tuple, rank: list[int],
-            typed: Optional[tuple] = None) -> Optional[int]:
+def _typing(out: tuple[int, ...], cliques: tuple, rank: list[int], outrank: list[int],
+            inrank: list[int], tags: Optional[list] = None) -> Optional[int]:
     """Type the clique vertices against the opposite clique; return the first
     Invalid one in ``cliques`` order, or None when every vertex types.
 
-    ``rank`` holds the rank bits by vertex index (``_ranks``).  With
-    ``typed``, the (tags, outrank, inrank) lists by vertex index, the pass
-    instead types every vertex, fills them in and returns None, for
-    ``_typed``.  The tag is "A", "B", "C" or "Invalid"; outrank and inrank
-    hold the rank bits of the opposite vertices that the vertex sends to
-    and receives from, read off its cross neighbors alone: an
-    ``Orientation`` directs every edge exactly once, so the cross neighbors
-    a vertex does not send to are those it receives from.  A run of set
-    bits is one that adding its lowest bit clears.
+    ``rank`` holds the rank bits by vertex index (``_ranks``).  The pass
+    fills ``outrank`` and ``inrank`` by vertex index with the rank bits of
+    the opposite vertices that each vertex it types sends to and receives
+    from, read off its cross neighbors alone: an ``Orientation`` directs
+    every edge exactly once, so the cross neighbors a vertex does not send
+    to are those it receives from.  With ``tags``, a list by vertex index,
+    the pass instead types every vertex, fills in its tag ("A", "B", "C"
+    or "Invalid") and returns None, for ``_typed``.  A run of set bits is
+    one that adding its lowest bit clears.
     """
     sides, _, cross_lists = cliques
     for clique, other, _, _ in sides:
         above_source = 1 << len(other)
         for v in clique:
             outv = out[v]
-            outrank = inrank = 0
+            outs = ins = 0
             for w in cross_lists[v]:
                 if outv >> w & 1:
-                    outrank |= rank[w]
+                    outs |= rank[w]
                 else:
-                    inrank |= rank[w]
-            if not inrank:
-                tag = "Invalid" if outrank & (outrank + (outrank & -outrank)) else "A"
-            elif not outrank:
-                tag = "Invalid" if inrank & (inrank + (inrank & -inrank)) else "B"
-            elif inrank + (inrank & -inrank) == above_source and not outrank & (outrank + 1):
+                    ins |= rank[w]
+            outrank[v], inrank[v] = outs, ins
+            if not ins:
+                tag = "Invalid" if outs & (outs + (outs & -outs)) else "A"
+            elif not outs:
+                tag = "Invalid" if ins & (ins + (ins & -ins)) else "B"
+            elif ins + (ins & -ins) == above_source and not outs & (outs + 1):
                 tag = "C"  # a run of in-neighbors from the source, of out-neighbors to the sink
             else:
                 tag = "Invalid"
-            if typed is not None:
-                tags, outranks, inranks = typed
-                tags[v], outranks[v], inranks[v] = tag, outrank, inrank
+            if tags is not None:
+                tags[v] = tag
             elif tag == "Invalid":
                 return v
     return None
 
 
-# Lemma 4.2 is the core's one lemma: it yields its violations as index
-# tuples, in a fixed order, and ``_describe42`` labels them for both the
-# report and ``check_condition_quad``.  Lemmas 4.1 and 4.3 run only in their
-# label-level checks, which report their violations directly.
+# The literal lemma 4.2: its violations as index tuples, in a fixed order,
+# which ``_describe42`` labels for both the report and
+# ``check_condition_quad``.  The core decides the lemma by ``_quads_hold``
+# instead, and the tests keep this loop as its oracle.  Lemmas 4.1 and 4.3
+# run only in their label-level checks, which report their violations
+# directly.
 
 
 def _lemma42(out: tuple[int, ...], cliques: tuple) -> Iterator[tuple]:
@@ -214,16 +217,54 @@ def _describe42(labels: tuple[str, ...], out: tuple[int, ...], cliques: tuple) -
             for pattern, x, y, s, t, tail, head in _lemma42(out, cliques)]
 
 
+def _quads_hold(cliques: tuple, rank: list[int], outrank: list[int],
+                inrank: list[int]) -> bool:
+    """Whether lemma 4.2 holds, decided from the rank masks of ``_typing``
+    with a few bit operations per ordered clique pair.
+
+    ``rank`` must come from ``_ranks`` (both cliques transitive), and
+    ``outrank`` and ``inrank`` must be filled for every clique vertex.  A
+    clique pair is x->y exactly when x has the higher rank bit, and s->t
+    in the opposite clique exactly when s does.  Write Ox and Ix for the
+    bits of the opposite vertices that x sends to and receives from; a
+    bit outside Ox is a reversed arc or a non-edge, which ``_lemma42``
+    both count as missing.  Pattern 1 (s->x, y->t) takes s from Ix and t
+    from Oy below s, and needs x->t and s->y: t in Ox and s in Iy.  So it
+    fails exactly when some s in Ix outside Iy lies above the lowest bit
+    of Oy (a t below it exists), or some t in Oy outside Ox lies below the
+    highest bit of Ix (an s above it exists).  Pattern 2 (y->s, x->t)
+    takes s from Oy and t from Ox below s, and needs x->s and y->t: s in
+    Ox and t in Oy.  So it fails exactly when some s in Oy outside Ox lies
+    above the lowest bit of Ox, or some t in Ox outside Oy lies below the
+    highest bit of Oy.  Those are the quads ``_lemma42`` walks and the
+    diagonals it checks, so the two agree on every orientation with
+    transitive cliques, cyclic or not, and whether or not it types.
+    """
+    for clique, _, _, _ in cliques[0]:
+        for x in clique:
+            ox, ix, rank_x = outrank[x], inrank[x], rank[x]
+            below_ix = (1 << ix.bit_length()) - 1 >> 1
+            above_ox = ~((ox & -ox) * 2 - 1)
+            for y in clique:
+                if rank[y] >= rank_x:
+                    continue
+                oy, iy = outrank[y], inrank[y]
+                if (ix & ~iy & ~((oy & -oy) * 2 - 1) or oy & ~ox & below_ix  # pattern 1
+                        or oy & ~ox & above_ox or ox & ~oy & (1 << oy.bit_length()) - 1 >> 1):
+                    return False
+    return True
+
+
 def _failed_stage(out: tuple[int, ...], cliques: tuple) -> Optional[str]:
     """The first failing stage of an orientation, or None when it passes.
 
     The index-level core of ``is_semi_transitive_cobip``: ``_ranks``, then
-    ``_typing`` and ``_lemma42``, each stopping at its first failure, in
-    the vertex order of ``cliques``.  ``cliques`` comes from ``_cliques`` (a
-    validated partition) or ``_prefix_cliques``, and ``out`` must be the
-    out-bitsets of an ``Orientation`` (``_typing``) and acyclic, as the
-    sweep's are: the core checks no cycle, and a directed 4-cycle passes
-    every stage.
+    ``_typing``, stopping at its first Invalid vertex in the vertex order
+    of ``cliques``, and ``_quads_hold`` on the rank masks the typing
+    filled.  ``cliques`` comes from ``_cliques`` (a validated partition)
+    or ``_prefix_cliques``, and ``out`` must be the out-bitsets of an
+    ``Orientation`` (``_typing``) and acyclic, as the sweep's are: the
+    core checks no cycle, and a directed 4-cycle passes every stage.
 
     Lemmas 4.1 and 4.3 cannot fail once typing passes, so the core skips
     them.  Each of their violations closes a directed triangle: x->z->y->x
@@ -236,9 +277,10 @@ def _failed_stage(out: tuple[int, ...], cliques: tuple) -> Optional[str]:
     rank = _ranks(out, cliques[0])
     if rank is None:
         return "clique-transitivity"
-    if _typing(out, cliques, rank) is not None:
+    outrank, inrank = [0] * len(out), [0] * len(out)
+    if _typing(out, cliques, rank, outrank, inrank) is not None:
         return "typing"
-    if next(_lemma42(out, cliques), None) is not None:
+    if not _quads_hold(cliques, rank, outrank, inrank):
         return "lemma42"
     return None
 
@@ -267,9 +309,9 @@ def _typed(o: Orientation, partition: CoBipartitePartition) -> tuple[tuple, tupl
     if rank is None:
         raise _cyclic_clique_error(o.out, cliques, partition)
     n = len(o.out)
-    typed = [None] * n, [0] * n, [0] * n
-    _typing(o.out, cliques, rank, typed)
-    return cliques, (rank, *typed)
+    tags, outrank, inrank = [None] * n, [0] * n, [0] * n
+    _typing(o.out, cliques, rank, outrank, inrank, tags)
+    return cliques, (rank, tags, outrank, inrank)
 
 
 def clique_order(o: Orientation, clique: tuple[str, ...]) -> CliqueOrder:
@@ -587,6 +629,20 @@ def _drawn(adj: tuple[int, ...], count: int, seed: int) -> dict[tuple[int, ...],
     return drawn
 
 
+def _drawn_in_half(g: Graph, cliques: tuple, drawn: dict
+                   ) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """The ``drawn`` orientations that one mirror half of the pruned walk
+    yields, or whose reverse it yields, each with its path verdict; the
+    reverse keeps the verdict (the argument is in ``sweep_orientations``).
+    """
+    for out, free in _pruned_walk(g, cliques, _one_mirror_half(g)):
+        if out in drawn:
+            yield out, free
+        back = tuple(a & ~o for a, o in zip(g.adj, out))
+        if back != out and back in drawn:  # an edgeless graph's one orientation is its own reverse
+            yield back, free
+
+
 def sweep_orientations(
     g: Graph,
     partition: CoBipartitePartition,
@@ -606,15 +662,19 @@ def sweep_orientations(
     are returned in stream order (draw order when sampling) with both
     verdicts and the structural report, the only one the sweep builds.
 
-    A sampled sweep reads its draws' verdicts off the whole pruned walk
-    (``_pruned_walk``) when the graph has at most as many acyclic
-    orientations as draws, and otherwise runs ``ShortcutSearcher.find`` on
-    each distinct draw.  A draw the walk never yields fails both oracles
-    the same way, so it adds no semi-transitive orientation and no
-    disagreement; the walk yields the draws in enumerator order, so its
-    disagreements are sorted back into draw order.  Past the count the
-    walk could cost far more than the draws, since every branch of it
-    completes (K10 has 10! orientations).
+    A sampled sweep reads its draws' verdicts off one mirror half of the
+    pruned walk (``_drawn_in_half``) when the graph has at most as many
+    acyclic orientations as draws, and otherwise runs
+    ``ShortcutSearcher.find`` on each distinct draw.  The half yields each
+    of its orientations and, among the draws, that orientation's reverse,
+    which has the same path verdict (below); ``_compare`` computes the
+    reverse's core verdict itself.  A draw yielded neither way fails both
+    oracles the same way: it is in the walked half and the walk drops it,
+    or its reverse is, and reversal keeps both verdicts.  So it adds no
+    semi-transitive orientation and no disagreement.  The half yields the
+    draws in enumerator order, so its disagreements are sorted back into
+    draw order.  Past the count the walk could cost far more than the
+    draws, since every branch of it completes (K10 has 10! orientations).
 
     A full sweep walks one mirror half (``_one_mirror_half``) and doubles
     its semi-transitive count, because both oracles keep their verdict when
@@ -646,7 +706,7 @@ def sweep_orientations(
     if sampled:
         drawn = _drawn(g.adj, sample_threshold, seed)
         if total is not None and total <= sample_threshold:
-            stream = ((out, free) for out, free in _pruned_walk(g, cliques) if out in drawn)
+            stream = _drawn_in_half(g, cliques, drawn)
         else:
             find = ShortcutSearcher(g).find
             stream = ((out, find(out) is None) for out in drawn)

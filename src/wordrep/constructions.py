@@ -24,6 +24,7 @@ from .graphs import (
     GeneralizedCrownParams,
     Graph,
     GraphError,
+    _bad_label,
     _parts,
     cobipartite_from_bipartite,
     cycle_bipartite,
@@ -242,7 +243,10 @@ def parse_class_token(token: str, size: int) -> frozenset[str]:
 
 
 def parse_profile(text: str, size: int) -> NeighborhoodProfile:
-    """Parse 'a:N12,b:1,c:none' into a neighborhood profile for clique size 2 or 3."""
+    """Parse 'a:N12,b:1,c:none' into a neighborhood profile for clique size 2 or 3.
+
+    Raises GraphError on a member label that no graph holds.
+    """
     profile_type = {2: NeighborhoodProfile2, 3: NeighborhoodProfile3}.get(size)
     if profile_type is None:
         raise GraphError("fixed clique size must be 2 or 3")
@@ -254,6 +258,8 @@ def parse_profile(text: str, size: int) -> NeighborhoodProfile:
                 raise GraphError(f"bad profile item {item!r}, expected label:class")
             label, token = item.split(":", 1)
             label = label.strip()
+            if _bad_label(label):  # each member becomes a vertex and a letter
+                raise GraphError(f"bad member label {label!r}: empty, whitespace, '#' or ':'")
             if label in adjacency:
                 raise GraphError(f"duplicate member {label!r}")
             adjacency[label] = parse_class_token(token.strip(), size)

@@ -25,6 +25,12 @@ class GraphError(ValueError):
     """Malformed graph data: bad labels, bad edges, or size over the cap."""
 
 
+def _bad_label(label: str) -> bool:
+    """Whether a vertex label is empty or holds whitespace, '#' or ':', which
+    would not survive a round trip through the text format."""
+    return label.split() != [label] or "#" in label or ":" in label
+
+
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -53,8 +59,7 @@ class Graph:
     def from_edges(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "Graph":
         verts = tuple(vertices)
         for v in verts:
-            # such labels would not survive a round trip through the text format
-            if v.split() != [v] or "#" in v or ":" in v:
+            if _bad_label(v):
                 raise GraphError(f"bad vertex label {v!r}: empty, whitespace, '#' or ':'")
         if len(set(verts)) != len(verts):
             raise GraphError("duplicate vertex labels")

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from wordrep.constructions import complement_path_graph
 from wordrep.graphs import CoBipartitePartition, Graph
+from wordrep.orientations import count_acyclic_orientations
 
 TESTS = Path(__file__).resolve().parent
 
@@ -23,6 +24,8 @@ def test_mirror_sweep_check_agrees_on_small_cases():
     pattern = Graph.from_edges(a + b, list(combinations(a, 2)) + list(combinations(b, 2)) + cross)
     assert not differs("co-P(2)", *complement_path_graph(2))
     assert not differs("3+4 pattern", pattern, CoBipartitePartition(a, b))
+    assert not differs("3+4 pattern, sampled", pattern, CoBipartitePartition(a, b),
+                       count_acyclic_orientations(pattern))
 
 
 def test_representation_number_check_agrees_on_small_cases():

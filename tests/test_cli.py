@@ -51,6 +51,11 @@ class TestConstruct:
         assert code == 0
         assert out.splitlines()[0] == "a 1 2 a 1 2"
 
+    @pytest.mark.parametrize("profile, member", [("a b:N1", "'a b'"), (":N1", "''")])
+    def test_cobip_profile_member_no_graph_holds_exit_2(self, capsys, profile, member):
+        code, out, err = run_cli(capsys, "construct", "cobip-k2", "--profile", profile)
+        assert code == 2 and out == "" and f"bad member label {member}" in err
+
     def test_word_file_output(self, capsys, tmp_path):
         out_path = tmp_path / "word.txt"
         code, _, _ = run_cli(

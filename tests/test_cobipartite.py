@@ -545,6 +545,52 @@ class TestIndexCore:
                 seen[stage] += 1
         assert seen == {"typing": 98_280, "lemma42": 26_484, None: 24_244}, seen
 
+    def test_rank_mask_quad_test_matches_the_literal_lemma(self):
+        # _quads_hold against the literal _lemma42 on every orientation with
+        # transitive cliques of every 1+1 to 2+3 and 1+4 pattern, cyclic ones
+        # included, and on every acyclic orientation of every 3+3 pattern;
+        # shuffled labels interleave the cliques.
+        import random
+
+        import wordrep.cobipartite as cob
+
+        def shuffled_patterns(na, nb):
+            a, b = [f"a{i}" for i in range(na)], [f"b{j}" for j in range(nb)]
+            for bits in range(1 << na * nb):
+                g, part = cross_pattern(a, b, bits)
+                yield Graph.from_edges(rng.sample(g.vertices, na + nb), g.edges()), part
+
+        def quads_hold(out, cliques):
+            n = len(out)
+            rank, outrank, inrank = cob._ranks(out, cliques[0]), [0] * n, [0] * n
+            # with tags, the typing fills every vertex's masks, past an Invalid one
+            cob._typing(out, cliques, rank, outrank, inrank, [None] * n)
+            holds = cob._quads_hold(cliques, rank, outrank, inrank)
+            assert holds == (next(cob._lemma42(out, cliques), None) is None), (cliques, out)
+            return holds
+
+        rng = random.Random(4242)
+        small = Counter()
+        for na, nb in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (1, 4)):
+            for g, part in shuffled_patterns(na, nb):
+                cliques = cob._cliques(g, part)
+                edges = [(g.index(u), g.index(v)) for u, v in g.edges()]
+                for directions in range(1 << len(edges)):
+                    out = [0] * len(g.vertices)
+                    for e, (u, v) in enumerate(edges):
+                        if directions >> e & 1:
+                            out[u] |= 1 << v
+                        else:
+                            out[v] |= 1 << u
+                    out = tuple(out)
+                    if cob._ranks(out, cliques[0]) is not None:
+                        small[quads_hold(out, cliques), is_acyclic(Orientation(g, out))] += 1
+        assert small == {(True, True): 3_395, (False, True): 1_752,
+                         (True, False): 1_764, (False, False): 4_288}, small
+        acyclic = Counter(quads_hold(out, cob._cliques(g, part))
+                          for g, part in shuffled_patterns(3, 3) for out in acyclic_outsets(g))
+        assert acyclic == {True: 33_336, False: 111_816}, acyclic
+
     def test_newest_vertex_first_keeps_every_prefix_verdict(self):
         # _prefix_cliques puts the side opposite the newest vertex first and
         # that vertex first in its own clique; on every prefix of every walk
@@ -606,6 +652,27 @@ def literal_sampled_sweep(g, part, threshold, seed):
     return {"orientations": len(distinct), "semiTransitive": semi,
             "disagreements": disagreements, "sampled": True, "seed": seed,
             "ordersExamined": threshold}
+
+
+def counted_prefix_checks(monkeypatch):
+    """Patch both prefix checks of the pruned walk to count their calls;
+    return the counts, keyed "free" and "may_pass"."""
+    import wordrep.cobipartite as cob
+
+    calls = {"free": 0, "may_pass": 0}
+    prefix_free, may_pass = ShortcutSearcher.prefix_free, cob._prefix_may_pass
+
+    def counted_free(self, out):
+        calls["free"] += 1
+        return prefix_free(self, out)
+
+    def counted_may_pass(out, prefix_cliques):
+        calls["may_pass"] += 1
+        return may_pass(out, prefix_cliques)
+
+    monkeypatch.setattr(ShortcutSearcher, "prefix_free", counted_free)
+    monkeypatch.setattr(cob, "_prefix_may_pass", counted_may_pass)
+    return calls
 
 
 class TestAgreementSweep:
@@ -771,21 +838,7 @@ class TestAgreementSweep:
         # values: the prefix checks of a full sweep over one mirror half,
         # about half of those over the whole walk (T1bar 410 / 356, T2bar
         # 361 / 280, G1bar(4) 3,305 / 2,936).
-        import wordrep.cobipartite as cob
-
-        calls = {"free": 0, "may_pass": 0}
-        prefix_free, may_pass = ShortcutSearcher.prefix_free, cob._prefix_may_pass
-
-        def counted_free(self, out):
-            calls["free"] += 1
-            return prefix_free(self, out)
-
-        def counted_may_pass(out, prefix_cliques):
-            calls["may_pass"] += 1
-            return may_pass(out, prefix_cliques)
-
-        monkeypatch.setattr(ShortcutSearcher, "prefix_free", counted_free)
-        monkeypatch.setattr(cob, "_prefix_may_pass", counted_may_pass)
+        calls = counted_prefix_checks(monkeypatch)
         for name, n, free, passes in (("T1bar", None, 206, 178), ("T2bar", None, 181, 140),
                                       ("G1bar", 4, 1_653, 1_468)):
             g, part = named_witness(name, n)
@@ -793,6 +846,19 @@ class TestAgreementSweep:
             result = sweep_orientations(g, part, sample_threshold=math.factorial(len(g.vertices)))
             assert not result.sampled and result.disagreements == ()
             assert (calls["free"], calls["may_pass"]) == (free, passes), name
+
+    def test_sampled_walk_work_counts(self, monkeypatch):
+        # A sampled sweep that walks reads one mirror half too, so it makes
+        # the full sweep's prefix checks, about half of those over the whole
+        # walk (T1bar 410 / 356, T2bar 361 / 280, co-P(3) 185 / 124).
+        calls = counted_prefix_checks(monkeypatch)
+        for (g, part), threshold, free, passes in (
+                (named_witness("T1bar"), 2500, 206, 178), (named_witness("T2bar"), 2500, 181, 140),
+                (complement_path_graph(3), 400, 93, 62)):
+            calls.update(free=0, may_pass=0)
+            result = sweep_orientations(g, part, sample_threshold=threshold, seed=3)
+            assert result.sampled and result.disagreements == ()
+            assert (calls["free"], calls["may_pass"]) == (free, passes), g.vertices
 
     def test_full_sweep_core_call_counts(self, monkeypatch):
         # The structural core's calls in the same sweeps, on prefixes (one
@@ -843,10 +909,14 @@ class TestAgreementSweep:
         assert result.semi_transitive == 4
         assert result.disagreements == ()
         assert not result.sampled
-        # no edge, so no mirror half and nothing to double
+        # no edge, so no mirror half and nothing to double; a sampled sweep
+        # (2 orders, 1 orientation) that walks must not count it twice as
+        # its own reverse
         g, part = join_graph(["a1"], ["b1"], cross=[])
         result = sweep_orientations(g, part)
         assert (result.orientations, result.semi_transitive) == (1, 1)
+        result = sweep_orientations(g, part, sample_threshold=1)
+        assert result.sampled and (result.orientations, result.semi_transitive) == (1, 1)
 
     def test_complete_join_all_orientations_pass(self):
         g, part = join_graph(["a1", "a2", "a3"], ["b1", "b2", "b3"])
@@ -933,6 +1003,7 @@ class TestAgreementSweep:
         for threshold in (2500, 1752):
             walked = sweep_orientations(g, part, sample_threshold=threshold, seed=3)
             assert walked.sampled and (len(walks), len(finds)) == (1, 0)
+            assert walks[0][2] == cob._one_mirror_half(g)  # the walk reads one mirror half
             del walks[:]
         drawn = sweep_orientations(g, part, sample_threshold=500, seed=3)
         assert drawn.sampled and (len(walks), len(finds)) == (0, drawn.orientations)

@@ -1,6 +1,7 @@
 """Family words: frozen small cases plus oracle verification."""
 
 import random
+import re
 from itertools import combinations, product
 
 import pytest
@@ -232,6 +233,17 @@ class TestProfileParsing:
         for size in (1, 4):
             with pytest.raises(GraphError, match="must be 2 or 3"):
                 parse_profile("a:N1", size)
+
+    @pytest.mark.parametrize("text, member", [
+        (":N1", "''"), (" :N1", "''"), ("a b:N1", "'a b'"), ("a\tb:N1", "'a\\tb'"),
+        ("x#1:N2", "'x#1'"), ("b:N1,a b:N12", "'a b'"),
+    ])
+    def test_profile_rejects_a_label_no_graph_holds(self, text, member):
+        # every member becomes a vertex and a letter, so a label the graph
+        # format cannot hold is rejected when the profile is parsed
+        for size in (2, 3):
+            with pytest.raises(GraphError, match=f"bad member label {re.escape(member)}"):
+                parse_profile(text, size)
 
 
 class AnyClass3(NeighborhoodProfile):
