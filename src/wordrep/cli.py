@@ -20,23 +20,26 @@ exactly the flags they read, so argparse alone rejects any other.
 Exit codes: 0 success or positive verdict, 1 legitimate negative verdict,
 2 usage, parse, or cap errors.  ``main`` returns every one of them, usage
 errors included; only ``run`` exits the process.
+
+A command imports only the modules it runs: ``representable`` and
+``verify`` load ``graphs``, ``words`` and ``orientations``, which this
+module imports; ``characterize`` also imports ``cobipartite``,
+``construct`` also ``constructions``, and ``catalog`` also
+``constructions`` and ``hashlib``, each inside the code that calls it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import sys
 from pathlib import Path
 from typing import Callable, Optional
 
-from . import constructions as cons
 from . import graphs as gr
 from . import orientations as ori
 from . import words as wd
-from .cobipartite import DEFAULT_SAMPLE_THRESHOLD, sweep_orientations
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -55,6 +58,8 @@ def _build_family(args: argparse.Namespace):
     The path, cycle and crown graphs come first: their builders reject an
     ``--n`` above the vertex cap before any list grows with it.
     """
+    from . import constructions as cons
+
     if args.family == "complement-path":
         even = not args.odd
         graph, _ = cons.complement_path_graph(args.n, even)
@@ -133,6 +138,8 @@ def cmd_representable(args: argparse.Namespace) -> int:
 
 
 def cmd_characterize(args: argparse.Namespace) -> int:
+    from .cobipartite import sweep_orientations
+
     graph, partition = gr.parse_graph_text(Path(args.graph).read_text())
     if partition is None:
         raise gr.GraphError("characterize needs cliqueA/cliqueB lines in the graph file")
@@ -165,6 +172,8 @@ def _parse_range(text: Optional[str], default: tuple[int, int]) -> range:
 
 
 def _catalog_entries(args: argparse.Namespace):
+    from . import constructions as cons
+
     family = args.family
     if family in (None, "t1bar"):
         yield "t1bar", gr.named_witness("T1bar")
@@ -189,6 +198,8 @@ def _catalog_entries(args: argparse.Namespace):
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
+    import hashlib
+
     entries = list(_catalog_entries(args))
     if not entries:
         raise gr.GraphError("the selection matches no catalog graph")
@@ -285,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "for command lines that pass --workers 1, such as perfbench's")
     # Random seeds from abs(seed), so a negative seed would repeat a positive one's draws
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--sample-threshold", type=_int_at_least(1), default=DEFAULT_SAMPLE_THRESHOLD)
+    p.add_argument("--sample-threshold", type=_int_at_least(1),
+                   default=ori.DEFAULT_SAMPLE_THRESHOLD)
     p.set_defaults(handler=cmd_characterize)
 
     p = sub.add_parser("catalog", help="write family graph files plus manifest",

@@ -44,6 +44,7 @@ from typing import Iterator, Optional
 from .graphs import CoBipartitePartition, Graph, GraphError, _bits
 from .orientations import (
     COUNT_MAX_VERTICES,
+    DEFAULT_SAMPLE_THRESHOLD,
     CapExceededError,
     Orientation,
     ShortcutSearcher,
@@ -52,8 +53,6 @@ from .orientations import (
     count_acyclic_orientations,
     is_acyclic,
 )
-
-DEFAULT_SAMPLE_THRESHOLD = 200_000
 
 
 class NonTransitiveCliqueError(ValueError):

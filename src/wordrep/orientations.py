@@ -35,6 +35,9 @@ from .words import Word, _advance, _lanes
 DEFAULT_MAX_VERTICES = 10
 DEFAULT_MAX_UNIFORMITY = 3
 WORD_SEARCH_MAX_VERTICES = 6
+# A characterize sweep draws this many orders when a graph has more linear
+# orders than that (cobipartite.sweep_orientations).
+DEFAULT_SAMPLE_THRESHOLD = 200_000
 # count_acyclic_orientations takes at most 3^n / 2 terms and a memo of up
 # to 2^n polynomials of 32-bit lanes, which hold Bell(n) only up to n = 15:
 # about 0.3 s for 14 edgeless vertices, far less on denser graphs (2-core

@@ -1,5 +1,6 @@
 """Command-line behavior: envelopes, exit codes, determinism."""
 
+import hashlib
 import json
 import re
 import shlex
@@ -492,6 +493,18 @@ class TestCatalog:
             g, part = parse_graph_text(path.read_text())
             assert part is not None
             part.validate(g)
+
+    def test_manifest_digests_are_the_written_bytes(self, capsys, tmp_path):
+        out_dir = tmp_path / "cat"
+        code, out, _ = run_cli(capsys, "catalog", "--out", str(out_dir))
+        assert code == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())["files"]
+        assert manifest == json.loads(out)["files"]
+        assert sorted(item["name"] for item in manifest) == sorted(
+            p.name for p in out_dir.glob("*.graph"))
+        for item in manifest:
+            digest = hashlib.sha256((out_dir / item["name"]).read_bytes()).hexdigest()
+            assert item["sha256"] == digest, item["name"]
 
 
 class TestParser:
