@@ -24,9 +24,8 @@ _HOMES = {
         "path_bipartite",
     ),
     "words": (
-        "VerifyReport", "Word", "WordError", "alternates", "final_permutation",
-        "initial_permutation", "is_uniform", "prepend_initial", "represents",
-        "restrict", "rotate_uniform",
+        "VerifyReport", "Word", "WordError", "alternates", "initial_permutation",
+        "is_uniform", "prepend_initial", "represents", "restrict", "rotate_uniform",
     ),
     "constructions": (
         "NeighborhoodProfile", "NeighborhoodProfile2", "NeighborhoodProfile3",
@@ -35,10 +34,10 @@ _HOMES = {
     ),
     "orientations": (
         "CapExceededError", "Orientation", "OrientationError", "ShortcutWitness",
-        "bounded_representation_number", "enumerate_acyclic_orientations",
-        "find_noncomparability_witness", "find_semi_transitive_orientation",
-        "find_shortcut", "find_uniform_word", "is_acyclic", "is_comparability",
-        "is_semi_transitive", "is_word_representable", "representable_via_dominant",
+        "bounded_representation_number", "find_noncomparability_witness",
+        "find_semi_transitive_orientation", "find_shortcut", "find_uniform_word",
+        "is_acyclic", "is_comparability", "is_word_representable",
+        "representable_via_dominant",
     ),
     "cobipartite": (
         "CharacterizationReport", "CliqueOrder", "VertexTypeInfo", "classify_vertex",

@@ -17,9 +17,12 @@ Every command but ``construct --format text`` prints one JSON payload.
 The families of ``construct`` and ``catalog`` are subcommands that declare
 exactly the flags they read, so argparse alone rejects any other.
 
+Graph, word and manifest files are read and written as UTF-8, whatever
+the locale.
+
 Exit codes: 0 success or positive verdict, 1 legitimate negative verdict,
-2 usage, parse, or cap errors.  ``main`` returns every one of them, usage
-errors included; only ``run`` exits the process.
+2 usage, parse, encoding or cap errors.  ``main`` returns every one of
+them, usage errors included; only ``run`` exits the process.
 
 A command imports only the modules it runs: ``representable`` and
 ``verify`` load ``graphs``, ``words`` and ``orientations``, which this
@@ -48,6 +51,19 @@ EXIT_ERROR = 2
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
+
+
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _write(path: Path, text: str) -> None:
+    # Under a non-UTF-8 locale, argv holds a label's undecodable bytes as
+    # surrogates (PEP 383); write those bytes back as they came.
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
 
 
 # --- construct -------------------------------------------------------------
@@ -85,7 +101,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     word, graph, params = _build_family(args)
     verified = wd.represents(word, graph).ok
     if args.out is not None:
-        args.out.write_text(wd.format_word_text(word))
+        _write(args.out, wd.format_word_text(word))
     if args.format == "text":
         print(word)
         print(f"verified: {str(verified).lower()}")
@@ -99,8 +115,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    graph, _ = gr.parse_graph_text(Path(args.graph).read_text())
-    word = wd.parse_word_text(Path(args.word).read_text())
+    graph, _ = gr.parse_graph_text(_read(args.graph))
+    word = wd.parse_word_text(_read(args.word))
     report = wd.represents(word, graph)
     _emit(report.to_json())
     return EXIT_OK if report.ok else EXIT_NEGATIVE
@@ -110,7 +126,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_representable(args: argparse.Namespace) -> int:
-    graph, _ = gr.parse_graph_text(Path(args.graph).read_text())
+    graph, _ = gr.parse_graph_text(_read(args.graph))
     ori._check_cap(graph, args.max_vertices)
     # The word search has the smaller caps, so its errors come before the
     # decider runs; it refutes a negative without asking the decider.
@@ -140,7 +156,7 @@ def cmd_representable(args: argparse.Namespace) -> int:
 def cmd_characterize(args: argparse.Namespace) -> int:
     from .cobipartite import sweep_orientations
 
-    graph, partition = gr.parse_graph_text(Path(args.graph).read_text())
+    graph, partition = gr.parse_graph_text(_read(args.graph))
     if partition is None:
         raise gr.GraphError("characterize needs cliqueA/cliqueB lines in the graph file")
     ori._check_cap(graph, args.max_vertices)
@@ -209,7 +225,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     for name, (graph, partition) in entries:
         text = gr.format_graph_text(graph, partition)
         path = out_dir / f"{name}.graph"
-        path.write_text(text)
+        _write(path, text)
         manifest.append({
             "name": path.name,
             "sha256": hashlib.sha256(text.encode()).hexdigest(),
@@ -218,7 +234,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         })
     manifest.sort(key=lambda item: item["name"])
     manifest_text = json.dumps({"files": manifest}, indent=2) + "\n"
-    (out_dir / "manifest.json").write_text(manifest_text)
+    _write(out_dir / "manifest.json", manifest_text)
     _emit({"outDir": str(out_dir), "files": manifest})
     return EXIT_OK
 
@@ -325,8 +341,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code
     try:
         return args.handler(args)
-    except (gr.GraphError, wd.WordError, ori.OrientationError,
-            ori.CapExceededError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # every package error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

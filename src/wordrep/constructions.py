@@ -64,7 +64,8 @@ def complement_path_graph(n: int, even: bool = True) -> tuple[Graph, CoBipartite
     g, part = cobipartite_from_bipartite(path_bipartite(n))
     if even:
         return g, part
-    return g.without(primed(n)), CoBipartitePartition(part.clique_a, part.clique_b[:-1])
+    odd = g.induced(v for v in g.vertices if v != primed(n))
+    return odd, CoBipartitePartition(part.clique_a, part.clique_b[:-1])
 
 
 def word_complement_even_cycle(n: int) -> Word:

@@ -88,9 +88,6 @@ class Graph:
     def has_edge(self, u: str, v: str) -> bool:
         return bool(self.adj[self.index(u)] >> self.index(v) & 1)
 
-    def neighbors(self, v: str) -> tuple[str, ...]:
-        return tuple(self.vertices[i] for i in _bits(self.adj[self.index(v)]))
-
     def degree(self, v: str) -> int:
         return self.adj[self.index(v)].bit_count()
 
@@ -114,22 +111,23 @@ class Graph:
         )
 
     def induced(self, labels: Iterable[str]) -> "Graph":
-        """Induced subgraph; kept vertices stay in their original order."""
+        """Induced subgraph; kept vertices stay in their original order.
+
+        Dropping vertex i keeps each row's bits below i and shifts those
+        above it down by one; vertices go highest index first, so the
+        indices still to drop do not move.
+        """
         keep = set(labels)
-        verts = tuple(v for v in self.vertices if v in keep)
-        missing = keep - set(verts)
+        missing = keep - self._index.keys()
         if missing:
             raise GraphError(f"unknown vertices {sorted(missing)}")
-        return Graph.from_edges(
-            verts, [(u, v) for u, v in self.edges() if u in keep and v in keep]
-        )
-
-    def without(self, label: str) -> "Graph":
-        """The graph minus one vertex; the others keep their order."""
-        i = self.index(label)
-        low = (1 << i) - 1
-        return Graph(self.vertices[:i] + self.vertices[i + 1:],
-                     tuple(m & low | m >> (i + 1) << i for j, m in enumerate(self.adj) if j != i))
+        verts, adj = self.vertices, self.adj
+        for i in reversed(range(len(verts))):
+            if verts[i] not in keep:
+                low = (1 << i) - 1
+                verts = verts[:i] + verts[i + 1:]
+                adj = tuple(m & low | m >> (i + 1) << i for j, m in enumerate(adj) if j != i)
+        return Graph(verts, adj)
 
     def is_clique(self, labels: Iterable[str]) -> bool:
         idx = [self.index(v) for v in labels]

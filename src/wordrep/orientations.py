@@ -106,9 +106,6 @@ class Orientation:
                 later ^= low
         return result
 
-    def serialize(self) -> str:
-        return "\n".join(f"{u} -> {v}" for u, v in self.arcs()) + "\n"
-
     def __repr__(self) -> str:
         return f"Orientation({', '.join(f'{u}->{v}' for u, v in self.arcs())})"
 
@@ -295,10 +292,6 @@ def find_shortcut(o: Orientation) -> Optional[ShortcutWitness]:
     return None if arc is None else searcher._witness(o.out, *arc)
 
 
-def is_semi_transitive(o: Orientation) -> bool:
-    return is_acyclic(o) and ShortcutSearcher(o.graph).find(o.out) is None
-
-
 def outs_transitive(out: Sequence[int]) -> bool:
     """u->v and v->z always implies u->z."""
     for mask in out:
@@ -306,10 +299,6 @@ def outs_transitive(out: Sequence[int]) -> bool:
             if out[j] & ~mask:
                 return False
     return True
-
-
-def is_transitive(o: Orientation) -> bool:
-    return outs_transitive(o.out)
 
 
 # --- exhaustive enumeration ------------------------------------------------
@@ -495,17 +484,6 @@ def _check_cap(g: Graph, max_vertices: int) -> None:
         raise CapExceededError(
             f"{len(g.vertices)} vertices exceeds the cap of {max_vertices}"
         )
-
-
-def enumerate_acyclic_orientations(g: Graph) -> Iterator[Orientation]:
-    """Every acyclic orientation exactly once.
-
-    The public face of ``acyclic_outsets``, kept because it is the one
-    public enumerator that applies the search cap.
-    """
-    _check_cap(g, DEFAULT_MAX_VERTICES)
-    for out in acyclic_outsets(g):
-        yield Orientation(g, out)
 
 
 def _one_mirror_half(g: Graph, skip: int = 0) -> list[int]:

@@ -3,9 +3,9 @@
 A word represents a graph when two letters alternate in it exactly for the
 adjacent vertex pairs.  This module holds the word-level operations needed
 to state and check that condition: restriction to a letter subset, the
-alternation test itself, uniformity, initial/final permutations, and the
-two representation-preserving rewrites (prefixing the initial permutation,
-and cyclic rotation of uniform words).
+alternation test itself, uniformity, the initial permutation, and the two
+representation-preserving rewrites (prefixing the initial permutation, and
+cyclic rotation of uniform words).
 
 ``alternates`` is the literal pairwise definition.  Verification, the
 relation, the neighborhoods and the uniform-word search in
@@ -54,13 +54,6 @@ class Word:
 
     def alphabet(self) -> frozenset[str]:
         return frozenset(self.letters)
-
-    def count(self, letter: str) -> int:
-        return self.letters.count(letter)
-
-
-def concat(*words: Word) -> Word:
-    return Word(tuple(letter for w in words for letter in w.letters))
 
 
 def restrict(w: Word, keep: Iterable[str]) -> Word:
@@ -135,17 +128,9 @@ def initial_permutation(w: Word) -> Word:
     return Word(tuple(dict.fromkeys(w.letters)))
 
 
-def final_permutation(w: Word) -> Word:
-    """Rightmost occurrence of each letter, in order of last appearance.
-
-    Kept beside ``initial_permutation`` as its dual in the word calculus.
-    """
-    return Word(tuple(reversed(dict.fromkeys(reversed(w.letters)))))
-
-
 def prepend_initial(w: Word) -> Word:
     """The initial permutation glued in front; represents the same graph."""
-    return concat(initial_permutation(w), w)
+    return Word(initial_permutation(w).letters + w.letters)
 
 
 def rotate_uniform(w: Word, cut: int) -> Word:

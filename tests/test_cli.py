@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -380,6 +383,41 @@ class TestCharacterize:
         code, out, err = run_cli(capsys, "characterize", str(gpath), "--seed", seed,
                                  "--sample-threshold", "100")
         assert code == 2 and out == "" and "--seed" in err
+
+
+NOT_UTF8 = b"\xff\xfe\x00bad"
+
+
+class TestFileEncoding:
+    @pytest.mark.parametrize("command", ["representable", "characterize", "verify"])
+    def test_non_utf8_graph_file_exit_2(self, capsys, tmp_path, command):
+        gpath = tmp_path / "bin.graph"
+        gpath.write_bytes(NOT_UTF8)
+        wpath = tmp_path / "w.txt"
+        wpath.write_text("1 2\n")
+        argv = [command, str(gpath)] + ([str(wpath)] if command == "verify" else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {gpath}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+    def test_non_utf8_word_file_exit_2(self, capsys, tmp_path):
+        gpath = tmp_path / "k2.graph"
+        gpath.write_text("vertices: 1 2\n1 2\n")
+        wpath = tmp_path / "w.txt"
+        wpath.write_bytes(b"1 2 " + NOT_UTF8)
+        code, out, err = run_cli(capsys, "verify", str(gpath), str(wpath))
+        assert code == 2 and out == ""
+        assert err == f"error: {wpath}: not UTF-8 text (invalid start byte at byte 4)\n"
+
+    def test_word_file_is_utf8_under_an_ascii_locale(self, tmp_path):
+        # Without UTF-8 mode, argv holds the label's bytes as surrogates.
+        env = {**os.environ, "PYTHONPATH": str(Path(graphs.__file__).parents[1]),
+               "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        done = subprocess.run(
+            [sys.executable, "-m", "wordrep.cli", "construct", "cobip-k2", "--profile",
+             "\u00e9:N1", "--out", "w.txt"], cwd=tmp_path, env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "w.txt").read_bytes() == "1 2 \u00e9 1 \u00e9 2\n".encode()
 
 
 class TestCatalog:

@@ -241,7 +241,36 @@ class TestBuildersAgainstEdgeLists:
             assert layout(g) == layout(literal_complement(spec)), spec
             assert part == CoBipartitePartition(spec.part_x, spec.part_y)
 
+    def test_induced_matches_the_literal_restriction(self):
+        # Every kept subset of every labelled graph on at most 5 vertices,
+        # then random ones up to the cap, against from_edges on the kept
+        # labels (in the graph's order) and the edges among them.
+        rng = random.Random(61)
+        graphs = []
+        for n in range(6):
+            labels = [f"v{i}" for i in reversed(range(n))]
+            pairs = list(combinations(labels, 2))
+            graphs += [(Graph.from_edges(labels, [e for t, e in enumerate(pairs) if bits >> t & 1]),
+                        range(1 << n)) for bits in range(1 << len(pairs))]
+        for n in (9, 17, 33, 64):
+            labels = [f"v{i}" for i in range(n)]
+            rng.shuffle(labels)
+            p = rng.random()
+            g = Graph.from_edges(labels, [e for e in combinations(labels, 2) if rng.random() < p])
+            graphs.append((g, [rng.getrandbits(n) for _ in range(20)] + [0, (1 << n) - 1]))
+        for g, masks in graphs:
+            edges = g.edges()
+            for mask in masks:
+                kept = [v for i, v in enumerate(g.vertices) if mask >> i & 1]
+                literal = Graph.from_edges(
+                    kept, [(u, v) for u, v in edges if u in kept and v in kept])
+                assert layout(g.induced(reversed(kept))) == layout(literal), (g.adj, kept)
+        with pytest.raises(GraphError, match=r"unknown vertices \['nope'\]"):
+            g.induced([g.vertices[0], "nope"])
+
     def test_without_matches_induced(self):
+        # Dropping any one vertex keeps the others in order with the edges
+        # among them.
         rng = random.Random(61)
         for n in (1, 2, 3, 5, 9, 17, 33, 50, 64):
             labels = [f"v{i}" for i in range(n)]
@@ -250,10 +279,11 @@ class TestBuildersAgainstEdgeLists:
             g = Graph.from_edges(labels, [e for e in combinations(labels, 2)
                                           if rng.random() < p])
             for v in labels:
-                assert layout(g.without(v)) == layout(
-                    g.induced(u for u in labels if u != v)), (n, v)
-        with pytest.raises(GraphError, match="unknown vertex"):
-            g.without("nope")
+                rest = [u for u in labels if u != v]
+                literal = Graph.from_edges(rest, [e for e in g.edges() if v not in e])
+                assert layout(g.induced(rest)) == layout(literal), (n, v)
+        with pytest.raises(GraphError, match=r"unknown vertices \[.nope.\]"):
+            g.induced(["nope"])
 
     def test_label_errors_are_unchanged(self):
         many = [f"v{i}" for i in range(66)]
@@ -341,10 +371,10 @@ class TestGraphBasics:
 
     def test_induced_and_without(self):
         g = k_n(4)
-        h = g.without("4")
-        assert set(h.vertices) == {"1", "2", "3"}
+        h = g.induced(v for v in g.vertices if v != "4")
+        assert h.vertices == ("1", "2", "3")
         assert h.edge_count == 3
-        sub = g.induced(["2", "4"])
+        sub = g.induced(["4", "2"])
         assert sub.vertices == ("2", "4")
         assert sub.edge_count == 1
 

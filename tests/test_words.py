@@ -13,8 +13,6 @@ from wordrep.words import (
     WordError,
     alternates,
     alternation_relation,
-    concat,
-    final_permutation,
     format_word_text,
     initial_permutation,
     is_uniform,
@@ -212,13 +210,9 @@ class TestPermutations:
     def test_initial(self):
         assert str(initial_permutation(W_EXAMPLE)) == "6 3 4 5 1 2"
 
-    def test_final(self):
-        assert str(final_permutation(W_EXAMPLE)) == "6 4 3 2 1 5"
-
-    def test_on_a_permutation_both_are_identity(self):
+    def test_on_a_permutation_it_is_the_identity(self):
         w = Word(tuple("35142"))
         assert initial_permutation(w) == w
-        assert final_permutation(w) == w
 
 
 class TestRewrites:
@@ -228,7 +222,7 @@ class TestRewrites:
     def test_prepend_initial_on_co_p4_word(self):
         w = Word.from_text("1 2 1' 2' 1' 1 2' 2")
         g, _ = complement_path_graph(2)
-        assert prepend_initial(w) == concat(Word.from_text("1 2 1' 2'"), w)
+        assert prepend_initial(w) == Word.from_text("1 2 1' 2' 1 2 1' 2' 1' 1 2' 2")
         assert represents(prepend_initial(w), g).ok
 
     def test_prepend_initial_preserves_relation(self):
